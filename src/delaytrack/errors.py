@@ -30,7 +30,7 @@ class DefectiveEigenvalueError(DelayTrackError):
 
 
 class SingularSystemError(DelayTrackError):
-    """Continuation mass matrix could not be factorized."""
+    """Bordered continuation system is singular or gave a nonfinite slope."""
 
     def __init__(self, message, condition=None):
         super().__init__(message)

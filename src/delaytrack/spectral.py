@@ -11,7 +11,6 @@ then polished on the exact nonlinear P by a bordered Newton iteration.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     ConfigurationError,
     DefectiveEigenvalueError,
     NonConvergenceError,
+    SingularSystemError,
 )
 
 # discretized generalized eigenvalues beyond this magnitude are treated as
@@ -32,6 +32,10 @@ INFINITE_EIGENVALUE_THRESHOLD = 1e8
 
 # dense generalized solve below this pencil dimension, shift-invert above
 DENSE_SOLVE_MAX_DIM = 2000
+
+# below this model dimension P(s) is handled as a dense ndarray, both in the
+# continuation assembly and in the Newton corrector; sparse LU of P above
+DENSE_ASSEMBLY_MAX_R = 200
 
 
 @dataclass
@@ -228,6 +232,83 @@ def eigenpair_residual(model, s, phi, wams=None):
     return float(np.linalg.norm(P(s) @ phi) / np.linalg.norm(phi))
 
 
+def _factor(P):
+    """Sparse LU of P.  An exactly zero pivot (P singular at a simple
+    eigenvalue) refactors P nudged by 1e-14 relative on the diagonal; the
+    refinement in :func:`bordered_solve` against the exact P absorbs it."""
+    P = sparse.csc_array(P, dtype=complex)
+    try:
+        return splu(P)
+    except RuntimeError:
+        nudge = 1e-14 * max(1.0, float(abs(P).max()))
+        shift = nudge * sparse.eye_array(P.shape[0], format="csc")
+        try:
+            return splu(P + shift)
+        except RuntimeError as exc:
+            raise SingularSystemError(
+                f"characteristic matrix is singular: {exc}"
+            ) from exc
+
+
+def bordered_solve(P, w, phi, f, t):
+    """Solve the complex bordered system
+
+        [[P, w], [phi^T, 0]] [x; ds] = [f; t]
+
+    for the vector x and the scalar ds.  With P = P(s), w = P'(s) phi and
+    (f, t) = (-dP/dp phi, 0) this is the continuation slope (dphi/dp,
+    ds/dp); with (f, t) = -(P phi, (phi^T phi - 1)/2) it is the Newton step.
+
+    A dense ndarray P is solved as the dense (r+1) bordered matrix.  A
+    sparse P takes one sparse LU of P alone: block elimination with
+    b = P^-1 w and the scalar Schur complement phi^T b, followed by exactly
+    one step of iterative refinement against the exact bordered residual.
+    Near an eigenvalue b is huge and the unrefined x loses all accuracy;
+    the refinement step restores it.
+
+    Raises :class:`SingularSystemError` when the bordered matrix is
+    singular: a zero or nonfinite Schur complement, or a nonfinite result.
+    """
+    w = np.asarray(w, dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    f = np.asarray(f, dtype=complex)
+    with np.errstate(all="ignore"):  # nonfinite values are reported below
+        if sparse.issparse(P):
+            lu = _factor(P)
+            b = lu.solve(w)
+            schur = phi @ b
+            if schur == 0.0 or not np.isfinite(schur):
+                raise SingularSystemError(
+                    "bordered matrix is singular: Schur complement "
+                    f"phi^T P^-1 w = {schur}"
+                )
+
+            def eliminate(f, t):
+                a = lu.solve(f)
+                ds = (phi @ a - t) / schur
+                return a - ds * b, ds
+
+            x, ds = eliminate(f, t)
+            dx, dds = eliminate(f - P @ x - w * ds, t - phi @ x)
+            x, ds = x + dx, ds + dds
+        else:
+            r = P.shape[0]
+            K = np.zeros((r + 1, r + 1), dtype=complex)
+            K[:r, :r] = P
+            K[:r, r] = w
+            K[r, :r] = phi
+            try:
+                z = np.linalg.solve(K, np.append(f, t))
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(
+                    "bordered matrix is singular"
+                ) from exc
+            x, ds = z[:r], z[r]
+    if not (np.isfinite(ds) and np.all(np.isfinite(x))):
+        raise SingularSystemError("nonfinite bordered solution")
+    return x, complex(ds)
+
+
 def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
     """Polish an eigenpair on the exact characteristic function.
 
@@ -235,10 +316,11 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
 
         F(phi, s) = [ P(s) phi ; (phi^T phi - 1) / 2 ] = 0
 
-    with Jacobian blocks [[P(s), dP/ds phi], [phi^T, 0]].  The transpose
-    (not conjugate) border keeps F holomorphic, so plain complex Newton
-    converges quadratically.  Returns an :class:`Eigenpair` satisfying
-    ||P(s) phi|| / ||phi|| <= tol and |phi^T phi - 1| <= tol.
+    with Jacobian blocks [[P(s), dP/ds phi], [phi^T, 0]], solved by
+    :func:`bordered_solve`.  The transpose (not conjugate) border keeps F
+    holomorphic, so plain complex Newton converges quadratically.  Returns
+    an :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
+    |phi^T phi - 1| <= tol.
 
     Eigenvectors that are isotropic under the transpose pairing
     (phi^T phi = 0, e.g. (1, j) of a pure rotation) admit no quadratic
@@ -261,12 +343,14 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
     if abs(quad) > 1e-12 * nrm2:
         phi = phi / np.sqrt(quad)  # principal root; Newton fixes the rest
     s = complex(s0)
-    r = model.r
+    dense = model.r < DENSE_ASSEMBLY_MAX_R
     P, dP = _characteristic(model, wams)
 
     residual = np.inf
     for _ in range(max_iter):
         Pm = P(s)
+        if dense:
+            Pm = Pm.toarray()
         top = Pm @ phi
         nrm = np.linalg.norm(phi)
         residual = float(np.linalg.norm(top) / nrm)
@@ -279,27 +363,9 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
                 # isotropic eigenvector: no quadratic normalization exists
                 return Eigenpair(s, phi / nrm, residual)
 
-        col = (dP(s) @ phi).reshape(-1, 1)
-        rhs = -np.concatenate([top, [defect]])
         try:
-            with warnings.catch_warnings():
-                # near-singular systems are expected close to folds and
-                # handled below; keep the solver quiet
-                warnings.simplefilter("ignore", la.LinAlgWarning)
-                if r <= DENSE_SOLVE_MAX_DIM:
-                    J = np.zeros((r + 1, r + 1), dtype=complex)
-                    J[:r, :r] = Pm.toarray()
-                    J[:r, r] = col[:, 0]
-                    J[r, :r] = phi
-                    delta = la.solve(J, rhs)
-                else:
-                    J = sparse.block_array(
-                        [[Pm, sparse.csr_array(col)],
-                         [sparse.csr_array(phi.reshape(1, -1)), None]],
-                        format="csc",
-                    )
-                    delta = splu(J).solve(rhs)
-        except (la.LinAlgError, RuntimeError) as exc:
+            dphi, ds = bordered_solve(Pm, dP(s) @ phi, phi, -top, -defect)
+        except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):
                 # singular at a converged-ish iterate: defective eigenvalue
                 raise DefectiveEigenvalueError(
@@ -309,12 +375,8 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
                 f"singular bordered Jacobian far from a root at s={s}",
                 residual=residual,
             ) from exc
-        if not np.all(np.isfinite(delta)):
-            raise NonConvergenceError(
-                f"Newton step diverged at s={s}", residual=residual
-            )
-        phi = phi + delta[:r]
-        s = s + complex(delta[r])
+        phi = phi + dphi
+        s = s + ds
     raise NonConvergenceError(
         f"Newton refinement did not reach tol={tol:g} in {max_iter} "
         f"iterations (last residual {residual:.3g})",

@@ -1,17 +1,20 @@
 """Continuation tracking of eigenpairs across a parameter sweep.
 
 Implicit differentiation of P(s(p), p) phi(p) = 0 together with the
-eigenvector normalization phi^T phi = 1 yields a real ODE in
+eigenvector normalization phi^T phi = 1 yields the complex bordered system
 
-    y(p) = (phi_r, phi_i, s_r, s_i),        M(y) dy/dp = h(y)
+    [[P(s), P'(s) phi], [phi^T, 0]] [dphi/dp; ds/dp] = [-(dP/dp) phi; 0],
 
-whose mass matrix M has the block form [[M1, M2], [M3, 0]]: M1 is the
-real/imaginary split of P(s), M2 the split of (dP/ds) phi, and M3 the
-normalization rows.  Four assembly variants cover a single constant delay,
-multiple constant delays, a delay magnitude acting as the parameter, and a
-WAMS-shaped stochastic delay.  The sweep advances y with explicit
-integrators (LU solve per stage), optionally re-polished by the bordered
-Newton corrector at fixed p, while watching for conjugate-pair folds and
+whose real/imaginary split is the ODE M(y) dy/dp = h(y) in
+y = (phi_r, phi_i, s_r, s_i).  Four assembly variants cover a single
+constant delay, multiple constant delays, a delay magnitude acting as the
+parameter, and a WAMS-shaped stochastic delay; each returns the complex
+pieces P(s), P'(s) phi and -(dP/dp) phi.  Every integrator stage solves the
+bordered system with :func:`spectral.bordered_solve`: one sparse LU of the
+r x r complex P(s), a scalar Schur complement on the border and one step of
+iterative refinement -- the same solve the bordered Newton corrector takes.
+The sweep advances y with explicit integrators, optionally re-polished by
+the Newton corrector at fixed p, while watching for conjugate-pair folds and
 real-axis crossings.
 """
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 from . import charfun, spectral
 from .errors import (
@@ -33,10 +35,8 @@ from .errors import (
     ReinitializationError,
     SingularSystemError,
 )
-
-# below this model dimension the (2r+2)-sized continuation system is
-# assembled and solved densely; sparse LU above
-DENSE_ASSEMBLY_MAX_R = 200
+from .model import DelayParameterFamily
+from .spectral import DENSE_ASSEMBLY_MAX_R
 
 REGIMES = ("single", "multi", "delay_param", "wams")
 INTEGRATORS = ("euler", "heun", "rk4")
@@ -85,11 +85,43 @@ class TrackState:
 
 @dataclass
 class ContinuationSystem:
-    """Assembled pair (M, h); M is dense or sparse depending on size."""
+    """Complex pieces of the bordered continuation system at one state.
 
-    M: object
-    h: np.ndarray
-    r: int
+    ``P`` is P(s): a dense ndarray below ``DENSE_ASSEMBLY_MAX_R``, sparse
+    above.  ``w`` = P'(s) phi is the border column, ``g`` = -(dP/dp) phi the
+    parameter forcing and ``phi`` the eigenvector in the border row.  ``M``
+    and ``h`` are the real split [[M1, M2], [M3, 0]] y' = h of the same
+    system, derived (sparse) on access; the solver never builds them.
+    """
+
+    P: object
+    w: np.ndarray
+    g: np.ndarray
+    phi: np.ndarray
+
+    @property
+    def r(self):
+        return self.phi.size
+
+    @property
+    def M(self):
+        """M1 = [[X, -Y], [Y, X]] with P = X + iY, M2 = [[wR, -wI],
+        [wI, wR]] (columns), M3 = [[fr, -fi], [fi, fr]] (rows)."""
+        P = sparse.csr_array(self.P)
+        w, phi = self.w, self.phi
+        M1 = sparse.block_array([[P.real, -P.imag], [P.imag, P.real]])
+        M2 = np.column_stack([np.concatenate([w.real, w.imag]),
+                              np.concatenate([-w.imag, w.real])])
+        M3 = np.vstack([np.concatenate([phi.real, -phi.imag]),
+                        np.concatenate([phi.imag, phi.real])])
+        return sparse.block_array(
+            [[M1, sparse.csr_array(M2)], [sparse.csr_array(M3), None]],
+            format="csr",
+        )
+
+    @property
+    def h(self):
+        return np.concatenate([self.g.real, self.g.imag, [0.0, 0.0]])
 
 
 @dataclass
@@ -146,62 +178,31 @@ class TrackOptions:
             raise ConfigurationError("wams regime needs a WamsSpec")
 
 
-def _exp_cs(s_r, s_i, t):
-    a = math.exp(-s_r * t)
-    return a * math.cos(s_i * t), a * math.sin(s_i * t)
-
-
 def _materialize(model, derivatives, dense):
-    """Matrices as either ndarray or csr, per the assembly backend."""
+    """E, A0, the delay matrices, dE, dA0 and their derivatives: as stored
+    (csr), or as ndarrays below ``DENSE_ASSEMBLY_MAX_R`` unless ``dense``
+    overrides the choice."""
+    if dense is None:
+        dense = model.r < DENSE_ASSEMBLY_MAX_R
     mats = [model.E, model.A0, derivatives.dE, derivatives.dA0]
     mats += [A for _, A in model.delay_terms]
     mats += list(derivatives.dA_terms)
     if dense:
         mats = [m.toarray() for m in mats]
-    n = 4
     mu = model.mu
-    E, A0, dE, dA0 = mats[:n]
-    return E, A0, dE, dA0, mats[n:n + mu], mats[n + mu:]
+    return mats[0], mats[1], mats[4:4 + mu], mats[2], mats[3], mats[4 + mu:]
 
 
-def _compose(X, Y, wR, wI, fr, fi, gR, gI, r, dense):
-    """Stack the blocks [[M1, M2], [M3, 0]] and the right-hand side h.
-
-    M1 = [[X, -Y], [Y, X]],  M2 = [[wR, -wI], [wI, wR]] (columns),
-    M3 = [[fr, -fi], [fi, fr]] (rows),  h = (gR, gI, 0, 0).
-    """
-    h = np.concatenate([gR, gI, [0.0, 0.0]])
-    if dense:
-        M = np.zeros((2 * r + 2, 2 * r + 2))
-        M[:r, :r] = X
-        M[:r, r:2 * r] = -Y
-        M[r:2 * r, :r] = Y
-        M[r:2 * r, r:2 * r] = X
-        M[:r, 2 * r] = wR
-        M[:r, 2 * r + 1] = -wI
-        M[r:2 * r, 2 * r] = wI
-        M[r:2 * r, 2 * r + 1] = wR
-        M[2 * r, :r] = fr
-        M[2 * r, r:2 * r] = -fi
-        M[2 * r + 1, :r] = fi
-        M[2 * r + 1, r:2 * r] = fr
-    else:
-        M2 = np.vstack(
-            [np.column_stack([wR, -wI]), np.column_stack([wI, wR])]
-        )
-        M1 = sparse.block_array([[X, -Y], [Y, X]])
-        M3 = np.vstack(
-            [np.concatenate([fr, -fi]), np.concatenate([fi, fr])]
-        )
-        M = sparse.block_array(
-            [[M1, sparse.csr_array(M2)], [sparse.csr_array(M3), None]],
-            format="csr",
-        )
-    return M, h
-
-
-def _use_dense(model, dense):
-    return model.r < DENSE_ASSEMBLY_MAX_R if dense is None else bool(dense)
+def _delay_sum(s, phi, E, A0, delays):
+    """P(s) = s E - A0 - sum_j A_j exp(-s tau_j) and P'(s) phi =
+    (E + sum_j tau_j A_j exp(-s tau_j)) phi over (tau_j, A_j) pairs."""
+    P = s * E - A0
+    w = E @ phi
+    for tau, A in delays:
+        e = charfun._delay_scalar(s, tau)
+        P = P - e * A
+        w = w + (tau * e) * (A @ phi)
+    return P, w
 
 
 def assemble_single(model, derivatives, state, dense=None):
@@ -210,141 +211,68 @@ def assemble_single(model, derivatives, state, dense=None):
         raise ConfigurationError(
             f"single-delay assembly needs mu=1, got mu={model.mu}"
         )
-    return assemble_multi(model, derivatives, state, dense=dense,
-                          _require_single=True)
+    return assemble_multi(model, derivatives, state, dense=dense)
 
 
-def assemble_multi(model, derivatives, state, dense=None,
-                   _require_single=False):
-    """Continuation system for any number of constant delays.
-
-    The delay sum enters through C = sum_j A_j hr_j, S = sum_j A_j hi_j
-    (and their tau-weighted versions in the dsdp column), with
-    hr_j + i hi_j the polar split of exp(-s tau_j)."""
-    r = model.r
-    dense_ = _use_dense(model, dense)
-    E, A0, dE, dA0, As, dAs = _materialize(model, derivatives, dense_)
-    s_r, s_i = state.s_r, state.s_i
-    fr, fi = state.phi_r, state.phi_i
-
-    X = s_r * E - A0
-    Y = s_i * E
-    wR = E @ fr
-    wI = E @ fi
-    hA = -s_r * dE + dA0
-    hB = s_i * dE
-    for (tau, _), A, dA in zip(model.delay_terms, As, dAs):
-        hr, hi = _exp_cs(s_r, s_i, tau)
-        X = X - hr * A
-        Y = Y + hi * A
-        Afr, Afi = A @ fr, A @ fi
-        wR = wR + tau * (hr * Afr + hi * Afi)
-        wI = wI + tau * (hr * Afi - hi * Afr)
-        hA = hA + hr * dA
-        hB = hB + hi * dA
-    gR = hA @ fr + hB @ fi
-    gI = -hB @ fr + hA @ fi
-    M, h = _compose(X, Y, wR, wI, fr, fi, gR, gI, r, dense_)
-    return ContinuationSystem(M=M, h=h, r=r)
+def assemble_multi(model, derivatives, state, dense=None):
+    """Continuation system for any number of constant delays; the parameter
+    forcing is (dA0 - s dE + sum_j dA_j exp(-s tau_j)) phi."""
+    E, A0, As, dE, dA0, dAs = _materialize(model, derivatives, dense)
+    s, phi = state.s, state.phi
+    P, w = _delay_sum(s, phi, E, A0, zip(model.taus, As))
+    g = dA0 @ phi - s * (dE @ phi)
+    for tau, dA in zip(model.taus, dAs):
+        g = g + charfun._delay_scalar(s, tau) * (dA @ phi)
+    return ContinuationSystem(P=P, w=w, g=g, phi=phi)
 
 
 def assemble_delay_param(model, derivatives, state, delay_index, dense=None):
     """Continuation system when p is the magnitude of delay ``delay_index``.
 
-    The varying term A_l exp(-s p) stays separate from the constant-delay
-    sum; its explicit p-derivative contributes the forcing -A_l exp(-s p) s
-    while all delayed-matrix derivatives vanish by definition."""
-    r = model.r
+    The varying term A_l exp(-s p) enters P and P' like a constant delay of
+    magnitude p; its explicit p-derivative contributes the forcing
+    -s A_l exp(-s p) phi, while all delayed-matrix derivatives vanish by
+    definition."""
     if not 0 <= delay_index < model.mu:
         raise ConfigurationError(
             f"delay index {delay_index} out of range for mu={model.mu}"
         )
-    dense_ = _use_dense(model, dense)
-    E, A0, dE, dA0, As, dAs = _materialize(model, derivatives, dense_)
-    s_r, s_i = state.s_r, state.s_i
-    fr, fi = state.phi_r, state.phi_i
-    p = state.p
-
-    Al = As[delay_index]
-    hrl, hil = _exp_cs(s_r, s_i, p)
-
-    X = s_r * E - A0 - hrl * Al
-    Y = s_i * E + hil * Al
-    Alfr, Alfi = Al @ fr, Al @ fi
-    wR = E @ fr + p * (hrl * Alfr + hil * Alfi)
-    wI = E @ fi + p * (hrl * Alfi - hil * Alfr)
-    for j, ((tau, _), A) in enumerate(zip(model.delay_terms, As)):
-        if j == delay_index:
-            continue
-        hr, hi = _exp_cs(s_r, s_i, tau)
-        X = X - hr * A
-        Y = Y + hi * A
-        Afr, Afi = A @ fr, A @ fi
-        wR = wR + tau * (hr * Afr + hi * Afi)
-        wI = wI + tau * (hr * Afi - hi * Afr)
-
-    h1 = dA0 - s_r * dE - (s_r * hrl + s_i * hil) * Al
-    h2 = s_i * dE + (s_i * hrl - s_r * hil) * Al
-    gR = h1 @ fr + h2 @ fi
-    gI = -h2 @ fr + h1 @ fi
-    M, h = _compose(X, Y, wR, wI, fr, fi, gR, gI, r, dense_)
-    return ContinuationSystem(M=M, h=h, r=r)
+    E, A0, As, dE, dA0, _ = _materialize(model, derivatives, dense)
+    s, phi, p = state.s, state.phi, state.p
+    taus = list(model.taus)
+    taus[delay_index] = p
+    P, w = _delay_sum(s, phi, E, A0, zip(taus, As))
+    g = (dA0 @ phi - s * (dE @ phi)
+         - (s * charfun._delay_scalar(s, p)) * (As[delay_index] @ phi))
+    return ContinuationSystem(P=P, w=w, g=g, phi=phi)
 
 
 def assemble_wams(model, derivatives, state, wams, dense=None):
     """Continuation system for one WAMS-shaped stochastic delay.
 
     The delayed term is A1 scaled by the complex factor
-    g = h_p(s) h_s(s) exp(-s tau0); its exact s-slope g' = g_s - tau0 g
-    (g_s collecting the transfer-function derivatives) enters the dsdp
-    column, and the explicit parameter forcing uses g dA1."""
-    r = model.r
+    c = h_p(s) h_s(s) exp(-s tau0); its exact s-slope c' = c_s - tau0 c
+    (c_s collecting the transfer-function derivatives) enters P'(s), and
+    the explicit parameter forcing uses c dA1."""
     if model.mu != 1:
         raise ConfigurationError(
             f"WAMS assembly needs exactly one delay term, got mu={model.mu}"
         )
-    dense_ = _use_dense(model, dense)
-    E, A0, dE, dA0, As, dAs = _materialize(model, derivatives, dense_)
-    A1, dA1 = As[0], dAs[0]
-    s_r, s_i = state.s_r, state.s_i
-    fr, fi = state.phi_r, state.phi_i
-
-    g, g_s = charfun.transfer_scalars(wams, state.s)
-    X = s_r * E - A0 - g.real * A1
-    Y = s_i * E - g.imag * A1
-
-    cw = wams.tau0 * g - g_s  # W = E + cw * A1 = dP/ds
-    Wr_fr, Wr_fi = E @ fr + cw.real * (A1 @ fr), E @ fi + cw.real * (A1 @ fi)
-    Wi_fr, Wi_fi = cw.imag * (A1 @ fr), cw.imag * (A1 @ fi)
-    wR = Wr_fr - Wi_fi
-    wI = Wi_fr + Wr_fi
-
-    GR = -s_r * dE + dA0 + g.real * dA1
-    GI = -s_i * dE + g.imag * dA1
-    gR = GR @ fr - GI @ fi
-    gI = GI @ fr + GR @ fi
-    M, h = _compose(X, Y, wR, wI, fr, fi, gR, gI, r, dense_)
-    return ContinuationSystem(M=M, h=h, r=r)
+    E, A0, (A1,), dE, dA0, (dA1,) = _materialize(model, derivatives, dense)
+    s, phi = state.s, state.phi
+    c, c_s = charfun.transfer_scalars(wams, s)
+    P = s * E - A0 - c * A1
+    w = E @ phi + (wams.tau0 * c - c_s) * (A1 @ phi)
+    g = dA0 @ phi - s * (dE @ phi) + c * (dA1 @ phi)
+    return ContinuationSystem(P=P, w=w, g=g, phi=phi)
 
 
 def _solve_system(system):
-    if sparse.issparse(system.M):
-        try:
-            dy = splu(system.M.tocsc()).solve(system.h)
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                f"continuation mass matrix is singular: {exc}"
-            ) from exc
-    else:
-        try:
-            dy = np.linalg.solve(system.M, system.h)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "continuation mass matrix is singular"
-            ) from exc
-    if not np.all(np.isfinite(dy)):
-        raise SingularSystemError("nonfinite continuation slope")
-    return dy
+    """Real slope dy/dp = (dphi_r, dphi_i, ds_r, ds_i) of the sweep ODE."""
+    x, ds = spectral.bordered_solve(
+        system.P, system.w, system.phi, system.g, 0.0
+    )
+    return np.concatenate([x.real, x.imag, [ds.real, ds.imag]])
 
 
 def _state_vector(state):
@@ -515,6 +443,16 @@ def track_run(family, initial, options):
     events are recorded; a fold truncates the run unless
     ``options.reinit_on_fold`` restarts it on the overlapping branch.
     """
+    if isinstance(family, DelayParameterFamily) and (
+        options.regime != "delay_param"
+        or options.delay_index != family.delay_index
+    ):
+        raise ConfigurationError(
+            f"a family varying delay {family.delay_index} needs "
+            f"regime='delay_param' with delay_index={family.delay_index}, "
+            f"got regime={options.regime!r}, "
+            f"delay_index={options.delay_index}"
+        )
     p_init = initial.p
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
@@ -638,7 +576,7 @@ def _handle_fold(family, traj, options):
     """Reinitialize past a fold when enabled; otherwise truncate the run.
 
     Resumes one step beyond the fold sample: at the fold itself the
-    eigenvalue is defective and the mass matrix singular, so stepping from
+    eigenvalue is defective and the bordered matrix singular, so stepping from
     it is hopeless.  Returns True when tracking may continue."""
     if not options.reinit_on_fold:
         traj.truncated = True

@@ -22,10 +22,16 @@ def quadratic_initial(family, p=0.1):
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
 
+def unit_system(g):
+    """Scalar bordered system [[1, 1], [1, 0]] with forcing ``g``."""
+    one = np.ones(1, dtype=complex)
+    return dt.ContinuationSystem(P=np.eye(1, dtype=complex), w=one, g=g,
+                                 phi=one)
+
+
 class TestIntegrateStep:
     def test_zero_rhs_keeps_state(self):
-        M = np.eye(4)
-        sys_ = dt.ContinuationSystem(M=M, h=np.zeros(4), r=1)
+        sys_ = unit_system(g=np.zeros(1, dtype=complex))
         st = dt.TrackState.from_eigenpair(0.0, -1.0 + 2.0j, [1.0 + 0j])
         out = dt.integrate_step(sys_, st, 0.25, "euler")
         assert out.p == 0.25
@@ -44,7 +50,7 @@ class TestIntegrateStep:
         assert out.s_i == pytest.approx(0.0, abs=1e-14)
 
     def test_multistage_needs_callback(self):
-        sys_ = dt.ContinuationSystem(M=np.eye(4), h=np.zeros(4), r=1)
+        sys_ = unit_system(g=np.zeros(1, dtype=complex))
         st = dt.TrackState.from_eigenpair(0.0, 1j, [1.0 + 0j])
         with pytest.raises(ConfigurationError):
             dt.integrate_step(sys_, st, 0.1, "rk4")
@@ -211,3 +217,29 @@ class TestTrackRun:
         assert "axis_crossing" in kinds
         ev = next(e for e in traj.events if e.kind == "axis_crossing")
         assert abs(ev.p - np.pi / 2) < 2e-2
+
+
+class TestRegimeFamilyMismatch:
+    """A family that varies a delay tracked under another regime used to
+    return a flat path with residual 2, no event and no truncation."""
+
+    @pytest.mark.parametrize("regime", ["single", "multi"])
+    def test_delay_family_needs_delay_param_regime(self, hayes_family,
+                                                   regime):
+        initial = hayes_initial(hayes_family)
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=0, regime=regime,
+                               p_fin=1.5)
+        with pytest.raises(ConfigurationError):
+            dt.track_run(hayes_family, initial, opts)
+
+    def test_delay_family_needs_its_delay_index(self):
+        model = dt.DelayedLinearModel(
+            np.eye(2), -np.eye(2), [(0.5, 0.1 * np.eye(2)), (1.0, np.eye(2))]
+        )
+        fam = dt.DelayParameterFamily(model, 1, (0.5, 2.0))
+        initial = dt.TrackState.from_eigenpair(1.0, -1.0 + 0j, [1.0, 0.0])
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=0,
+                               regime="delay_param", delay_index=0,
+                               p_fin=1.5)
+        with pytest.raises(ConfigurationError):
+            dt.track_run(fam, initial, opts)
