@@ -1,20 +1,20 @@
 """Continuation-based eigenvalue tracking for linear delay models.
 
 The package follows individual eigenpairs of the characteristic matrix
-function P(s) = s E - A0 - sum_j A_j exp(-s tau_j) as a scalar parameter
-sweeps: matrices may drift with the parameter, a delay magnitude may be
-the parameter itself, and the delayed term may be shaped by stochastic
-communication transfer functions (packet dropouts, Gamma noise).
+function P(s) = s E - A0 - sum_j A_j exp(-s tau_j), held in split form
+sum_k c_k(s, p) M_k, as a scalar parameter sweeps: matrices may drift with
+the parameter, a delay magnitude may be the parameter itself, and the
+delayed term may be shaped by stochastic communication transfer functions
+(packet dropouts, Gamma noise).
 """
 
 from .charfun import (
     WamsSpec,
-    eval_dP_ds,
+    coefficients,
     eval_hp,
     eval_hs,
     eval_P,
-    eval_ST,
-    eval_STD,
+    slot_matrices,
 )
 from .errors import (
     ConfigurationError,
@@ -33,8 +33,6 @@ from .model import (
     DelayedLinearModel,
     ModelDerivatives,
     TabulatedFamily,
-    derivative_family,
-    evaluate_family,
     validate_model,
 )
 from .oracle import (
@@ -99,17 +97,13 @@ __all__ = [
     "assemble_multi",
     "assemble_single",
     "assemble_wams",
+    "coefficients",
     "compare_trajectory",
-    "derivative_family",
     "detect_fold",
     "discretize",
     "eval_P",
-    "eval_ST",
-    "eval_STD",
-    "eval_dP_ds",
     "eval_hp",
     "eval_hs",
-    "evaluate_family",
     "find_crossing",
     "hayes_roots",
     "integrate_step",
@@ -117,6 +111,7 @@ __all__ = [
     "rand_ddae",
     "refine_newton",
     "reinitialize_at",
+    "slot_matrices",
     "solve_discretized",
     "spectrum_at",
     "track_run",

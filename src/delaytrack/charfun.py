@@ -1,17 +1,26 @@
-"""Characteristic matrix function of a delayed model and WAMS transfer maps.
+"""Characteristic matrix function of a delayed model, in split form.
 
 The eigenvalues of a linear DDAE are the complex numbers s at which
 
     P(s) = s E - A0 - sum_j A_j exp(-s tau_j)
 
-is singular.  For wide-area measurement (WAMS) latency with packet dropouts
-and Gamma-distributed noise, the single delayed term is shaped in the
-frequency domain by two scalar transfer functions h_p and h_s, giving
+is singular.  P is held in split form, P(s, p) = sum_k c_k(s, p) M_k over
+the slots M = (E, A0, A_1, ..., A_mu): only the scalar coefficients c_k
+depend on s and p, so the sparsity pattern of the inputs is preserved.
+The coefficient of a delayed slot is minus one of three kernels:
 
-    P(s) = s E - A0 - h_p(s) h_s(s) A1 exp(-s tau0).
+- exp(-s tau_j) for a constant delay;
+- exp(-s p) for the delay whose magnitude is the parameter p;
+- h_p(s) h_s(s) exp(-s tau0) for wide-area measurement (WAMS) latency with
+  packet dropouts and Gamma-distributed noise, where the scalar transfer
+  functions h_p and h_s shape the single delayed term.
 
-All evaluations scale the real sparse matrices by complex scalars computed
-once per delay term, so the sparsity pattern of the inputs is preserved.
+:func:`coefficients` is the only place that knows how a kernel enters
+P(s), dP/ds and dP/dp.  Which kernel applies follows from its inputs (a
+WAMS spec, the index of a delay acting as the parameter), not from a
+declared regime.  :func:`eval_P` forms a matrix from coefficients and the
+slots of :func:`slot_matrices`; :func:`matvec` applies the same combination
+to a vector by matrix-vector products without forming it.
 """
 
 from __future__ import annotations
@@ -19,11 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import ConfigurationError, SingularityError
 
 # exp() overflows shortly above this; treat as a nonfinite evaluation
 _EXP_MAX = 700.0
+
+# below this model dimension the slots, and so P(s), are dense ndarrays;
+# above it they stay csr and P(s) is factored by sparse LU
+DENSE_ASSEMBLY_MAX_R = 200
 
 
 def _delay_scalar(s, tau):
@@ -34,37 +48,6 @@ def _delay_scalar(s, tau):
             f"(s={s}, tau={tau})"
         )
     return np.exp(z)
-
-
-def _check_finite(mat, what):
-    data = mat.data if hasattr(mat, "data") else np.asarray(mat)
-    if data.size and not np.all(np.isfinite(data)):
-        raise SingularityError(f"nonfinite entries in {what}")
-    return mat
-
-
-def eval_P(model, s):
-    """Characteristic matrix s*E - A0 - sum_j A_j exp(-s*tau_j).
-
-    Returns a complex sparse matrix whose pattern is the union of the
-    input patterns.  Raises :class:`SingularityError` if a delay
-    exponential overflows.
-    """
-    s = complex(s)
-    P = s * model.E - (1.0 + 0.0j) * model.A0
-    for tau, A in model.delay_terms:
-        P = P - _delay_scalar(s, tau) * A
-    return _check_finite(P, "P(s)")
-
-
-def eval_dP_ds(model, s):
-    """Derivative of the characteristic matrix with respect to s:
-    E + sum_j tau_j A_j exp(-s*tau_j)."""
-    s = complex(s)
-    D = (1.0 + 0.0j) * model.E
-    for tau, A in model.delay_terms:
-        D = D + (tau * _delay_scalar(s, tau)) * A
-    return _check_finite(D, "dP/ds")
 
 
 @dataclass(frozen=True)
@@ -101,13 +84,9 @@ class WamsSpec:
         return cls(tau0=tau0, constant_limit=True)
 
 
-def eval_hp(spec, s):
-    """Packet-dropout transfer function.
-
-    h_p(s) = (1 - p_dr)/s * [1 + (p_dr - 1) exp(-sT) / (1 - p_dr exp(-sT))]
-    """
-    if spec.constant_limit:
-        return 1.0 + 0.0j
+def _hp_parts(spec, s):
+    """(s, q, e, D, u) with q = 1 - p_dr, e = exp(-sT), D = 1 - p_dr e and
+    u = 1 - q e / D, so that h_p = q u / s; raises at the poles of h_p."""
     s = complex(s)
     if abs(s) < 1e-150:
         raise SingularityError("h_p has a pole at s = 0")
@@ -118,7 +97,18 @@ def eval_hp(spec, s):
             f"h_p denominator 1 - p_dr*exp(-sT) vanishes at s={s}"
         )
     q = 1.0 - spec.p_dr
-    return (q / s) * (1.0 + (spec.p_dr - 1.0) * e / den)
+    return s, q, e, den, 1.0 - q * e / den
+
+
+def eval_hp(spec, s):
+    """Packet-dropout transfer function.
+
+    h_p(s) = (1 - p_dr)/s * [1 + (p_dr - 1) exp(-sT) / (1 - p_dr exp(-sT))]
+    """
+    if spec.constant_limit:
+        return 1.0 + 0.0j
+    s, q, _, _, u = _hp_parts(spec, s)
+    return (q / s) * u
 
 
 def eval_dhp_ds(spec, s):
@@ -131,17 +121,7 @@ def eval_dhp_ds(spec, s):
     """
     if spec.constant_limit:
         return 0.0 + 0.0j
-    s = complex(s)
-    if abs(s) < 1e-150:
-        raise SingularityError("h_p has a pole at s = 0")
-    e = _delay_scalar(s, spec.T)
-    den = 1.0 - spec.p_dr * e
-    if abs(den) < 1e-14:
-        raise SingularityError(
-            f"h_p denominator 1 - p_dr*exp(-sT) vanishes at s={s}"
-        )
-    q = 1.0 - spec.p_dr
-    u = 1.0 - q * e / den
+    s, q, e, den, u = _hp_parts(spec, s)
     return -q * u / (s * s) + q * q * spec.T * e / (s * den * den)
 
 
@@ -176,14 +156,6 @@ def eval_dhs_ds(spec, s):
     return -spec.b * c * _hs_base(spec, s) ** (-spec.b - 1.0)
 
 
-def _single_delay_matrix(model):
-    if model.mu != 1:
-        raise ConfigurationError(
-            f"WAMS shaping requires exactly one delay term, got mu={model.mu}"
-        )
-    return model.delay_terms[0][1]
-
-
 def transfer_scalars(spec, s):
     """Scalar pair (g, g_s): the shaped delay factor and its h-part slope.
 
@@ -200,40 +172,76 @@ def transfer_scalars(spec, s):
     return g, g_s
 
 
-def eval_ST(model, spec, s):
-    """Shaped delayed-state matrix h_p h_s A1 exp(-s tau0)."""
-    A1 = _single_delay_matrix(model)
-    g, _ = transfer_scalars(spec, s)
-    return _check_finite(g * A1, "S_T")
+def slot_matrices(model, derivatives=None, dense=None):
+    """The slots (E, A0, A_1, ..., A_mu) of ``model``, followed by their
+    parameter derivatives (dE, dA0, dA_1, ..., dA_mu) if ``derivatives`` is
+    given: dense ndarrays below ``DENSE_ASSEMBLY_MAX_R``, the stored csr
+    matrices above, unless ``dense`` overrides that choice."""
+    mats = [model.E, model.A0] + [A for _, A in model.delay_terms]
+    if derivatives is not None:
+        mats += [derivatives.dE, derivatives.dA0, *derivatives.dA_terms]
+    if dense is None:
+        dense = model.r < DENSE_ASSEMBLY_MAX_R
+    return [M.toarray() for M in mats] if dense else mats
 
 
-def eval_STD(model, derivatives, spec, s):
-    """Parameter-forcing companion of :func:`eval_ST`:
+def coefficients(model, s, wams=None, delay_index=None):
+    """Scalar coefficients (c, c_s, c_p) of ``model`` in split form at s.
 
-    (dA1 h_p h_s + A1 (dh_p/ds h_s + h_p dh_s/ds)) exp(-s tau0).
+    Over the slots M_k of :func:`slot_matrices`, P(s) = sum_k c[k] M_k and
+    dP/ds = sum_k c_s[k] M_k; ``c_p`` also runs over their p-derivatives,
+    dP/dp = sum_k c_p[k] M_k + c_p[n + k] dM_k with n = mu + 2.
+
+    The delayed slots take the constant-delay kernel unless ``wams`` shapes
+    the single delayed term, or ``delay_index`` names the delay whose
+    magnitude (as stored in ``model``) is the parameter p.  The delayed
+    matrices of such a family do not depend on p, so their derivatives do
+    not enter dP/dp.  Raises :class:`SingularityError` when a kernel
+    overflows or hits a pole of the transfer functions.
     """
-    A1 = _single_delay_matrix(model)
-    dA1 = derivatives.dA_terms[0]
-    g, g_s = transfer_scalars(spec, s)
-    return _check_finite(g * dA1 + g_s * A1, "S_TD")
-
-
-def eval_dST_ds(model, spec, s):
-    """Exact s-derivative of :func:`eval_ST`: (g_s - tau0 g) A1."""
-    A1 = _single_delay_matrix(model)
-    g, g_s = transfer_scalars(spec, s)
-    return _check_finite((g_s - spec.tau0 * g) * A1, "dS_T/ds")
-
-
-def eval_P_wams(model, spec, s):
-    """WAMS characteristic matrix s*E - A0 - h_p h_s A1 exp(-s tau0)."""
     s = complex(s)
-    P = s * model.E - (1.0 + 0.0j) * model.A0 - eval_ST(model, spec, s)
-    return _check_finite(P, "P(s) (WAMS)")
+    if wams is not None and model.mu != 1:
+        raise ConfigurationError(
+            f"WAMS shaping requires exactly one delay term, got mu={model.mu}"
+        )
+    if wams is None:
+        kernels = [_delay_scalar(s, tau) for tau in model.taus]
+        slopes = [-tau * e for tau, e in zip(model.taus, kernels)]
+    else:
+        g, g_s = transfer_scalars(wams, s)
+        kernels, slopes = [g], [g_s - wams.tau0 * g]
+    c = [s, -1.0] + [-e for e in kernels]
+    c_s = [1.0, 0.0] + [-d for d in slopes]
+    c_p = [0.0] * len(c)
+    if delay_index is None:
+        c_p += c
+    else:
+        c_p[2 + delay_index] = s * kernels[delay_index]  # -d/dp exp(-s p)
+        c_p += [s, -1.0] + [0.0] * model.mu
+    return c, c_s, c_p
 
 
-def eval_dP_ds_wams(model, spec, s):
-    """Exact s-derivative of the WAMS characteristic matrix."""
-    return _check_finite(
-        (1.0 + 0.0j) * model.E - eval_dST_ds(model, spec, s), "dP/ds (WAMS)"
-    )
+def eval_P(mats, c):
+    """The matrix sum_k c[k] mats[k]: P(s) for the coefficients ``c`` of
+    :func:`coefficients`, dP/ds for ``c_s``.
+
+    Dense or csr as the slots are; the csr pattern is the union of the
+    slot patterns.  Raises :class:`SingularityError` on a nonfinite entry.
+    """
+    P = c[0] * mats[0]
+    for ck, M in zip(c[1:], mats[1:]):
+        P = P + ck * M
+    if not np.all(np.isfinite(P.data if sparse.issparse(P) else P)):
+        raise SingularityError("nonfinite entries in P(s)")
+    return P
+
+
+def matvec(mats, c, x):
+    """sum_k c[k] (mats[k] @ x) by matrix-vector products, skipping zero
+    coefficients: P(s) x, P'(s) x or (dP/dp) x without forming the
+    matrix."""
+    y = np.zeros(len(x), dtype=complex)
+    for ck, M in zip(c, mats):
+        if ck != 0.0:
+            y += ck * (M @ x)
+    return y

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import oracle, spectral, svgplot
+from . import charfun, oracle, spectral, svgplot
 from .errors import (
     ConfigurationError,
     DelayTrackError,
@@ -103,7 +103,14 @@ def _initial_state(man, args):
                 f"--init-from expects RE,IM, got {args.init_from!r}"
             ) from None
         s0 = complex(re_s, im_s)
-        phi0 = _eigenvector_guess(model, s0, wams)
+        # two steps of inverse iteration with P(s0) seed the eigenvector
+        c, _, _ = charfun.coefficients(model, s0, wams)
+        lu = spectral._factor(charfun.eval_P(charfun.slot_matrices(model), c))
+        rng = np.random.default_rng(7)
+        phi0 = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
+        for _ in range(2):
+            phi0 = lu.solve(phi0)
+            phi0 = phi0 / np.linalg.norm(phi0)
         ref = spectral.refine_newton(
             model, s0, phi0, tol=man.track.corrector_tol, wams=wams
         )
@@ -118,32 +125,6 @@ def _initial_state(man, args):
             )
         ref = pairs[0]  # sorted by descending real part
     return TrackState.from_eigenpair(p0, ref.s, ref.phi, ref.residual), p0
-
-
-def _eigenvector_guess(model, s0, wams=None):
-    """Null-direction estimate of P(s0) via the smallest singular vector."""
-    if wams is None:
-        from .charfun import eval_P
-        P = eval_P(model, s0)
-    else:
-        from .charfun import eval_P_wams
-        P = eval_P_wams(model, wams, s0)
-    if model.r <= 2000:
-        import scipy.linalg as la
-        _, _, Vh = la.svd(P.toarray())
-        return Vh[-1].conj()
-    from scipy.sparse.linalg import splu
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
-    try:
-        lu = splu(P.tocsc())
-    except RuntimeError:
-        # s0 hit an eigenvalue exactly; nudge the factorized matrix
-        lu = splu((P + 1e-10 * max(1.0, abs(s0)) * model.E).tocsc())
-    for _ in range(2):
-        x = lu.solve(x)
-        x = x / np.linalg.norm(x)
-    return x
 
 
 def _apply_flag_overrides(man, args):

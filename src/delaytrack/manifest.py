@@ -16,6 +16,12 @@ Sections
 [track]     p_init, p_fin, dp, method, corrector_every, corrector_tol,
             fold_eps
 [init]      N, shift (complex literal), count
+
+The family kind and the WAMS parameters imply the regime: a delay_param
+family varies its delay_index, and a wams regime shapes the single delayed
+term.  The declared [regime] kind and delay_index select no code path:
+loading checks them against the delay count, and :func:`track.track_run`
+against the family.
 """
 
 from __future__ import annotations

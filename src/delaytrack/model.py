@@ -144,7 +144,7 @@ class ModelFamily:
         self.fd_step = None if fd_step is None else float(fd_step)
 
     def _step_at(self, p):
-        # default first-order step, scaled away from the origin
+        # slack past the range ends that evaluate() accepts
         if self.fd_step is not None:
             return self.fd_step
         return 1e-6 * max(1.0, abs(p))
@@ -197,9 +197,8 @@ class AffineFamily(ModelFamily):
 class TabulatedFamily(ModelFamily):
     """Family given by model snapshots, interpolated entrywise in p.
 
-    Interpolation is piecewise-linear between bracketing snapshots.
-    Derivatives use a first-order forward difference on the interpolant,
-    falling back to a backward difference at the upper range end.  Delay
+    Interpolation is piecewise-linear between bracketing snapshots, and the
+    derivative is the exact slope of the interpolant segment.  Delay
     magnitudes must be identical across snapshots: a varying delay belongs
     to :class:`DelayParameterFamily` instead.
     """
@@ -226,23 +225,22 @@ class TabulatedFamily(ModelFamily):
                         "delay-parameter family to vary a delay"
                     )
 
-    def _require_table(self):
+    def _segment(self, p):
+        """Snapshots (p0, m0), (p1, m1) of the segment [p_k, p_k+1) that
+        contains p; the first or the last segment outside the table."""
         if len(self.snapshots) < 2:
             raise ConfigurationError(
                 "tabulated family needs at least 2 snapshots"
             )
+        ps = [q for q, _ in self.snapshots]
+        k = int(np.searchsorted(ps, p, side="right")) - 1
+        k = min(max(k, 0), len(ps) - 2)
+        return self.snapshots[k], self.snapshots[k + 1]
 
     def evaluate(self, p):
-        self._require_table()
+        (p0, m0), (p1, m1) = self._segment(p)
         self._check_range(p, slack=self._step_at(p))
-        ps = [q for q, _ in self.snapshots]
-        p_clip = min(max(p, ps[0]), ps[-1])
-        hi = int(np.searchsorted(ps, p_clip, side="left"))
-        hi = min(max(hi, 1), len(ps) - 1)
-        lo = hi - 1
-        p0, m0 = self.snapshots[lo]
-        p1, m1 = self.snapshots[hi]
-        w = (p_clip - p0) / (p1 - p0)
+        w = (min(max(p, p0), p1) - p0) / (p1 - p0)
         E = (1.0 - w) * m0.E + w * m1.E
         A0 = (1.0 - w) * m0.A0 + w * m1.A0
         terms = [
@@ -252,20 +250,10 @@ class TabulatedFamily(ModelFamily):
         return DelayedLinearModel(E, A0, terms, n_dyn=m0.n_dyn)
 
     def derivative(self, p):
-        self._require_table()
+        """Exact slope of the interpolant on the segment of p."""
+        (p0, m0), (p1, m1) = self._segment(p)
         self._check_range(p)
-        h = self._step_at(p)
-        lo, hi = self.snapshots[0][0], self.snapshots[-1][0]
-        if p + h <= hi:
-            m0, m1 = self.evaluate(p), self.evaluate(p + h)
-        elif p - h >= lo:
-            m0, m1 = self.evaluate(p - h), self.evaluate(p)
-        else:
-            raise RangeError(
-                f"finite-difference step {h:g} leaves the snapshot table "
-                f"[{lo}, {hi}] on both sides of p={p}"
-            )
-        inv = 1.0 / h
+        inv = 1.0 / (p1 - p0)
         return ModelDerivatives(
             (m1.E - m0.E) * inv,
             (m1.A0 - m0.A0) * inv,
@@ -295,6 +283,7 @@ class DelayParameterFamily(ModelFamily):
             )
         self.model = model
         self.delay_index = int(delay_index)
+        self._zero = ModelDerivatives.zero(model)
 
     def evaluate(self, p):
         self._check_range(p, slack=self._step_at(p))
@@ -302,14 +291,5 @@ class DelayParameterFamily(ModelFamily):
 
     def derivative(self, p):
         self._check_range(p)
-        return ModelDerivatives.zero(self.model)
+        return self._zero
 
-
-def evaluate_family(family, p):
-    """Model of ``family`` at parameter value ``p``."""
-    return family.evaluate(p)
-
-
-def derivative_family(family, p):
-    """Entrywise parameter derivatives of ``family`` at ``p``."""
-    return family.derivative(p)

@@ -19,6 +19,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from . import charfun
+from .charfun import DENSE_ASSEMBLY_MAX_R  # noqa: F401  (re-exported)
 from .errors import (
     ConfigurationError,
     DefectiveEigenvalueError,
@@ -32,10 +33,6 @@ INFINITE_EIGENVALUE_THRESHOLD = 1e8
 
 # dense generalized solve below this pencil dimension, shift-invert above
 DENSE_SOLVE_MAX_DIM = 2000
-
-# below this model dimension P(s) is handled as a dense ndarray, both in the
-# continuation assembly and in the Newton corrector; sparse LU of P above
-DENSE_ASSEMBLY_MAX_R = 200
 
 
 @dataclass
@@ -214,22 +211,12 @@ def lift_eigenvector(pencil, v):
     return np.asarray(v, dtype=complex)[: pencil.r].copy()
 
 
-def _characteristic(model, wams):
-    if wams is None:
-        return (
-            lambda s: charfun.eval_P(model, s),
-            lambda s: charfun.eval_dP_ds(model, s),
-        )
-    return (
-        lambda s: charfun.eval_P_wams(model, wams, s),
-        lambda s: charfun.eval_dP_ds_wams(model, wams, s),
-    )
-
-
 def eigenpair_residual(model, s, phi, wams=None):
-    """Relative residual ||P(s) phi|| / ||phi|| on the nonlinear problem."""
-    P, _ = _characteristic(model, wams)
-    return float(np.linalg.norm(P(s) @ phi) / np.linalg.norm(phi))
+    """Relative residual ||P(s) phi|| / ||phi|| on the nonlinear problem,
+    by matrix-vector products with the stored slots."""
+    c, _, _ = charfun.coefficients(model, s, wams)
+    v = charfun.matvec(charfun.slot_matrices(model, dense=False), c, phi)
+    return float(np.linalg.norm(v) / np.linalg.norm(phi))
 
 
 def _factor(P):
@@ -343,14 +330,12 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
     if abs(quad) > 1e-12 * nrm2:
         phi = phi / np.sqrt(quad)  # principal root; Newton fixes the rest
     s = complex(s0)
-    dense = model.r < DENSE_ASSEMBLY_MAX_R
-    P, dP = _characteristic(model, wams)
+    mats = charfun.slot_matrices(model)
 
     residual = np.inf
     for _ in range(max_iter):
-        Pm = P(s)
-        if dense:
-            Pm = Pm.toarray()
+        c, c_s, _ = charfun.coefficients(model, s, wams)
+        Pm = charfun.eval_P(mats, c)
         top = Pm @ phi
         nrm = np.linalg.norm(phi)
         residual = float(np.linalg.norm(top) / nrm)
@@ -364,7 +349,9 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
                 return Eigenpair(s, phi / nrm, residual)
 
         try:
-            dphi, ds = bordered_solve(Pm, dP(s) @ phi, phi, -top, -defect)
+            dphi, ds = bordered_solve(
+                Pm, charfun.matvec(mats, c_s, phi), phi, -top, -defect
+            )
         except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):
                 # singular at a converged-ish iterate: defective eigenvalue
@@ -387,12 +374,14 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
 def bordered_smallest_singular_value(model, s, phi, wams=None):
     """Smallest singular value of the bordered Jacobian, normalized by its
     largest one.  Values at working precision flag a defective eigenvalue."""
-    P, dP = _characteristic(model, wams)
+    mats = charfun.slot_matrices(model)
+    c, c_s, _ = charfun.coefficients(model, s, wams)
+    P = charfun.eval_P(mats, c)
     r = model.r
     phi = np.asarray(phi, dtype=complex).ravel()
     J = np.zeros((r + 1, r + 1), dtype=complex)
-    J[:r, :r] = P(s).toarray()
-    J[:r, r] = dP(s) @ phi
+    J[:r, :r] = P.toarray() if sparse.issparse(P) else P
+    J[:r, r] = charfun.matvec(mats, c_s, phi)
     J[r, :r] = phi
     sv = la.svdvals(J)
     return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0

@@ -6,13 +6,16 @@ eigenvector normalization phi^T phi = 1 yields the complex bordered system
     [[P(s), P'(s) phi], [phi^T, 0]] [dphi/dp; ds/dp] = [-(dP/dp) phi; 0],
 
 whose real/imaginary split is the ODE M(y) dy/dp = h(y) in
-y = (phi_r, phi_i, s_r, s_i).  Four assembly variants cover a single
-constant delay, multiple constant delays, a delay magnitude acting as the
-parameter, and a WAMS-shaped stochastic delay; each returns the complex
-pieces P(s), P'(s) phi and -(dP/dp) phi.  Every integrator stage solves the
-bordered system with :func:`spectral.bordered_solve`: one sparse LU of the
-r x r complex P(s), a scalar Schur complement on the border and one step of
-iterative refinement -- the same solve the bordered Newton corrector takes.
+y = (phi_r, phi_i, s_r, s_i).  One assembly builds the complex pieces
+P(s), P'(s) phi and -(dP/dp) phi from the split form of :mod:`charfun`
+for constant delays, a delay magnitude acting as the parameter and a
+WAMS-shaped delay alike; the family (a :class:`DelayParameterFamily`
+names its varying delay) and ``options.wams`` imply which, and the
+declared regime is only checked against them.  Every integrator stage
+solves the bordered system with :func:`spectral.bordered_solve`: one sparse
+LU of the r x r complex P(s), a scalar Schur complement on the border and
+one step of iterative refinement -- the same solve the bordered Newton
+corrector takes.
 The sweep advances y with explicit integrators, optionally re-polished by
 the Newton corrector at fixed p, while watching for conjugate-pair folds and
 real-axis crossings.
@@ -36,7 +39,6 @@ from .errors import (
     SingularSystemError,
 )
 from .model import DelayParameterFamily
-from .spectral import DENSE_ASSEMBLY_MAX_R
 
 REGIMES = ("single", "multi", "delay_param", "wams")
 INTEGRATORS = ("euler", "heun", "rk4")
@@ -87,8 +89,8 @@ class TrackState:
 class ContinuationSystem:
     """Complex pieces of the bordered continuation system at one state.
 
-    ``P`` is P(s): a dense ndarray below ``DENSE_ASSEMBLY_MAX_R``, sparse
-    above.  ``w`` = P'(s) phi is the border column, ``g`` = -(dP/dp) phi the
+    ``P`` is P(s), dense or sparse as :func:`charfun.slot_matrices` chose.
+    ``w`` = P'(s) phi is the border column, ``g`` = -(dP/dp) phi the
     parameter forcing and ``phi`` the eigenvector in the border row.  ``M``
     and ``h`` are the real split [[M1, M2], [M3, 0]] y' = h of the same
     system, derived (sparse) on access; the solver never builds them.
@@ -150,8 +152,13 @@ class Trajectory:
 
 @dataclass
 class TrackOptions:
-    """Sweep controls.  ``regime`` selects the assembly variant; for
-    ``delay_param`` also set ``delay_index``, for ``wams`` also ``wams``."""
+    """Sweep controls.
+
+    The family and the WAMS spec ``wams`` imply the regime; ``regime`` and
+    ``delay_index`` declare it and :func:`track_run` rejects a declaration
+    that disagrees with them.  ``delay_param`` needs ``delay_index`` and a
+    :class:`DelayParameterFamily`; ``wams`` goes with ``regime="wams"``
+    only."""
 
     dp: float | None = None
     method: str = "euler"
@@ -174,35 +181,28 @@ class TrackOptions:
             raise ConfigurationError(f"unknown integrator {self.method!r}")
         if self.regime == "delay_param" and self.delay_index is None:
             raise ConfigurationError("delay_param regime needs delay_index")
-        if self.regime == "wams" and self.wams is None:
-            raise ConfigurationError("wams regime needs a WamsSpec")
+        if (self.regime == "wams") != (self.wams is not None):
+            raise ConfigurationError(
+                f"a WamsSpec goes with regime='wams' and only with it; got "
+                f"regime={self.regime!r}, wams={self.wams}"
+            )
 
 
-def _materialize(model, derivatives, dense):
-    """E, A0, the delay matrices, dE, dA0 and their derivatives: as stored
-    (csr), or as ndarrays below ``DENSE_ASSEMBLY_MAX_R`` unless ``dense``
-    overrides the choice."""
-    if dense is None:
-        dense = model.r < DENSE_ASSEMBLY_MAX_R
-    mats = [model.E, model.A0, derivatives.dE, derivatives.dA0]
-    mats += [A for _, A in model.delay_terms]
-    mats += list(derivatives.dA_terms)
-    if dense:
-        mats = [m.toarray() for m in mats]
-    mu = model.mu
-    return mats[0], mats[1], mats[4:4 + mu], mats[2], mats[3], mats[4 + mu:]
-
-
-def _delay_sum(s, phi, E, A0, delays):
-    """P(s) = s E - A0 - sum_j A_j exp(-s tau_j) and P'(s) phi =
-    (E + sum_j tau_j A_j exp(-s tau_j)) phi over (tau_j, A_j) pairs."""
-    P = s * E - A0
-    w = E @ phi
-    for tau, A in delays:
-        e = charfun._delay_scalar(s, tau)
-        P = P - e * A
-        w = w + (tau * e) * (A @ phi)
-    return P, w
+def _assemble(model, derivatives, state, delay_index=None, wams=None,
+              dense=None):
+    """Continuation system at ``state`` from the split form of P: the
+    coefficients of :func:`charfun.coefficients` over the slots of
+    :func:`charfun.slot_matrices` give P(s), w = P'(s) phi and
+    g = -(dP/dp) phi."""
+    mats = charfun.slot_matrices(model, derivatives, dense)
+    c, c_s, c_p = charfun.coefficients(model, state.s, wams, delay_index)
+    phi = state.phi
+    return ContinuationSystem(
+        P=charfun.eval_P(mats, c),
+        w=charfun.matvec(mats, c_s, phi),
+        g=-charfun.matvec(mats, c_p, phi),
+        phi=phi,
+    )
 
 
 def assemble_single(model, derivatives, state, dense=None):
@@ -211,60 +211,24 @@ def assemble_single(model, derivatives, state, dense=None):
         raise ConfigurationError(
             f"single-delay assembly needs mu=1, got mu={model.mu}"
         )
-    return assemble_multi(model, derivatives, state, dense=dense)
+    return _assemble(model, derivatives, state, dense=dense)
 
 
 def assemble_multi(model, derivatives, state, dense=None):
-    """Continuation system for any number of constant delays; the parameter
-    forcing is (dA0 - s dE + sum_j dA_j exp(-s tau_j)) phi."""
-    E, A0, As, dE, dA0, dAs = _materialize(model, derivatives, dense)
-    s, phi = state.s, state.phi
-    P, w = _delay_sum(s, phi, E, A0, zip(model.taus, As))
-    g = dA0 @ phi - s * (dE @ phi)
-    for tau, dA in zip(model.taus, dAs):
-        g = g + charfun._delay_scalar(s, tau) * (dA @ phi)
-    return ContinuationSystem(P=P, w=w, g=g, phi=phi)
+    """Continuation system for any number of constant delays."""
+    return _assemble(model, derivatives, state, dense=dense)
 
 
 def assemble_delay_param(model, derivatives, state, delay_index, dense=None):
-    """Continuation system when p is the magnitude of delay ``delay_index``.
-
-    The varying term A_l exp(-s p) enters P and P' like a constant delay of
-    magnitude p; its explicit p-derivative contributes the forcing
-    -s A_l exp(-s p) phi, while all delayed-matrix derivatives vanish by
-    definition."""
-    if not 0 <= delay_index < model.mu:
-        raise ConfigurationError(
-            f"delay index {delay_index} out of range for mu={model.mu}"
-        )
-    E, A0, As, dE, dA0, _ = _materialize(model, derivatives, dense)
-    s, phi, p = state.s, state.phi, state.p
-    taus = list(model.taus)
-    taus[delay_index] = p
-    P, w = _delay_sum(s, phi, E, A0, zip(taus, As))
-    g = (dA0 @ phi - s * (dE @ phi)
-         - (s * charfun._delay_scalar(s, p)) * (As[delay_index] @ phi))
-    return ContinuationSystem(P=P, w=w, g=g, phi=phi)
+    """Continuation system when p = ``state.p`` is the magnitude of delay
+    ``delay_index``; the delayed-matrix derivatives are ignored."""
+    return _assemble(model.with_delay(delay_index, state.p), derivatives,
+                     state, delay_index=delay_index, dense=dense)
 
 
 def assemble_wams(model, derivatives, state, wams, dense=None):
-    """Continuation system for one WAMS-shaped stochastic delay.
-
-    The delayed term is A1 scaled by the complex factor
-    c = h_p(s) h_s(s) exp(-s tau0); its exact s-slope c' = c_s - tau0 c
-    (c_s collecting the transfer-function derivatives) enters P'(s), and
-    the explicit parameter forcing uses c dA1."""
-    if model.mu != 1:
-        raise ConfigurationError(
-            f"WAMS assembly needs exactly one delay term, got mu={model.mu}"
-        )
-    E, A0, (A1,), dE, dA0, (dA1,) = _materialize(model, derivatives, dense)
-    s, phi = state.s, state.phi
-    c, c_s = charfun.transfer_scalars(wams, s)
-    P = s * E - A0 - c * A1
-    w = E @ phi + (wams.tau0 * c - c_s) * (A1 @ phi)
-    g = dA0 @ phi - s * (dE @ phi) + c * (dA1 @ phi)
-    return ContinuationSystem(P=P, w=w, g=g, phi=phi)
+    """Continuation system for one WAMS-shaped stochastic delay."""
+    return _assemble(model, derivatives, state, wams=wams, dense=dense)
 
 
 def _solve_system(system):
@@ -328,18 +292,6 @@ def integrate_step(system, state, dp, method="euler", assemble=None):
     else:
         raise ConfigurationError(f"unknown integrator {method!r}")
     return _vector_state(state.p + dp, y_new, r, residual=state.residual)
-
-
-def _assembler(options):
-    regime = options.regime
-    if regime == "single":
-        return lambda m, d, st: assemble_single(m, d, st)
-    if regime == "multi":
-        return lambda m, d, st: assemble_multi(m, d, st)
-    if regime == "delay_param":
-        idx = options.delay_index
-        return lambda m, d, st: assemble_delay_param(m, d, st, idx)
-    return lambda m, d, st: assemble_wams(m, d, st, options.wams)
 
 
 def detect_fold(window, fold_eps, model=None, wams=None):
@@ -432,6 +384,27 @@ def _with_residual(model, state, wams):
     return replace(state, residual=res)
 
 
+def _delay_index(family, options, model):
+    """Index of the delay that is the parameter, supplied by a
+    :class:`DelayParameterFamily`, or None.  The family and
+    ``options.wams`` define P(s, p); the declared regime and delay index
+    choose nothing and are only checked against them."""
+    index = (family.delay_index if isinstance(family, DelayParameterFamily)
+             else None)
+    declared = options.delay_index if options.regime == "delay_param" else None
+    if declared != index:
+        raise ConfigurationError(
+            f"regime={options.regime!r} with delay_index="
+            f"{options.delay_index} does not match the family: "
+            + ("its delays are fixed" if index is None else
+               f"it varies delay {index}, which needs regime='delay_param' "
+               f"with delay_index={index}")
+        )
+    if options.regime == "single" and model.mu != 1:
+        raise ConfigurationError(f"regime='single' needs mu=1, got {model.mu}")
+    return index
+
+
 def track_run(family, initial, options):
     """Sweep the continuation parameter and record the eigenpair path.
 
@@ -443,29 +416,19 @@ def track_run(family, initial, options):
     events are recorded; a fold truncates the run unless
     ``options.reinit_on_fold`` restarts it on the overlapping branch.
     """
-    if isinstance(family, DelayParameterFamily) and (
-        options.regime != "delay_param"
-        or options.delay_index != family.delay_index
-    ):
-        raise ConfigurationError(
-            f"a family varying delay {family.delay_index} needs "
-            f"regime='delay_param' with delay_index={family.delay_index}, "
-            f"got regime={options.regime!r}, "
-            f"delay_index={options.delay_index}"
-        )
     p_init = initial.p
+    model = family.evaluate(p_init)
+    delay_index = _delay_index(family, options, model)
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
         raise ConfigurationError("p_fin equals the initial parameter")
     span = p_fin - p_init
     dp = abs(options.dp) if options.dp else abs(span) / 1000.0
     dp = math.copysign(dp, span)
-    build = _assembler(options)
 
     def assemble_at(st):
-        m = family.evaluate(st.p)
-        d = family.derivative(st.p)
-        return build(m, d, st)
+        return _assemble(family.evaluate(st.p), family.derivative(st.p), st,
+                         delay_index, options.wams)
 
     traj = Trajectory(
         settings={
@@ -479,7 +442,6 @@ def track_run(family, initial, options):
             "fold_eps": options.fold_eps,
         }
     )
-    model = family.evaluate(p_init)
     state = _with_residual(model, initial, options.wams)
     traj.samples.append(state)
 
@@ -493,9 +455,7 @@ def track_run(family, initial, options):
         dp_k = remaining if last else dp  # land exactly on p_fin
 
         try:
-            model = family.evaluate(state.p)
-            derivs = family.derivative(state.p)
-            system = build(model, derivs, state)
+            system = assemble_at(state)
             new_state = integrate_step(
                 system, state, dp_k, options.method, assemble=assemble_at
             )

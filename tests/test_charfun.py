@@ -12,6 +12,18 @@ from delaytrack.errors import ConfigurationError, SingularityError
 from conftest import oracle_dhp_ds, oracle_dhs_ds
 
 
+def P_at(model, s, wams=None):
+    """P(s) from the split form, over the stored csr slots."""
+    c, _, _ = charfun.coefficients(model, s, wams)
+    return dt.eval_P(dt.slot_matrices(model, dense=False), c)
+
+
+def dP_ds_at(model, s, wams=None):
+    """dP/ds from the split form, over the stored csr slots."""
+    _, c_s, _ = charfun.coefficients(model, s, wams)
+    return dt.eval_P(dt.slot_matrices(model, dense=False), c_s)
+
+
 def two_delay_scalar():
     return dt.DelayedLinearModel(
         [[1.0]], [[-1.0]], [(1.0, [[0.5]]), (2.0, [[0.25]])]
@@ -22,14 +34,14 @@ class TestEvalP:
     def test_analytic_root_of_scalar_delay(self):
         # s + exp(-s*tau) = 0 at tau = pi/2 has the root s = j
         m = dt.DelayedLinearModel([[1.0]], [[0.0]], [(np.pi / 2, [[-1.0]])])
-        P = dt.eval_P(m, 1j).toarray()
+        P = P_at(m, 1j).toarray()
         assert abs(P[0, 0]) < 1e-14
 
     def test_delay_free_sum_is_empty(self):
         m = dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
         s = 0.3 - 0.8j
         expected = s * np.eye(2) - m.A0.toarray()
-        np.testing.assert_allclose(dt.eval_P(m, s).toarray(), expected)
+        np.testing.assert_allclose(P_at(m, s).toarray(), expected)
 
     def test_two_delay_direct_arithmetic(self):
         m = two_delay_scalar()
@@ -39,12 +51,12 @@ class TestEvalP:
             - 0.5 * cmath.exp(-s * 1.0)
             - 0.25 * cmath.exp(-s * 2.0)
         )
-        assert dt.eval_P(m, s).toarray()[0, 0] == pytest.approx(expected)
+        assert P_at(m, s).toarray()[0, 0] == pytest.approx(expected)
 
     def test_overflow_reported(self):
         m = two_delay_scalar()
         with pytest.raises(SingularityError):
-            dt.eval_P(m, -1000.0)
+            P_at(m, -1000.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -54,8 +66,8 @@ class TestEvalP:
     def test_conjugate_symmetry(self, sr, si):
         m = two_delay_scalar()
         s = complex(sr, si)
-        a = dt.eval_P(m, s.conjugate()).toarray()
-        b = dt.eval_P(m, s).toarray().conjugate()
+        a = P_at(m, s.conjugate()).toarray()
+        b = P_at(m, s).toarray().conjugate()
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
 
@@ -63,22 +75,22 @@ class TestEvalDPds:
     def test_delay_free_is_mass_matrix(self):
         m = dt.DelayedLinearModel(np.eye(2), np.ones((2, 2)))
         np.testing.assert_allclose(
-            dt.eval_dP_ds(m, 1.7 + 0.4j).toarray(), np.eye(2)
+            dP_ds_at(m, 1.7 + 0.4j).toarray(), np.eye(2)
         )
 
     def test_scalar_at_origin(self):
         tau = np.pi / 2
         m = dt.DelayedLinearModel([[1.0]], [[0.0]], [(tau, [[-1.0]])])
-        val = dt.eval_dP_ds(m, 0.0).toarray()[0, 0]
+        val = dP_ds_at(m, 0.0).toarray()[0, 0]
         assert val == pytest.approx(1.0 - tau)
 
     def test_matches_central_difference(self):
         m = two_delay_scalar()
         s = -0.4 + 1.1j
         d = 1e-6
-        fd = (dt.eval_P(m, s + d).toarray() - dt.eval_P(m, s - d).toarray())
+        fd = (P_at(m, s + d).toarray() - P_at(m, s - d).toarray())
         fd = fd / (2 * d)
-        ana = dt.eval_dP_ds(m, s).toarray()
+        ana = dP_ds_at(m, s).toarray()
         assert np.abs(ana - fd).max() <= 1e-6 * max(1.0, np.abs(ana).max())
 
 
@@ -156,35 +168,52 @@ class TestTransferFunctions:
 
 
 class TestShapedDelayTerm:
+    """The WAMS-shaped delayed term S_T = h_p h_s A1 exp(-s tau0), read off
+    P(s) = s E - A0 - S_T of the split form."""
+
     def setup_method(self):
         self.model = dt.DelayedLinearModel(
             [[1.0]], [[0.0]], [(1.0, [[-1.0]])]
         )
         self.derivs = dt.ModelDerivatives([[0.0]], [[0.0]], [[[0.5]]])
 
+    def shaped(self, spec, s):
+        # E = [[1]], A0 = [[0]]: S_T = s - P(s)
+        return s - P_at(self.model, s, spec).toarray()[0, 0]
+
+    def forcing(self, derivs, spec, s):
+        # -(dP/dp) phi at phi = [1]
+        _, _, c_p = charfun.coefficients(self.model, s, spec)
+        mats = dt.slot_matrices(self.model, derivs, dense=False)
+        return -charfun.matvec(mats, c_p, np.ones(1))[0]
+
     def test_constant_limit_reduces_to_plain_delay(self):
         spec = dt.WamsSpec.constant_delay(0.7)
         s = -0.2 + 1.4j
-        st_val = dt.eval_ST(self.model, spec, s).toarray()[0, 0]
+        st_val = self.shaped(spec, s)
         assert st_val == pytest.approx(-1.0 * cmath.exp(-s * 0.7), abs=1e-14)
-        std_val = dt.eval_STD(self.model, self.derivs, spec, s).toarray()[0, 0]
+        std_val = self.forcing(self.derivs, spec, s)
         assert std_val == pytest.approx(0.5 * cmath.exp(-s * 0.7), abs=1e-14)
 
     def test_scaled_by_hp_example(self):
         # tau0 = 0, b = 0, p_dr = 0, T = 1: S_T(1) = -h_p(1) = -(1 - e^-1)
         spec = dt.WamsSpec(tau0=0.0, p_dr=0.0, T=1.0, alpha=0.0, b=0.0)
-        val = dt.eval_ST(self.model, spec, 1.0).toarray()[0, 0]
+        val = self.shaped(spec, 1.0)
         assert val == pytest.approx(-(1.0 - np.exp(-1.0)))
-        val5 = dt.eval_ST(self.model, spec, 0.5).toarray()[0, 0]
+        val5 = self.shaped(spec, 0.5)
         assert val5 == pytest.approx(-(1.0 - np.exp(-0.5)) / 0.5)
 
     def test_std_with_constant_matrices(self):
-        # dA1 = 0, b = 0: only the h_p slope remains
+        # dA1 = 0, b = 0: the forcing vanishes and only the h_p slope
+        # (besides the latency) enters dP/ds = E - dS_T/ds
         derivs = dt.ModelDerivatives([[0.0]], [[0.0]], [[[0.0]]])
         spec = dt.WamsSpec(tau0=0.3, p_dr=0.0, T=1.0, alpha=0.0, b=0.0)
         s = 0.8 + 0.6j
-        val = dt.eval_STD(self.model, derivs, spec, s).toarray()[0, 0]
-        expected = -1.0 * charfun.eval_dhp_ds(spec, s) * cmath.exp(-s * 0.3)
+        assert self.forcing(derivs, spec, s) == 0.0
+        val = dP_ds_at(self.model, s, spec).toarray()[0, 0]
+        e0 = cmath.exp(-s * 0.3)
+        expected = 1.0 + (charfun.eval_dhp_ds(spec, s) * e0
+                          - 0.3 * dt.eval_hp(spec, s) * e0)
         assert val == pytest.approx(expected)
 
     def test_requires_single_delay(self):
@@ -192,15 +221,13 @@ class TestShapedDelayTerm:
             [[1.0]], [[0.0]], [(1.0, [[-1.0]]), (2.0, [[0.5]])]
         )
         with pytest.raises(ConfigurationError):
-            dt.eval_ST(m, dt.WamsSpec(tau0=0.1), 1.0)
+            charfun.coefficients(m, 1.0, dt.WamsSpec(tau0=0.1))
 
     def test_dst_ds_matches_central_difference(self):
         spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.03, alpha=1e-3, b=2.0)
         s = 0.4 + 2.0j
         d = 1e-6
-        fd = (
-            dt.eval_ST(self.model, spec, s + d).toarray()
-            - dt.eval_ST(self.model, spec, s - d).toarray()
-        ) / (2 * d)
-        ana = charfun.eval_dST_ds(self.model, spec, s).toarray()
-        assert np.abs(ana - fd).max() <= 1e-6 * max(1.0, np.abs(ana).max())
+        fd = (self.shaped(spec, s + d) - self.shaped(spec, s - d)) / (2 * d)
+        # dS_T/ds = E - dP/ds
+        ana = 1.0 - dP_ds_at(self.model, s, spec).toarray()[0, 0]
+        assert abs(ana - fd) <= 1e-6 * max(1.0, abs(ana))

@@ -102,13 +102,6 @@ class TestDerivative:
             step = 1e-6 * max(1.0, abs(p))
             assert abs(d.dA0.toarray()[0, 0] + 3.0) <= 10.0 * step * 3.0
 
-    def test_oversized_step_leaves_table(self):
-        m0 = dt.DelayedLinearModel([[1.0]], [[0.0]])
-        m1 = dt.DelayedLinearModel([[1.0]], [[2.0]])
-        fam = dt.TabulatedFamily([(0.0, m0), (1.0, m1)], fd_step=10.0)
-        with pytest.raises(RangeError):
-            fam.derivative(0.5)
-
     @settings(max_examples=30, deadline=None)
     @given(
         p=st.floats(-0.9, 2.9),

@@ -243,3 +243,34 @@ class TestRegimeFamilyMismatch:
                                p_fin=1.5)
         with pytest.raises(ConfigurationError):
             dt.track_run(fam, initial, opts)
+
+    def test_wams_spec_needs_wams_regime(self):
+        # tracked as "multi", the spec was ignored: the path ended 0.20
+        # away from the shaped eigenvalue with residual 0.35 and no event
+        A1 = np.array([[0.0, 0.0], [0.0, -0.8]])
+        base = dt.DelayedLinearModel(
+            np.eye(2), [[0.0, 1.0], [-4.0, -0.4]], [(0.05, A1)]
+        )
+        slopes = dt.ModelDerivatives(np.zeros((2, 2)), np.zeros((2, 2)),
+                                     [0.5 * A1])
+        fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
+        spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
+        seed = dt.spectrum_at(fam, 0.0, N=12, shift=2j, count=4,
+                              wams=spec)[0]
+        initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi)
+        with pytest.raises(ConfigurationError):
+            opts = dt.TrackOptions(dp=1e-2, corrector_every=0,
+                                   regime="multi", wams=spec, p_fin=1.0)
+            dt.track_run(fam, initial, opts)
+
+    def test_delay_param_regime_needs_delay_family(self, hayes_model):
+        # on a family whose delay stays fixed the run used to end far from
+        # any eigenvalue, with residual 2.1 and no event
+        slopes = dt.ModelDerivatives([[0.0]], [[-1.0]], [[[0.0]]])
+        fam = dt.AffineFamily(hayes_model, slopes, (0.5, 2.5))
+        initial = hayes_initial(fam)
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=0,
+                               regime="delay_param", delay_index=0,
+                               p_fin=2.0)
+        with pytest.raises(ConfigurationError):
+            dt.track_run(fam, initial, opts)
