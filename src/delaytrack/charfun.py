@@ -35,9 +35,16 @@ from .errors import ConfigurationError, SingularityError
 # exp() overflows shortly above this; treat as a nonfinite evaluation
 _EXP_MAX = 700.0
 
-# below this model dimension the slots, and so P(s), are dense ndarrays;
-# above it they stay csr and P(s) is factored by sparse LU
-DENSE_ASSEMBLY_MAX_R = 200
+# the one dense/sparse crossover: below this dimension the slots, and so
+# P(s), are dense ndarrays and the collocation pencil goes to dense QZ;
+# from it up the slots stay csr, P(s) is factored by sparse LU and the
+# pencil by shift-invert Arnoldi.  Measured on rand_ddae models (OpenBLAS,
+# 1 thread, 2-CPU x86-64 Linux): dense QZ against shift-invert crosses
+# below pencil dimension 72 (4.7-5.6 vs 2.5-4.3 ms there, 18-20 vs
+# 3.1-3.5 ms at 130); one dense bordered solve against the sparse one
+# crosses between r = 150 (1.4 vs 1.6 ms) and r = 200 (2.6 vs 2.0 ms),
+# with 0.6 vs 1.3 ms at r = 100.  128 lies between the two.
+DENSE_MAX_DIM = 128
 
 
 def _delay_scalar(s, tau):
@@ -175,13 +182,13 @@ def transfer_scalars(spec, s):
 def slot_matrices(model, derivatives=None, dense=None):
     """The slots (E, A0, A_1, ..., A_mu) of ``model``, followed by their
     parameter derivatives (dE, dA0, dA_1, ..., dA_mu) if ``derivatives`` is
-    given: dense ndarrays below ``DENSE_ASSEMBLY_MAX_R``, the stored csr
+    given: dense ndarrays below ``DENSE_MAX_DIM``, the stored csr
     matrices above, unless ``dense`` overrides that choice."""
     mats = [model.E, model.A0] + [A for _, A in model.delay_terms]
     if derivatives is not None:
         mats += [derivatives.dE, derivatives.dA0, *derivatives.dA_terms]
     if dense is None:
-        dense = model.r < DENSE_ASSEMBLY_MAX_R
+        dense = model.r < DENSE_MAX_DIM
     return [M.toarray() for M in mats] if dense else mats
 
 

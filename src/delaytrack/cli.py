@@ -10,7 +10,8 @@ validate   compare a tracked trajectory against recomputed spectra
 gen        emit a reproducible random sparse model bundle
 
 Exit codes: 0 success, 1 no result, 2 configuration or parse error,
-3 trajectory truncated by a fold, 4 numerical failure.
+3 trajectory truncated by a fold or a failed correction, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -140,8 +141,6 @@ def _apply_flag_overrides(man, args):
         updates["corrector_tol"] = args.tol
     if args.p_fin is not None:
         updates["p_fin"] = args.p_fin
-    if getattr(args, "delay_index", None) is not None:
-        updates["delay_index"] = args.delay_index
     return replace(track, **updates) if updates else track
 
 
@@ -279,8 +278,6 @@ def _add_track_flags(p):
                    help="corrector tolerance")
     p.add_argument("--p-init", type=float, default=None, dest="p_init")
     p.add_argument("--p-fin", type=float, default=None, dest="p_fin")
-    p.add_argument("--delay-index", type=int, default=None,
-                   dest="delay_index")
     p.add_argument("--init-from", default=None, dest="init_from",
                    metavar="RE,IM", help="seed eigenvalue, Newton-refined")
     p.add_argument("--out", default=None, help="output file (default stdout)")

@@ -212,6 +212,7 @@ class TabulatedFamily(ModelFamily):
                 p_range = (0.0, 1.0)  # placeholder; evaluation rejects anyway
         super().__init__(p_range, fd_step)
         self.snapshots = snaps
+        self._ps = np.array([q for q, _ in snaps])
         if len(snaps) >= 2:
             ref = snaps[0][1]
             for p, m in snaps[1:]:
@@ -232,9 +233,8 @@ class TabulatedFamily(ModelFamily):
             raise ConfigurationError(
                 "tabulated family needs at least 2 snapshots"
             )
-        ps = [q for q, _ in self.snapshots]
-        k = int(np.searchsorted(ps, p, side="right")) - 1
-        k = min(max(k, 0), len(ps) - 2)
+        k = int(np.searchsorted(self._ps, p, side="right")) - 1
+        k = min(max(k, 0), len(self._ps) - 2)
         return self.snapshots[k], self.snapshots[k + 1]
 
     def evaluate(self, p):

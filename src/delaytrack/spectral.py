@@ -19,7 +19,6 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from . import charfun
-from .charfun import DENSE_ASSEMBLY_MAX_R  # noqa: F401  (re-exported)
 from .errors import (
     ConfigurationError,
     DefectiveEigenvalueError,
@@ -30,9 +29,6 @@ from .errors import (
 # discretized generalized eigenvalues beyond this magnitude are treated as
 # the infinite modes of the singular pencil and dropped
 INFINITE_EIGENVALUE_THRESHOLD = 1e8
-
-# dense generalized solve below this pencil dimension, shift-invert above
-DENSE_SOLVE_MAX_DIM = 2000
 
 
 @dataclass
@@ -147,8 +143,9 @@ def _pencil_residual(pencil, s, v):
 def solve_discretized(pencil, shift, count):
     """``count`` finite eigenpairs of the pencil nearest to ``shift``.
 
-    Small pencils use a dense generalized solve; larger ones use
-    shift-invert Arnoldi on an LU factorization of (SigmaA - shift*SigmaE).
+    Pencils below ``charfun.DENSE_MAX_DIM`` use a dense generalized solve;
+    larger ones use shift-invert Arnoldi on an LU factorization of
+    (SigmaA - shift*SigmaE).
     Infinite modes of the singular pencil are filtered by magnitude, and
     the returned list is sorted by descending real part.
     """
@@ -156,7 +153,7 @@ def solve_discretized(pencil, shift, count):
         raise ConfigurationError("count must be at least 1")
     n = pencil.dim
     shift = complex(shift)
-    if n <= DENSE_SOLVE_MAX_DIM:
+    if n < charfun.DENSE_MAX_DIM:
         w, V = la.eig(pencil.SigmaA.toarray(), pencil.SigmaE.toarray())
         keep = np.isfinite(w) & (np.abs(w) <= INFINITE_EIGENVALUE_THRESHOLD)
         w, V = w[keep], V[:, keep]
@@ -369,19 +366,3 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
         f"iterations (last residual {residual:.3g})",
         residual=residual,
     )
-
-
-def bordered_smallest_singular_value(model, s, phi, wams=None):
-    """Smallest singular value of the bordered Jacobian, normalized by its
-    largest one.  Values at working precision flag a defective eigenvalue."""
-    mats = charfun.slot_matrices(model)
-    c, c_s, _ = charfun.coefficients(model, s, wams)
-    P = charfun.eval_P(mats, c)
-    r = model.r
-    phi = np.asarray(phi, dtype=complex).ravel()
-    J = np.zeros((r + 1, r + 1), dtype=complex)
-    J[:r, :r] = P.toarray() if sparse.issparse(P) else P
-    J[:r, r] = charfun.matvec(mats, c_s, phi)
-    J[r, :r] = phi
-    sv = la.svdvals(J)
-    return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0

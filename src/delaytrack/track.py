@@ -172,7 +172,6 @@ class TrackOptions:
     reinit_on_fold: bool = False
     init_degree: int = 16
     init_count: int = 6
-    norm_tol: float = 1e-8
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -294,14 +293,16 @@ def integrate_step(system, state, dp, method="euler", assemble=None):
     return _vector_state(state.p + dp, y_new, r, residual=state.residual)
 
 
-def detect_fold(window, fold_eps, model=None, wams=None):
+def detect_fold(window, fold_eps):
     """Fold event for the most recent sample, or None.
 
-    A conjugate pair collapsing onto the real axis shows up either as the
-    tracked s_i crossing (or dropping below ``fold_eps``) after having been
-    clearly away from the axis, or as a singular bordered Jacobian.  States
-    that simply live near the axis trigger the Jacobian test only, so a
-    plain real eigenvalue far from any coalescence partner never raises.
+    A conjugate pair collapsing onto the real axis shows up as the tracked
+    s_i crossing (or dropping below ``fold_eps``) after having been clearly
+    away from the axis.  A real eigenvalue driven into a fold is caught by
+    the step itself: the bordered solve raises :class:`SingularSystemError`
+    and the corrector :class:`DefectiveEigenvalueError` or
+    :class:`NonConvergenceError`, which :func:`track_run` treats as a failed
+    step.
     """
     if len(window) < 2:
         return None
@@ -311,12 +312,6 @@ def detect_fold(window, fold_eps, model=None, wams=None):
     shrunk = came_from_above and abs(cur.s_i) < fold_eps
     if crossed or shrunk:
         return TrackEvent(kind="fold", p=cur.p, s=cur.s)
-    if model is not None and abs(cur.s_i) < fold_eps:
-        gap = spectral.bordered_smallest_singular_value(
-            model, cur.s, cur.phi, wams=wams
-        )
-        if gap < 1e-10:
-            return TrackEvent(kind="fold", p=cur.p, s=cur.s)
     return None
 
 
@@ -412,9 +407,14 @@ def track_run(family, initial, options):
     ``options.p_fin`` (default: the upper end of the family range) in steps
     of ``options.dp`` (default: 1/1000 of the span), applying the Newton
     corrector at fixed p every ``corrector_every`` steps and at the final
-    point.  Fold, axis-crossing, reinitialization, and corrector-failure
-    events are recorded; a fold truncates the run unless
-    ``options.reinit_on_fold`` restarts it on the overlapping branch.
+    point.  Axis crossings are recorded as events.  A failed step ends the
+    run (``truncated``) unless ``options.reinit_on_fold`` restarts it on
+    the overlapping branch.  A step fails when its bordered solve is
+    singular or the corrector finds the eigenvalue defective (``fold``),
+    when the corrector does not converge (``corrector_fail``), or when
+    :func:`detect_fold` sees a conjugate pair collapse (``fold``); the
+    event marks the last sample, which for a failed correction is the
+    uncorrected one.
     """
     p_init = initial.p
     model = family.evaluate(p_init)
@@ -453,7 +453,11 @@ def track_run(family, initial, options):
         remaining = p_fin - state.p
         last = abs(remaining) <= abs(dp) * (1.0 + 1e-9)
         dp_k = remaining if last else dp  # land exactly on p_fin
+        correct = options.corrector_every > 0 and (
+            step % options.corrector_every == 0 or last
+        )
 
+        new_state = None
         try:
             system = assemble_at(state)
             new_state = integrate_step(
@@ -462,82 +466,53 @@ def track_run(family, initial, options):
             if last:
                 new_state = replace(new_state, p=p_fin)
             model_new = family.evaluate(new_state.p)
+            if correct:
+                new_state = _refine_state(model_new, new_state, options)
+            else:
+                new_state = _with_residual(model_new, new_state, options.wams)
         except RangeError:
             traj.truncated = True
             break
-        except SingularSystemError:
-            ev = TrackEvent(
-                kind="fold", p=state.p, s=state.s,
-                index=len(traj.samples) - 1,
-            )
-            traj.events.append(ev)
-            if not _handle_fold(family, traj, options):
-                break
-            state = traj.samples[-1]
-            continue
-
-        correct = options.corrector_every > 0 and (
-            step % options.corrector_every == 0 or last
-        )
-        if correct:
-            try:
-                new_state = _refine_state(model_new, new_state, options)
-            except DefectiveEigenvalueError:
+        except (SingularSystemError, DefectiveEigenvalueError,
+                NonConvergenceError) as exc:
+            # a failed step: a singular bordered system or a failed
+            # correction; the uncorrected sample, if any, is kept as the
+            # last one, tagged with the event
+            if new_state is not None:
                 traj.samples.append(
                     _with_residual(model_new, new_state, options.wams)
                 )
-                traj.events.append(
-                    TrackEvent(
-                        kind="fold", p=new_state.p, s=new_state.s,
-                        index=len(traj.samples) - 1,
-                    )
-                )
-                if not _handle_fold(family, traj, options):
-                    break
-                state = traj.samples[-1]
-                continue
-            except NonConvergenceError:
-                traj.events.append(
-                    TrackEvent(
-                        kind="corrector_fail", p=new_state.p, s=new_state.s,
-                        index=len(traj.samples),
-                    )
-                )
-                new_state = _with_residual(model_new, new_state, options.wams)
-        else:
-            new_state = _with_residual(model_new, new_state, options.wams)
-
-        prev_state = state
-        state = new_state
-        traj.samples.append(state)
-        idx = len(traj.samples) - 1
-
-        if prev_state.s_r * state.s_r < 0.0:
-            traj.events.append(
-                TrackEvent(
-                    kind="axis_crossing", p=state.p, s=state.s, index=idx
-                )
+            at = traj.samples[-1]
+            failure = TrackEvent(
+                kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
+                      else "fold"),
+                p=at.p, s=at.s,
             )
+        else:
+            traj.samples.append(new_state)
+            if state.s_r * new_state.s_r < 0.0:
+                traj.events.append(
+                    TrackEvent(kind="axis_crossing", p=new_state.p,
+                               s=new_state.s, index=len(traj.samples) - 1)
+                )
+            failure = detect_fold(traj.samples[-3:], options.fold_eps)
 
-        fold = detect_fold(
-            traj.samples[-3:], options.fold_eps, model=model_new,
-            wams=options.wams,
-        )
-        if fold is not None:
-            fold.index = idx
-            traj.events.append(fold)
+        if failure is not None:
+            failure.index = len(traj.samples) - 1
+            traj.events.append(failure)
             if not _handle_fold(family, traj, options):
                 break
-            state = traj.samples[-1]
+        state = traj.samples[-1]
     return traj
 
 
 def _handle_fold(family, traj, options):
-    """Reinitialize past a fold when enabled; otherwise truncate the run.
+    """Reinitialize past a failed step when enabled; otherwise truncate the
+    run.
 
-    Resumes one step beyond the fold sample: at the fold itself the
-    eigenvalue is defective and the bordered matrix singular, so stepping from
-    it is hopeless.  Returns True when tracking may continue."""
+    Resumes one step beyond the last sample: at a fold the eigenvalue is
+    defective and the bordered matrix singular, so stepping from it is
+    hopeless.  Returns True when tracking may continue."""
     if not options.reinit_on_fold:
         traj.truncated = True
         return False

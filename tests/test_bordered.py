@@ -19,7 +19,8 @@ from delaytrack.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
-from delaytrack.spectral import DENSE_ASSEMBLY_MAX_R, bordered_solve
+from delaytrack.charfun import DENSE_MAX_DIM
+from delaytrack.spectral import bordered_solve
 from delaytrack.track import _solve_system
 
 from conftest import (
@@ -119,10 +120,10 @@ class TestBorderedSolve:
             dt.refine_newton(model, 0.0, np.array([1.0, 0.0, 0.5]))
 
     def test_divergence_on_sparse_path_is_reported_quietly(self):
-        # the Hayes equation s + exp(-s) = 0 embedded in r = 200 so that
+        # the Hayes equation s + exp(-s) = 0 embedded in r = DENSE_MAX_DIM so that
         # Newton takes the sparse path; started on the real axis it wanders
         # to s = 0, where P'(s) phi = 0 zeroes the Schur complement
-        r = DENSE_ASSEMBLY_MAX_R
+        r = DENSE_MAX_DIM
         A0 = -2.0 * np.eye(r)
         A0[0, 0] = 0.0
         A1 = np.zeros((r, r))
@@ -164,13 +165,13 @@ def assemble(regime, model, derivs, st, kw):
 
 
 class TestSparseSlope:
-    """At r >= DENSE_ASSEMBLY_MAX_R the slope comes from the sparse LU of
+    """At r >= DENSE_MAX_DIM the slope comes from the sparse LU of
     P; it must match a sparse LU of the derived real split M and a dense
     solve of the independent complex-split oracle."""
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_slope_matches_real_split(self, regime):
-        r = DENSE_ASSEMBLY_MAX_R
+        r = DENSE_MAX_DIM
         mu, kw = REGIMES[regime]["mu"], REGIMES[regime]["kw"]
         model, derivs = random_model_with_derivatives(
             r, mu, seed=70 + mu, density=0.02

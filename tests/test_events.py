@@ -68,6 +68,26 @@ class TestDetectFold:
         traj = dt.track_run(hayes_family, initial, opts)
         assert all(ev.kind != "fold" for ev in traj.events)
 
+    def test_real_branch_into_fold_truncates(self, coalescing_family):
+        # the real upper branch -1 + sqrt(p - 1) swept down into its fold
+        # at p = 1: the real state cannot follow the pair off the axis, and
+        # the first failed step must end the run there
+        p0, dp, every = 1.5, 1e-3, 10
+        s0 = coalescing_eigenvalue(p0).real
+        ref = dt.refine_newton(coalescing_family.evaluate(p0), s0,
+                               np.array([1.0, s0]), tol=1e-12)
+        initial = dt.TrackState.from_eigenpair(p0, ref.s, ref.phi)
+        opts = dt.TrackOptions(dp=dp, corrector_every=every, regime="multi",
+                               p_fin=0.5)
+        traj = dt.track_run(coalescing_family, initial, opts)
+        assert traj.truncated
+        failures = [ev for ev in traj.events
+                    if ev.kind in ("fold", "corrector_fail")]
+        assert failures
+        assert min(traj.ps) >= 1.0 - (every + 1) * dp
+        for st in traj.samples[:failures[0].index][::every]:
+            assert st.residual <= opts.corrector_tol
+
     def test_window_too_short(self, coalescing_family):
         st = coalescing_initial(coalescing_family, 0.5)
         assert dt.detect_fold([st], 1e-4) is None

@@ -71,16 +71,16 @@ class TestSolveDiscretized:
             assert pair.residual < 1e-8
 
     def test_sparse_path_matches_dense(self, hayes_model):
-        import delaytrack.spectral as spectral
+        import delaytrack.charfun as charfun
 
         pen = dt.discretize(hayes_model, 24)
         dense = dt.solve_discretized(pen, 1.3j, 2)
-        old = spectral.DENSE_SOLVE_MAX_DIM
-        spectral.DENSE_SOLVE_MAX_DIM = 0
+        old = charfun.DENSE_MAX_DIM
+        charfun.DENSE_MAX_DIM = 0
         try:
             sparse_pairs = dt.solve_discretized(pen, 1.3j, 2)
         finally:
-            spectral.DENSE_SOLVE_MAX_DIM = old
+            charfun.DENSE_MAX_DIM = old
         a = sorted((p.s for p in dense), key=lambda z: z.imag)
         b = sorted((p.s for p in sparse_pairs), key=lambda z: z.imag)
         for x, y in zip(a, b):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sparse
 
 import delaytrack as dt
 from delaytrack.errors import ConfigurationError
@@ -217,6 +219,38 @@ class TestTrackRun:
         assert "axis_crossing" in kinds
         ev = next(e for e in traj.events if e.kind == "axis_crossing")
         assert abs(ev.p - np.pi / 2) < 2e-2
+
+
+class TestSparseRealEigenvalue:
+    def test_step_loop_takes_no_dense_path(self, monkeypatch):
+        # a real eigenvalue at r = 1000: every step must stay on the sparse
+        # bordered solve, with no dense SVD, QZ or bordered solve
+        r = 1000
+        base = dt.rand_ddae(r, 700, 2e-3, 2, 11)
+        zero = sparse.csr_array((r, r))
+        slopes = dt.ModelDerivatives(
+            zero, 0.6 * (base.A0 + 3.0 * sparse.eye_array(r)), [zero] * 2
+        )
+        fam = dt.AffineFamily(base, slopes, p_range=(0.0, 1.0))
+        pairs = dt.spectrum_at(fam, 0.0, N=6, shift=0j, count=6)
+        seed = max((e for e in pairs if abs(e.s.imag) < 1e-8),
+                   key=lambda e: e.s.real)
+        initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi,
+                                               seed.residual)
+        opts = dt.TrackOptions(dp=1e-3, corrector_every=5, p_fin=1e-2)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense O(r^3) call in the step loop")
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", dense)
+        monkeypatch.setattr(scipy.linalg, "eig", dense)
+        monkeypatch.setattr(np.linalg, "solve", dense)
+        traj = dt.track_run(fam, initial, opts)
+        monkeypatch.undo()
+        assert not traj.truncated and not traj.events
+        assert len(traj.samples) == 11
+        for st in traj.samples[::opts.corrector_every]:
+            assert st.residual <= opts.corrector_tol
 
 
 class TestRegimeFamilyMismatch:
