@@ -39,28 +39,11 @@ class ComparisonReport:
 def spectrum_at(family, p, N=16, shift=0j, count=6, tol=1e-10, wams=None):
     """Refined eigenpairs of the family at one parameter value.
 
-    Discretizes the model at ``p``, solves the collocation pencil near
-    ``shift``, lifts every candidate, and keeps only the Newton-refined
-    eigenpairs (sorted by descending real part).
+    See :func:`spectral.refined_eigenpairs` for the candidates kept.
     """
     model = family.evaluate(p)
-    pencil = spectral.discretize(model, N if model.mu else 0)
-    raw = spectral.solve_discretized(pencil, shift, count)
-    refined = []
-    for pair in raw:
-        phi0 = spectral.lift_eigenvector(pencil, pair.phi)
-        if np.linalg.norm(phi0) < 1e-12 * np.linalg.norm(pair.phi):
-            continue
-        try:
-            ref = spectral.refine_newton(model, pair.s, phi0, tol=tol,
-                                         wams=wams)
-        except DelayTrackError:
-            continue
-        if any(abs(ref.s - k.s) < 1e-9 for k in refined):
-            continue
-        refined.append(ref)
-    refined.sort(key=lambda e: -e.s.real)
-    return refined
+    return spectral.refined_eigenpairs(model, N, shift, count, tol=tol,
+                                       wams=wams)
 
 
 def hayes_roots(a, b, tau, count=4):

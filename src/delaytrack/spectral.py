@@ -5,8 +5,14 @@ delay interval [-tau_max, 0] at Chebyshev-Gauss-Lobatto nodes.  Values of
 the solution segment at the nodes satisfy a generalized linear eigenproblem
 (SigmaA, SigmaE): interior block rows impose the spectral differentiation
 operator, and the endpoint block row imposes the DDAE itself with delayed
-values recovered by barycentric interpolation.  Candidate eigenpairs are
-then polished on the exact nonlinear P by a bordered Newton iteration.
+values recovered by barycentric interpolation.  The pencil is held as its
+collocation data and its matrices are assembled only for dense QZ below
+``charfun.DENSE_MAX_DIM``; above it, shift-invert Arnoldi eliminates the
+interior rows with an N x N solve and factors only the r x r collocated
+characteristic matrix, which has the split form and sparsity pattern of
+P(sigma) (the structure behind infinite Arnoldi).  Candidate eigenpairs are
+then polished on the exact nonlinear P by a bordered Newton iteration;
+:func:`refined_eigenpairs` is that whole pipeline.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from . import charfun
 from .errors import (
     ConfigurationError,
     DefectiveEigenvalueError,
+    DelayTrackError,
     NonConvergenceError,
     SingularSystemError,
 )
+from .model import DelayedLinearModel
 
 # discretized generalized eigenvalues beyond this magnitude are treated as
 # the infinite modes of the singular pencil and dropped
@@ -33,21 +41,55 @@ INFINITE_EIGENVALUE_THRESHOLD = 1e8
 
 @dataclass
 class DiscretizedPencil:
-    """Generalized pair (SigmaA, SigmaE) of the collocated delay model.
+    """Collocation of ``model`` at polynomial degree N, held as its data.
 
-    ``nodes[k]`` is the collocation point of block row k; the segment
-    endpoint theta = 0 is block 0.
+    The generalized pair (SigmaA, SigmaE) acts on the stacked values of the
+    solution segment at the ``nodes`` (block k at ``nodes[k]``; the segment
+    endpoint theta = 0 is block 0).  Its interior block rows are
+    (Dt[1:, :] - s [0 I]) kron I_r, with ``Dt`` the scaled differentiation
+    matrix, and its endpoint block row is A0 - s E + sum_j A_j (l_j kron I),
+    with ``delay_rows[j]`` = l_j the barycentric row of delay j.  The
+    matrices ``SigmaA``/``SigmaE`` are assembled on access only; the
+    shift-invert solve and the residual never form them.
     """
 
-    SigmaA: sparse.csr_array
-    SigmaE: sparse.csr_array
+    model: DelayedLinearModel
     N: int
-    r: int
     nodes: np.ndarray
+    Dt: np.ndarray
+    delay_rows: np.ndarray
+
+    @property
+    def r(self):
+        return self.model.r
 
     @property
     def dim(self):
         return (self.N + 1) * self.r
+
+    @property
+    def SigmaA(self):
+        m, N = self.model, self.N
+        if N == 0:
+            return m.A0.copy()
+        # Dt[1:] kron I below, and e_0 (e_0 kron A0 + sum_j l_j kron A_j)
+        # on top, each added as one Kronecker product
+        rows = np.zeros((m.mu + 1, N + 1, N + 1))
+        rows[0, 0, 0] = 1.0
+        rows[1:, 0, :] = self.delay_rows
+        interior = self.Dt.copy()
+        interior[0] = 0.0
+        out = sparse.kron(interior, sparse.eye_array(self.r))
+        for row, A in zip(rows, [m.A0] + [A for _, A in m.delay_terms]):
+            out = out + sparse.kron(row, A)
+        return sparse.csr_array(out)
+
+    @property
+    def SigmaE(self):
+        if self.N == 0:
+            return self.model.E.copy()
+        identity = sparse.eye_array(self.N * self.r)
+        return sparse.csr_array(sparse.block_diag([self.model.E, identity]))
 
 
 @dataclass
@@ -95,15 +137,6 @@ def discretize(model, N):
     A delay-free model with N = 0 reduces to the pair (A0, E).  Models with
     delays need N >= 2.
     """
-    r = model.r
-    if model.mu == 0 and N == 0:
-        return DiscretizedPencil(
-            SigmaA=model.A0.copy(),
-            SigmaE=model.E.copy(),
-            N=0,
-            r=r,
-            nodes=np.array([0.0]),
-        )
     if model.mu > 0 and N < 2:
         raise ConfigurationError(
             f"N={N} cannot resolve {model.mu} delay term(s); need N >= 2"
@@ -111,41 +144,34 @@ def discretize(model, N):
     span = model.tau_max if model.mu else 1.0
     x, D = cheb_points_diff(N)
     nodes = (x - 1.0) * span / 2.0  # theta_0 = 0, theta_N = -span
-    Dt = D * (2.0 / span)
-
-    # endpoint block row: s E x(0) = A0 x(0) + sum_j A_j x(-tau_j)
-    blocks = [None] * (N + 1)
-    blocks[0] = model.A0.copy()
-    for tau, A in model.delay_terms:
-        row = _barycentric_row(nodes, -tau)
-        for m, c in enumerate(row):
-            if c == 0.0:
-                continue
-            term = c * A
-            blocks[m] = term if blocks[m] is None else blocks[m] + term
-    zero = sparse.csr_array((r, r))
-    top = sparse.hstack([b if b is not None else zero for b in blocks])
-
-    # interior block rows: s x(theta_k) = sum_m D[k, m] x(theta_m)
-    interior = sparse.kron(sparse.csr_array(Dt[1:, :]), sparse.eye_array(r))
-    SigmaA = sparse.csr_array(sparse.vstack([top, interior]))
-    SigmaE = sparse.csr_array(
-        sparse.block_diag([model.E] + [sparse.eye_array(r)] * N)
+    # endpoint block row: s E x(0) = A0 x(0) + sum_j A_j x(-tau_j), with
+    # x(-tau_j) interpolated from the nodes;
+    # interior block rows: s x(theta_k) = sum_m Dt[k, m] x(theta_m)
+    rows = [_barycentric_row(nodes, -tau) for tau in model.taus]
+    return DiscretizedPencil(
+        model=model, N=N, nodes=nodes, Dt=D * (2.0 / span),
+        delay_rows=np.array(rows).reshape(model.mu, N + 1),
     )
-    return DiscretizedPencil(SigmaA=SigmaA, SigmaE=SigmaE, N=N, r=r, nodes=nodes)
 
 
 def _pencil_residual(pencil, s, v):
-    w = pencil.SigmaA @ v - s * (pencil.SigmaE @ v)
+    """||(SigmaA - s SigmaE) v|| / ||v|| by block products."""
+    m = pencil.model
+    V = v.reshape(pencil.N + 1, pencil.r)
+    w = pencil.Dt @ V - s * V
+    w[0] = m.A0 @ V[0] - s * (m.E @ V[0])
+    for (_, A), row in zip(m.delay_terms, pencil.delay_rows):
+        w[0] += A @ (row @ V)
     return float(np.linalg.norm(w) / np.linalg.norm(v))
 
 
 def solve_discretized(pencil, shift, count):
     """``count`` finite eigenpairs of the pencil nearest to ``shift``.
 
-    Pencils below ``charfun.DENSE_MAX_DIM`` use a dense generalized solve;
-    larger ones use shift-invert Arnoldi on an LU factorization of
-    (SigmaA - shift*SigmaE).
+    Pencils below ``charfun.DENSE_MAX_DIM`` use a dense generalized solve
+    of the assembled (SigmaA, SigmaE); larger ones use shift-invert Arnoldi
+    through one sparse LU of the r x r collocated characteristic matrix
+    (see :func:`_shift_invert`), without assembling the pencil.
     Infinite modes of the singular pencil are filtered by magnitude, and
     the returned list is sorted by descending real part.
     """
@@ -169,26 +195,55 @@ def solve_discretized(pencil, shift, count):
     return pairs
 
 
-def _shift_invert(pencil, shift, count, attempts=3):
-    A = pencil.SigmaA.tocsc().astype(complex)
-    E = pencil.SigmaE.tocsc().astype(complex)
-    sigma = shift
-    lu = None
-    for trial in range(attempts):
-        try:
-            lu = splu(A - sigma * E)
-            break
-        except RuntimeError:
-            # shift landed on an eigenvalue; nudge it and retry
-            sigma = sigma + (1e-8 + 1e-8j) * max(1.0, abs(sigma))
-    if lu is None:
+def _shift_invert(pencil, sigma, count):
+    """Arnoldi on y = (SigmaA - sigma SigmaE)^-1 SigmaE x, solved blockwise.
+
+    With Dt[1:, :] = [d10 | D11], the interior block rows give
+    Y[1:] = W - g y_0^T with W = (D11 - sigma I)^-1 X[1:] and
+    g = (D11 - sigma I)^-1 d10.  Substituted into the endpoint row, they
+    leave the r x r collocated characteristic matrix
+
+        P_N(sigma) = sigma E - A0 - sum_j a_j A_j,
+        a_j = l_j[0] - l_j[1:] g   (the collocation of exp(-sigma tau_j)),
+
+    in the split form and sparsity pattern of P(sigma), and
+    y_0 = -P_N(sigma)^-1 (E x_0 - sum_j A_j l_j[1:] W).  P_N is factored
+    once by :func:`_factor`, whose zero-pivot nudge covers a shift that
+    lands on an eigenvalue.
+    """
+    m, N, r = pencil.model, pencil.N, pencil.r
+    try:
+        # N x N: applying the inverse to N x r blocks is many times
+        # cheaper than a solve against them
+        Kinv = np.linalg.inv(pencil.Dt[1:, 1:] - sigma * np.eye(N))
+    except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(
-            f"shifted pencil singular after {attempts} perturbed attempts"
-        )
+            f"interior collocation block D11 - sigma I is singular at the "
+            f"shift sigma={sigma}"
+        ) from exc
+    g = Kinv @ pencil.Dt[1:, 0]
+    L = pencil.delay_rows[:, 1:]
+    a = pencil.delay_rows[:, 0] - L @ g
+    mats = charfun.slot_matrices(m, dense=False)
+    try:
+        lu = _factor(charfun.eval_P(mats, [sigma, -1.0, *(-a)]))
+    except SingularSystemError as exc:
+        raise NonConvergenceError(
+            f"collocated characteristic matrix singular at sigma={sigma}"
+        ) from exc
+    delayed = mats[2:]
+
+    def solve(x):
+        X = x.reshape(N + 1, r)
+        W = Kinv @ X[1:]
+        rhs = m.E @ X[0]
+        for A, z in zip(delayed, L @ W):
+            rhs = rhs - A @ z
+        y0 = -lu.solve(rhs)
+        return np.concatenate([y0, (W - np.outer(g, y0)).ravel()])
+
     op = LinearOperator(
-        shape=(pencil.dim, pencil.dim),
-        matvec=lambda x: lu.solve(E @ x),
-        dtype=complex,
+        shape=(pencil.dim, pencil.dim), matvec=solve, dtype=complex
     )
     k = min(count, pencil.dim - 2)
     try:
@@ -218,8 +273,10 @@ def eigenpair_residual(model, s, phi, wams=None):
 
 def _factor(P):
     """Sparse LU of P.  An exactly zero pivot (P singular at a simple
-    eigenvalue) refactors P nudged by 1e-14 relative on the diagonal; the
-    refinement in :func:`bordered_solve` against the exact P absorbs it."""
+    eigenvalue) refactors P nudged by 1e-14 relative on the diagonal.  The
+    refinement in :func:`bordered_solve` against the exact P absorbs the
+    nudge; in :func:`_shift_invert` it moves the shift by about as much,
+    and the Newton polish absorbs that."""
     P = sparse.csc_array(P, dtype=complex)
     try:
         return splu(P)
@@ -366,3 +423,31 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
         f"iterations (last residual {residual:.3g})",
         residual=residual,
     )
+
+
+def refined_eigenpairs(model, N, shift, count, tol=1e-10, wams=None):
+    """Newton-refined eigenpairs of ``model`` from its collocation pencil.
+
+    Discretizes at degree ``N`` (the pair (A0, E) for a delay-free model),
+    takes the ``count`` pencil eigenpairs nearest to ``shift``, lifts each
+    and polishes it by :func:`refine_newton`.  A candidate whose lifted
+    endpoint block vanishes (relative to its pencil vector) or whose
+    refinement raises a :class:`DelayTrackError` is skipped, as is one
+    within 1e-9 of an eigenvalue already kept.  Sorted by descending real
+    part.
+    """
+    pencil = discretize(model, N if model.mu else 0)
+    refined = []
+    for pair in solve_discretized(pencil, shift, count):
+        phi0 = lift_eigenvector(pencil, pair.phi)
+        if np.linalg.norm(phi0) < 1e-12 * np.linalg.norm(pair.phi):
+            continue
+        try:
+            ref = refine_newton(model, pair.s, phi0, tol=tol, wams=wams)
+        except DelayTrackError:
+            continue
+        if any(abs(ref.s - k.s) < 1e-9 for k in refined):
+            continue
+        refined.append(ref)
+    refined.sort(key=lambda e: -e.s.real)
+    return refined

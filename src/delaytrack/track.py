@@ -319,36 +319,18 @@ def reinitialize_at(family, p, prev_state, options):
     """Recompute the eigendecomposition at ``p`` and pick up the branch
     overlapping the previously tracked eigenvector.
 
-    Candidates from the collocation pencil are Newton-refined; the one
+    Of the candidates of :func:`spectral.refined_eigenpairs`, the one
     maximizing |phi_prev^H phi| (unit-normalized) wins, with ties broken
     toward larger Re(s).  Raises :class:`ReinitializationError` when no
     candidate reaches overlap 0.5.
     """
-    model = family.evaluate(p)
-    N = options.init_degree if model.mu else 0
-    pencil = spectral.discretize(model, N)
-    raw = spectral.solve_discretized(pencil, prev_state.s, options.init_count)
-    prev_phi = prev_state.phi
-    prev_phi = prev_phi / np.linalg.norm(prev_phi)
-
-    candidates = []
-    for pair in raw:
-        phi0 = spectral.lift_eigenvector(pencil, pair.phi)
-        if np.linalg.norm(phi0) == 0.0:
-            continue
-        try:
-            ref = spectral.refine_newton(
-                model, pair.s, phi0, tol=options.corrector_tol,
-                wams=options.wams,
-            )
-        except (NonConvergenceError, DefectiveEigenvalueError):
-            continue
-        if any(abs(ref.s - c.s) < 1e-9 for c in candidates):
-            continue
-        candidates.append(ref)
+    candidates = spectral.refined_eigenpairs(
+        family.evaluate(p), options.init_degree, prev_state.s,
+        options.init_count, tol=options.corrector_tol, wams=options.wams,
+    )
     if not candidates:
         raise ReinitializationError(f"no refined eigenpair near p={p}")
-
+    prev_phi = prev_state.phi / np.linalg.norm(prev_state.phi)
     overlaps = [
         abs(np.vdot(prev_phi, c.phi / np.linalg.norm(c.phi)))
         for c in candidates
@@ -539,13 +521,24 @@ def _handle_fold(family, traj, options):
     return True
 
 
+def _real_to_roundoff(state):
+    return (
+        abs(state.s_i) <= 1e-12 * max(1.0, abs(state.s))
+        and np.linalg.norm(state.phi_i) <= 1e-12 * np.linalg.norm(state.phi)
+    )
+
+
 def find_crossing(family, trajectory, options):
     """Refine every real-axis crossing of the tracked eigenvalue.
 
     Each sign change of s_r between consecutive samples is bisected in p;
     the eigenpair is re-solved by warm-started Newton at every midpoint
-    until |Re s| < 1e-9 or the bracket narrows below 1e-9.  Returns a list
-    of (p_star, s_star), empty when the trajectory never crosses.
+    until |Re s| < 1e-9 or the bracket narrows below 1e-9.  When both
+    bracketing samples are real to roundoff, each solve starts from their
+    real parts: the imaginary parts are noise that the corrections shrink
+    into subnormal arithmetic, while a real start keeps every iterate, and
+    s_star, exactly real.  Returns a list of (p_star, s_star), empty when
+    the trajectory never crosses.
     """
     crossings = []
     samples = trajectory.samples
@@ -554,6 +547,7 @@ def find_crossing(family, trajectory, options):
             continue
         if a.s_r == 0.0 or a.s_r * b.s_r >= 0.0:
             continue
+        real = _real_to_roundoff(a) and _real_to_roundoff(b)
         lo, hi = a, b
         pm, sm = lo.p, lo.s
         for _ in range(200):
@@ -561,9 +555,9 @@ def find_crossing(family, trajectory, options):
                 break
             pm = 0.5 * (lo.p + hi.p)
             warm = lo if abs(pm - lo.p) <= abs(pm - hi.p) else hi
-            model = family.evaluate(pm)
+            s0, phi0 = (warm.s_r, warm.phi_r) if real else (warm.s, warm.phi)
             ref = spectral.refine_newton(
-                model, warm.s, warm.phi, tol=options.corrector_tol,
+                family.evaluate(pm), s0, phi0, tol=options.corrector_tol,
                 wams=options.wams,
             )
             sm = ref.s
