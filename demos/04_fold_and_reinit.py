@@ -21,7 +21,7 @@ family = dt.AffineFamily(base, slopes, p_range=(0.2, 1.8))
 m0 = family.evaluate(0.5)
 w, V = np.linalg.eig(m0.A0.toarray())
 i = int(np.argmax(w.imag))
-seed = dt.refine_newton(m0, w[i], V[:, i], tol=1e-12)
+seed = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
 initial = dt.TrackState.from_eigenpair(0.5, seed.s, seed.phi, seed.residual)
 print(f"start: p = 0.5, s = {seed.s:+.6f} (analytic -1 + j sqrt(0.5))")
 

@@ -9,12 +9,14 @@ delayed term may be shaped by stochastic communication transfer functions
 """
 
 from .charfun import (
+    SplitForm,
     WamsSpec,
     coefficients,
     eval_hp,
     eval_hs,
     eval_P,
     slot_matrices,
+    split_form,
 )
 from .errors import (
     ConfigurationError,
@@ -56,10 +58,7 @@ from .track import (
     TrackOptions,
     TrackState,
     Trajectory,
-    assemble_delay_param,
-    assemble_multi,
-    assemble_single,
-    assemble_wams,
+    assemble,
     detect_fold,
     find_crossing,
     integrate_step,
@@ -87,16 +86,14 @@ __all__ = [
     "ReinitializationError",
     "SingularityError",
     "SingularSystemError",
+    "SplitForm",
     "TabulatedFamily",
     "TrackEvent",
     "TrackOptions",
     "TrackState",
     "Trajectory",
     "WamsSpec",
-    "assemble_delay_param",
-    "assemble_multi",
-    "assemble_single",
-    "assemble_wams",
+    "assemble",
     "coefficients",
     "compare_trajectory",
     "detect_fold",
@@ -114,6 +111,7 @@ __all__ = [
     "slot_matrices",
     "solve_discretized",
     "spectrum_at",
+    "split_form",
     "track_run",
     "validate_model",
 ]

@@ -4,9 +4,14 @@ The eigenvalues of a linear DDAE are the complex numbers s at which
 
     P(s) = s E - A0 - sum_j A_j exp(-s tau_j)
 
-is singular.  P is held in split form, P(s, p) = sum_k c_k(s, p) M_k over
-the slots M = (E, A0, A_1, ..., A_mu): only the scalar coefficients c_k
-depend on s and p, so the sparsity pattern of the inputs is preserved.
+is singular.  P is held in split form,
+
+    P(s, p) = sum_j w_j(p) sum_k c_k(s, p) M_{j,k},
+
+over blocks j of slots M_j = (E, A0, A_1, ..., A_mu) taken from anchor
+models: only the scalar weights w_j and coefficients c_k depend on s and p,
+so the sparsity pattern of the inputs is preserved and no matrix is built
+per parameter value.
 The coefficient of a delayed slot is minus one of three kernels:
 
 - exp(-s tau_j) for a constant delay;
@@ -16,11 +21,11 @@ The coefficient of a delayed slot is minus one of three kernels:
   functions h_p and h_s shape the single delayed term.
 
 :func:`coefficients` is the only place that knows how a kernel enters
-P(s), dP/ds and dP/dp.  Which kernel applies follows from its inputs (a
-WAMS spec, the index of a delay acting as the parameter), not from a
-declared regime.  :func:`eval_P` forms a matrix from coefficients and the
-slots of :func:`slot_matrices`; :func:`matvec` applies the same combination
-to a vector by matrix-vector products without forming it.
+P(s), dP/ds and dP/dp.  A :class:`SplitForm` is the one description of P
+at one p that every consumer takes: families build their slots once and
+return a form per p, and :func:`split_form` wraps a single model.
+:func:`eval_P` forms a matrix from coefficients and slots; :func:`matvec`
+applies the same combination to a vector without forming it.
 """
 
 from __future__ import annotations
@@ -179,65 +184,115 @@ def transfer_scalars(spec, s):
     return g, g_s
 
 
-def slot_matrices(model, derivatives=None, dense=None):
+def slot_matrices(model, derivatives=None):
     """The slots (E, A0, A_1, ..., A_mu) of ``model``, followed by their
     parameter derivatives (dE, dA0, dA_1, ..., dA_mu) if ``derivatives`` is
-    given: dense ndarrays below ``DENSE_MAX_DIM``, the stored csr
-    matrices above, unless ``dense`` overrides that choice."""
+    given: dense ndarrays below ``DENSE_MAX_DIM``, the stored csr matrices
+    from it up."""
     mats = [model.E, model.A0] + [A for _, A in model.delay_terms]
     if derivatives is not None:
         mats += [derivatives.dE, derivatives.dA0, *derivatives.dA_terms]
-    if dense is None:
-        dense = model.r < DENSE_MAX_DIM
-    return [M.toarray() for M in mats] if dense else mats
+    if model.r < DENSE_MAX_DIM:
+        return tuple(M.toarray() for M in mats)
+    return tuple(mats)
 
 
-def coefficients(model, s, wams=None, delay_index=None):
-    """Scalar coefficients (c, c_s, c_p) of ``model`` in split form at s.
+@dataclass(frozen=True)
+class SplitForm:
+    """P(s, p) at one p: ``slots`` holds blocks of n = mu + 2 slot matrices
+    (E, A0, A_1, ..., A_mu), concatenated, and block j enters P with the
+    scalar weight ``weights[j]`` and dP/dp with ``dweights[j]``:
 
-    Over the slots M_k of :func:`slot_matrices`, P(s) = sum_k c[k] M_k and
-    dP/ds = sum_k c_s[k] M_k; ``c_p`` also runs over their p-derivatives,
-    dP/dp = sum_k c_p[k] M_k + c_p[n + k] dM_k with n = mu + 2.
+        P(s, p) = sum_j weights[j] sum_k c_k(s) M_{j,k}.
 
-    The delayed slots take the constant-delay kernel unless ``wams`` shapes
-    the single delayed term, or ``delay_index`` names the delay whose
-    magnitude (as stored in ``model``) is the parameter p.  The delayed
-    matrices of such a family do not depend on p, so their derivatives do
-    not enter dP/dp.  Raises :class:`SingularityError` when a kernel
-    overflows or hits a pole of the transfer functions.
+    ``taus`` are the delays at this p; ``delay_index`` (the delay that is
+    p) and ``wams`` (the WAMS shaping of the single delayed term) select
+    the kernel of :func:`coefficients`.
+    """
+
+    slots: tuple
+    weights: tuple
+    dweights: tuple
+    taus: tuple
+    delay_index: int | None = None
+    wams: WamsSpec | None = None
+
+    def __post_init__(self):
+        if self.wams is not None and (self.mu != 1
+                                      or self.delay_index is not None):
+            raise ConfigurationError(
+                f"WAMS shaping needs exactly one delay term, which is not "
+                f"the parameter; got mu={self.mu}, delay_index="
+                f"{self.delay_index}"
+            )
+
+    @property
+    def mu(self):
+        return len(self.taus)
+
+    @property
+    def r(self):
+        return self.slots[0].shape[0]
+
+
+def split_form(model, derivatives=None, delay_index=None, wams=None):
+    """The :class:`SplitForm` of one model with weight 1, followed by the
+    block of its ``derivatives``, which enters dP/dp alone."""
+    pair = derivatives is not None
+    return SplitForm(
+        slots=slot_matrices(model, derivatives),
+        weights=(1.0, 0.0) if pair else (1.0,),
+        dweights=(0.0, 1.0) if pair else (0.0,),
+        taus=model.taus, delay_index=delay_index, wams=wams,
+    )
+
+
+def coefficients(form, s):
+    """Scalar coefficients (c, c_s, c_p) of the split form at s.
+
+    Over ``form.slots``, P(s) = sum_k c[k] M_k, dP/ds = sum_k c_s[k] M_k
+    and dP/dp = sum_k c_p[k] M_k.  Within a block the delayed slots take
+    the constant-delay kernel exp(-s tau_j), unless ``form.wams`` shapes
+    the single delayed term or ``form.delay_index`` names the delay whose
+    magnitude is p, which adds -d/dp exp(-s p) to dP/dp.  The delayed
+    matrices of such a family do not depend on p, so the weight slopes
+    ``form.dweights`` carry only E and A0.  Raises
+    :class:`SingularityError` when a kernel overflows or hits a pole of the
+    transfer functions.
     """
     s = complex(s)
-    if wams is not None and model.mu != 1:
-        raise ConfigurationError(
-            f"WAMS shaping requires exactly one delay term, got mu={model.mu}"
-        )
-    if wams is None:
-        kernels = [_delay_scalar(s, tau) for tau in model.taus]
-        slopes = [-tau * e for tau, e in zip(model.taus, kernels)]
+    if form.wams is None:
+        kernels = [_delay_scalar(s, tau) for tau in form.taus]
+        slopes = [-tau * e for tau, e in zip(form.taus, kernels)]
     else:
-        g, g_s = transfer_scalars(wams, s)
-        kernels, slopes = [g], [g_s - wams.tau0 * g]
+        g, g_s = transfer_scalars(form.wams, s)
+        kernels, slopes = [g], [g_s - form.wams.tau0 * g]
     c = [s, -1.0] + [-e for e in kernels]
     c_s = [1.0, 0.0] + [-d for d in slopes]
     c_p = [0.0] * len(c)
-    if delay_index is None:
-        c_p += c
-    else:
-        c_p[2 + delay_index] = s * kernels[delay_index]  # -d/dp exp(-s p)
-        c_p += [s, -1.0] + [0.0] * model.mu
-    return c, c_s, c_p
+    dc = c
+    if form.delay_index is not None:
+        c_p[2 + form.delay_index] = s * kernels[form.delay_index]
+        dc = [s, -1.0] + [0.0] * form.mu
+    blocks = list(zip(form.weights, form.dweights))
+    return ([w * x for w, _ in blocks for x in c],
+            [w * x for w, _ in blocks for x in c_s],
+            [w * x + dw * y for w, dw in blocks for x, y in zip(c_p, dc)])
 
 
 def eval_P(mats, c):
-    """The matrix sum_k c[k] mats[k]: P(s) for the coefficients ``c`` of
-    :func:`coefficients`, dP/ds for ``c_s``.
+    """The matrix sum_k c[k] mats[k] over the slots with a nonzero
+    coefficient: P(s) for the coefficients ``c`` of :func:`coefficients`,
+    dP/ds for ``c_s``.
 
     Dense or csr as the slots are; the csr pattern is the union of the
-    slot patterns.  Raises :class:`SingularityError` on a nonfinite entry.
+    patterns of the slots summed.  Raises :class:`SingularityError` on a
+    nonfinite entry.
     """
-    P = c[0] * mats[0]
-    for ck, M in zip(c[1:], mats[1:]):
-        P = P + ck * M
+    P = None
+    for ck, M in zip(c, mats):
+        if ck != 0.0:
+            P = ck * M if P is None else P + ck * M
     if not np.all(np.isfinite(P.data if sparse.issparse(P) else P)):
         raise SingularityError("nonfinite entries in P(s)")
     return P

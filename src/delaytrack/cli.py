@@ -94,7 +94,6 @@ def _close_out(fh):
 def _initial_state(man, args):
     """Seed eigenpair at p_init: --init-from RE,IM or the rightmost mode."""
     p0 = man.p_init if args.p_init is None else args.p_init
-    model = man.family.evaluate(p0)
     wams = man.track.wams
     if getattr(args, "init_from", None):
         try:
@@ -104,17 +103,17 @@ def _initial_state(man, args):
                 f"--init-from expects RE,IM, got {args.init_from!r}"
             ) from None
         s0 = complex(re_s, im_s)
+        form = man.family.split_form(p0, wams)
         # two steps of inverse iteration with P(s0) seed the eigenvector
-        c, _, _ = charfun.coefficients(model, s0, wams)
-        lu = spectral._factor(charfun.eval_P(charfun.slot_matrices(model), c))
+        c, _, _ = charfun.coefficients(form, s0)
+        lu = spectral._factor(charfun.eval_P(form.slots, c))
         rng = np.random.default_rng(7)
-        phi0 = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
+        phi0 = rng.standard_normal(form.r) + 1j * rng.standard_normal(form.r)
         for _ in range(2):
             phi0 = lu.solve(phi0)
             phi0 = phi0 / np.linalg.norm(phi0)
-        ref = spectral.refine_newton(
-            model, s0, phi0, tol=man.track.corrector_tol, wams=wams
-        )
+        ref = spectral.refine_newton(form, s0, phi0,
+                                     tol=man.track.corrector_tol)
     else:
         pairs = oracle.spectrum_at(
             man.family, p0, N=man.init.N, shift=man.init.shift,
@@ -125,7 +124,7 @@ def _initial_state(man, args):
                 f"initializer found no refined eigenpair at p={p0}"
             )
         ref = pairs[0]  # sorted by descending real part
-    return TrackState.from_eigenpair(p0, ref.s, ref.phi, ref.residual), p0
+    return TrackState.from_eigenpair(p0, ref.s, ref.phi, ref.residual)
 
 
 def _apply_flag_overrides(man, args):
@@ -146,10 +145,7 @@ def _apply_flag_overrides(man, args):
 
 def _run_track(man, args):
     options = _apply_flag_overrides(man, args)
-    initial, p0 = _initial_state(man, args)
-    if options.p_fin is None:
-        options = replace(options, p_fin=man.family.p_range[1])
-    return track_run(man.family, initial, options), options
+    return track_run(man.family, _initial_state(man, args), options), options
 
 
 def cmd_spectrum(args):

@@ -9,7 +9,7 @@ Sections
 --------
 [model]     r, n_dyn, kind (affine | tabulated | delay_param), E, A0,
             delays (comma list of tau seconds), A1..Amu, p_min, p_max,
-            fd_step, *_slope files (affine), delay_index (delay_param)
+            *_slope files (affine), delay_index (delay_param)
 [snapshot.K]  p plus per-slot files (tabulated kind, K = 0, 1, ...)
 [regime]    kind (single | multi | delay_param | wams), delay_index,
             tau0, p_dr, T, alpha, b (wams)
@@ -20,8 +20,12 @@ Sections
 The family kind and the WAMS parameters imply the regime: a delay_param
 family varies its delay_index, and a wams regime shapes the single delayed
 term.  The declared [regime] kind and delay_index select no code path:
-loading checks them against the delay count, and :func:`track.track_run`
-against the family.
+loading checks them against the family's split form, as
+:func:`track.track_run` does.
+
+A key the loader does not read and a section it does not know are errors
+(codes ``unknown-key`` and ``unknown-section``), so a misspelt name cannot
+silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .model import (
     ModelDerivatives,
     TabulatedFamily,
 )
-from .track import TrackOptions
+from .track import REGIMES, TrackOptions
 
 FORMAT_VERSION = 1
 
@@ -78,8 +82,10 @@ class _Entry:
 
 
 def _parse_sections(text, path):
-    """sections[name][key] -> _Entry with the source line number."""
+    """(sections, headers): sections[name][key] -> _Entry with the source
+    line number, headers[name] -> the line of the section header."""
     sections = {"": {}}
+    headers = {"": None}
     current = sections[""]
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,6 +100,7 @@ def _parse_sections(text, path):
                 )
             current_name = line[1:-1].strip()
             current = sections.setdefault(current_name, {})
+            headers.setdefault(current_name, lineno)
             continue
         if "=" not in line:
             raise ManifestError(
@@ -107,7 +114,7 @@ def _parse_sections(text, path):
                 code="parse", path=path, line=lineno,
             )
         current[key] = _Entry(value, lineno)
-    return sections
+    return sections, headers
 
 
 class _Section:
@@ -117,6 +124,7 @@ class _Section:
         self.name = name
         self.entries = entries
         self.path = path
+        self.read = set()  # keys looked up, present or not
 
     def _fail(self, message, code, entry=None):
         raise ManifestError(
@@ -124,15 +132,13 @@ class _Section:
             line=None if entry is None else entry.line,
         )
 
-    def has(self, key):
-        return key in self.entries
-
-    def raw(self, key, default=None, required=False):
+    def raw(self, key, required=False):
+        self.read.add(key)
         if key not in self.entries:
             if required:
                 self._fail(f"missing key {key!r} in [{self.name}]",
                            code="missing-key")
-            return default
+            return None
         return self.entries[key]
 
     def _convert(self, key, conv, default, required, what):
@@ -231,10 +237,13 @@ def load_manifest(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     base_dir = os.path.dirname(os.path.abspath(path))
-    sections = _parse_sections(text, path)
+    sections, headers = _parse_sections(text, path)
+    opened = {}
 
     def sec(name):
-        return _Section(name, sections.get(name, {}), path)
+        if name not in opened:
+            opened[name] = _Section(name, sections.get(name, {}), path)
+        return opened[name]
 
     top = sec("")
     version = top.get_int("format_version", required=True)
@@ -254,7 +263,6 @@ def load_manifest(path):
     taus = ms.get_floats("delays")
     p_min = ms.get_float("p_min", required=True)
     p_max = ms.get_float("p_max", required=True)
-    fd_step = ms.get_float("fd_step")
 
     if kind == "tabulated":
         snaps = []
@@ -267,8 +275,7 @@ def load_manifest(path):
                 "tabulated family needs at least 2 [snapshot.K] sections",
                 code="missing-snapshots", path=path,
             )
-        family = TabulatedFamily(snaps, p_range=(p_min, p_max),
-                                 fd_step=fd_step)
+        family = TabulatedFamily(snaps, p_range=(p_min, p_max))
     else:
         base = _model_from_section(ms, r, n_dyn, taus, base_dir)
         if kind == "affine":
@@ -284,22 +291,22 @@ def load_manifest(path):
                 dA0 if dA0 is not None else _zeros(r),
                 [dA if dA is not None else _zeros(r) for dA in dAs],
             )
-            family = AffineFamily(base, slopes, p_range=(p_min, p_max),
-                                  fd_step=fd_step)
+            family = AffineFamily(base, slopes, p_range=(p_min, p_max))
         else:
             idx = ms.get_int("delay_index", required=True)
             try:
-                family = DelayParameterFamily(
-                    base, idx, p_range=(p_min, p_max), fd_step=fd_step
-                )
+                family = DelayParameterFamily(base, idx,
+                                              p_range=(p_min, p_max))
             except ConfigurationError as exc:
                 raise ManifestError(str(exc), code="bad-delay-index",
                                     path=path) from exc
 
     rs = sec("regime")
     regime = rs.get_str("kind", required=True)
+    if regime not in REGIMES:
+        rs._fail(f"unknown regime {regime!r}", code="unknown-regime",
+                 entry=rs.raw("kind"))
     wams = None
-    delay_index = None
     if regime == "wams":
         wams = WamsSpec(
             tau0=rs.get_float("tau0", required=True),
@@ -308,26 +315,8 @@ def load_manifest(path):
             alpha=rs.get_float("alpha", 0.0),
             b=rs.get_float("b", 0.0),
         )
-    elif regime == "delay_param":
-        delay_index = rs.get_int("delay_index", required=True)
-    elif regime not in ("single", "multi"):
-        rs._fail(f"unknown regime {regime!r}", code="unknown-regime",
-                 entry=rs.raw("kind"))
-    if regime == "single" and len(taus) != 1:
-        rs._fail(
-            f"regime 'single' needs exactly 1 delay, model has {len(taus)}",
-            code="regime-mismatch", entry=rs.raw("kind"),
-        )
-    if regime == "wams" and len(taus) != 1:
-        rs._fail(
-            f"regime 'wams' needs exactly 1 delay term, model has "
-            f"{len(taus)}", code="regime-mismatch", entry=rs.raw("kind"),
-        )
-    if regime == "delay_param" and not 0 <= delay_index < max(len(taus), 1):
-        rs._fail(
-            f"delay_index {delay_index} out of range for {len(taus)} "
-            "delays", code="bad-delay-index", entry=rs.raw("delay_index"),
-        )
+    declared = (rs.get_int("delay_index", required=True)
+                if regime == "delay_param" else None)
 
     ts = sec("track")
     try:
@@ -338,7 +327,6 @@ def load_manifest(path):
             corrector_tol=ts.get_float("corrector_tol", 1e-10),
             fold_eps=ts.get_float("fold_eps", 1e-4),
             regime=regime,
-            delay_index=delay_index,
             wams=wams,
             p_fin=ts.get_float("p_fin", p_max),
         )
@@ -346,6 +334,17 @@ def load_manifest(path):
         raise ManifestError(str(exc), code="bad-track-options",
                             path=path) from exc
     p_init = ts.get_float("p_init", p_min)
+    try:
+        form = family.split_form(p_min, wams)
+        options.check_regime(form)
+    except ConfigurationError as exc:
+        rs._fail(str(exc), code="regime-mismatch", entry=rs.raw("kind"))
+    if declared != form.delay_index:
+        rs._fail(
+            f"delay_index {declared} differs from the [model] delay_index "
+            f"{form.delay_index} that the family varies",
+            code="regime-mismatch", entry=rs.raw("delay_index"),
+        )
 
     ins = sec("init")
     init = InitSettings(
@@ -353,6 +352,16 @@ def load_manifest(path):
         shift=ins.get_complex("shift", 0j),
         count=ins.get_int("count", 6),
     )
+
+    for name, entries in sections.items():
+        if name not in opened:
+            raise ManifestError(f"unknown section [{name}]",
+                                code="unknown-section", path=path,
+                                line=headers[name])
+        for key, entry in entries.items():
+            if key not in opened[name].read:
+                opened[name]._fail(f"unknown key {key!r} in [{name}]",
+                                   code="unknown-key", entry=entry)
 
     return ModelManifest(
         family=family, track=options, init=init, path=path, r=r,

@@ -6,7 +6,8 @@ A model is the sparse matrix tuple (E, A0, {(tau_j, A_j)}) of the linear DDAE
 
 where E may be singular (algebraic equations occupy its zero columns).  A
 family maps a scalar parameter p to such a model and also supplies the
-entrywise derivative of every matrix with respect to p.
+entrywise derivative of every matrix with respect to p, and as the
+:class:`charfun.SplitForm` of P(s, p) over slots it builds once.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
+from .charfun import SplitForm, slot_matrices
 from .errors import ConfigurationError, RangeError
 
 
@@ -131,35 +133,37 @@ def validate_model(model):
 class ModelFamily:
     """Base class: a map p -> DelayedLinearModel with derivative access.
 
-    Subclasses implement :meth:`evaluate` and :meth:`derivative`.  Instances
-    are immutable after construction and safe to share between concurrent
-    tracking runs.
+    Subclasses implement :meth:`evaluate`, :meth:`derivative` and
+    :meth:`split_form`.  Instances are immutable after construction (a
+    tabulated family caches the dense slots of one segment) and safe to
+    share between concurrent tracking runs.
     """
 
-    def __init__(self, p_range, fd_step=None):
+    def __init__(self, p_range):
         lo, hi = float(p_range[0]), float(p_range[1])
         if not lo < hi:
             raise ConfigurationError(f"empty parameter range [{lo}, {hi}]")
         self.p_range = (lo, hi)
-        self.fd_step = None if fd_step is None else float(fd_step)
 
-    def _step_at(self, p):
-        # slack past the range ends that evaluate() accepts
-        if self.fd_step is not None:
-            return self.fd_step
-        return 1e-6 * max(1.0, abs(p))
-
-    def _check_range(self, p, slack=0.0):
+    def _check_range(self, p, slack=False):
+        """Reject p outside the range; ``slack`` admits 1e-6 max(1, |p|)
+        past its ends."""
         lo, hi = self.p_range
-        if not (lo - slack <= p <= hi + slack):
+        tol = 1e-6 * max(1.0, abs(p)) if slack else 0.0
+        if not (lo - tol <= p <= hi + tol):
             raise RangeError(
-                f"p={p} outside family range [{lo}, {hi}] (slack {slack:g})"
+                f"p={p} outside family range [{lo}, {hi}] (slack {tol:g})"
             )
 
     def evaluate(self, p):
         raise NotImplementedError
 
     def derivative(self, p):
+        raise NotImplementedError
+
+    def split_form(self, p, wams=None):
+        """The :class:`charfun.SplitForm` of P(s, p) at ``p``, its delayed
+        term shaped by the WAMS spec ``wams`` if given."""
         raise NotImplementedError
 
 
@@ -170,17 +174,18 @@ class AffineFamily(ModelFamily):
     holding the (constant) parameter derivative of each matrix slot.
     """
 
-    def __init__(self, base, slopes, p_range, fd_step=None):
-        super().__init__(p_range, fd_step)
+    def __init__(self, base, slopes, p_range):
+        super().__init__(p_range)
         if len(slopes.dA_terms) != base.mu:
             raise ConfigurationError(
                 f"{len(slopes.dA_terms)} slope matrices for {base.mu} delays"
             )
         self.base = base
         self.slopes = slopes
+        self._slots = slot_matrices(base, slopes)
 
     def evaluate(self, p):
-        self._check_range(p, slack=self._step_at(p))
+        self._check_range(p, slack=True)
         E = self.base.E + p * self.slopes.dE
         A0 = self.base.A0 + p * self.slopes.dA0
         terms = [
@@ -193,6 +198,12 @@ class AffineFamily(ModelFamily):
         self._check_range(p)
         return self.slopes
 
+    def split_form(self, p, wams=None):
+        """Blocks (base, slopes) with weights (1, p)."""
+        self._check_range(p, slack=True)
+        return SplitForm(self._slots, (1.0, float(p)), (0.0, 1.0),
+                         self.base.taus, wams=wams)
+
 
 class TabulatedFamily(ModelFamily):
     """Family given by model snapshots, interpolated entrywise in p.
@@ -203,16 +214,17 @@ class TabulatedFamily(ModelFamily):
     to :class:`DelayParameterFamily` instead.
     """
 
-    def __init__(self, snapshots, p_range=None, fd_step=None):
+    def __init__(self, snapshots, p_range=None):
         snaps = sorted(((float(p), m) for p, m in snapshots), key=lambda t: t[0])
         if p_range is None:
             if len(snaps) >= 2:
                 p_range = (snaps[0][0], snaps[-1][0])
             else:
                 p_range = (0.0, 1.0)  # placeholder; evaluation rejects anyway
-        super().__init__(p_range, fd_step)
+        super().__init__(p_range)
         self.snapshots = snaps
         self._ps = np.array([q for q, _ in snaps])
+        self._cached = (None, None)  # (segment index, its slots)
         if len(snaps) >= 2:
             ref = snaps[0][1]
             for p, m in snaps[1:]:
@@ -226,20 +238,21 @@ class TabulatedFamily(ModelFamily):
                         "delay-parameter family to vary a delay"
                     )
 
-    def _segment(self, p):
-        """Snapshots (p0, m0), (p1, m1) of the segment [p_k, p_k+1) that
-        contains p; the first or the last segment outside the table."""
+    def _segment(self, p, slack=False):
+        """Range-checked p: index k and snapshots (p0, m0), (p1, m1) of the
+        segment [p_k, p_k+1) that contains p; the first or the last segment
+        outside the table."""
         if len(self.snapshots) < 2:
             raise ConfigurationError(
                 "tabulated family needs at least 2 snapshots"
             )
+        self._check_range(p, slack)
         k = int(np.searchsorted(self._ps, p, side="right")) - 1
         k = min(max(k, 0), len(self._ps) - 2)
-        return self.snapshots[k], self.snapshots[k + 1]
+        return k, self.snapshots[k], self.snapshots[k + 1]
 
     def evaluate(self, p):
-        (p0, m0), (p1, m1) = self._segment(p)
-        self._check_range(p, slack=self._step_at(p))
+        _, (p0, m0), (p1, m1) = self._segment(p, slack=True)
         w = (min(max(p, p0), p1) - p0) / (p1 - p0)
         E = (1.0 - w) * m0.E + w * m1.E
         A0 = (1.0 - w) * m0.A0 + w * m1.A0
@@ -251,8 +264,7 @@ class TabulatedFamily(ModelFamily):
 
     def derivative(self, p):
         """Exact slope of the interpolant on the segment of p."""
-        (p0, m0), (p1, m1) = self._segment(p)
-        self._check_range(p)
+        _, (p0, m0), (p1, m1) = self._segment(p)
         inv = 1.0 / (p1 - p0)
         return ModelDerivatives(
             (m1.E - m0.E) * inv,
@@ -263,6 +275,21 @@ class TabulatedFamily(ModelFamily):
             ],
         )
 
+    def split_form(self, p, wams=None):
+        """Blocks (m0, m1) of the bracketing snapshots with weights
+        (1 - theta, theta), theta = (p - p0)/(p1 - p0) clamped to [0, 1].
+        Only the current segment's slots are kept (dense below
+        ``DENSE_MAX_DIM``), so memory does not grow with the table."""
+        k, (p0, m0), (p1, m1) = self._segment(p, slack=True)
+        cached_k, slots = self._cached
+        if cached_k != k:
+            slots = slot_matrices(m0) + slot_matrices(m1)
+            self._cached = (k, slots)
+        theta = (min(max(p, p0), p1) - p0) / (p1 - p0)
+        inv = 1.0 / (p1 - p0)
+        return SplitForm(slots, (1.0 - theta, theta), (-inv, inv), m0.taus,
+                         wams=wams)
+
 
 class DelayParameterFamily(ModelFamily):
     """Family in which p is the magnitude of one delay term.
@@ -271,8 +298,8 @@ class DelayParameterFamily(ModelFamily):
     every matrix derivative is identically zero.
     """
 
-    def __init__(self, model, delay_index, p_range, fd_step=None):
-        super().__init__(p_range, fd_step)
+    def __init__(self, model, delay_index, p_range):
+        super().__init__(p_range)
         if not 0 <= delay_index < model.mu:
             raise ConfigurationError(
                 f"delay index {delay_index} out of range for mu={model.mu}"
@@ -284,12 +311,21 @@ class DelayParameterFamily(ModelFamily):
         self.model = model
         self.delay_index = int(delay_index)
         self._zero = ModelDerivatives.zero(model)
+        self._slots = slot_matrices(model)
 
     def evaluate(self, p):
-        self._check_range(p, slack=self._step_at(p))
+        self._check_range(p, slack=True)
         return self.model.with_delay(self.delay_index, p)
 
     def derivative(self, p):
         self._check_range(p)
         return self._zero
+
+    def split_form(self, p, wams=None):
+        """The model's slots, delay ``delay_index`` set to p."""
+        self._check_range(p, slack=True)
+        taus = list(self.model.taus)
+        taus[self.delay_index] = float(p)
+        return SplitForm(self._slots, (1.0,), (0.0,), tuple(taus),
+                         delay_index=self.delay_index, wams=wams)
 

@@ -37,13 +37,13 @@ class ComparisonReport:
 
 
 def spectrum_at(family, p, N=16, shift=0j, count=6, tol=1e-10, wams=None):
-    """Refined eigenpairs of the family at one parameter value.
+    """Refined eigenpairs of the family at one parameter value, its
+    delayed term shaped by the WAMS spec ``wams`` if given.
 
     See :func:`spectral.refined_eigenpairs` for the candidates kept.
     """
-    model = family.evaluate(p)
-    return spectral.refined_eigenpairs(model, N, shift, count, tol=tol,
-                                       wams=wams)
+    return spectral.refined_eigenpairs(family.split_form(p, wams), N, shift,
+                                       count, tol=tol)
 
 
 def hayes_roots(a, b, tau, count=4):

@@ -224,7 +224,7 @@ def _shift_invert(pencil, sigma, count):
     g = Kinv @ pencil.Dt[1:, 0]
     L = pencil.delay_rows[:, 1:]
     a = pencil.delay_rows[:, 0] - L @ g
-    mats = charfun.slot_matrices(m, dense=False)
+    mats = [m.E, m.A0] + [A for _, A in m.delay_terms]
     try:
         lu = _factor(charfun.eval_P(mats, [sigma, -1.0, *(-a)]))
     except SingularSystemError as exc:
@@ -246,8 +246,12 @@ def _shift_invert(pencil, sigma, count):
         shape=(pencil.dim, pencil.dim), matvec=solve, dtype=complex
     )
     k = min(count, pencil.dim - 2)
+    # a fixed start vector: ARPACK draws its own unseeded, which changes
+    # the roundoff digits of the result from run to run
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
     try:
-        mu, V = eigs(op, k=k, which="LM")
+        mu, V = eigs(op, k=k, which="LM", v0=v0)
     except ArpackNoConvergence as exc:
         raise NonConvergenceError(
             f"Arnoldi iteration did not converge: {exc}"
@@ -263,11 +267,11 @@ def lift_eigenvector(pencil, v):
     return np.asarray(v, dtype=complex)[: pencil.r].copy()
 
 
-def eigenpair_residual(model, s, phi, wams=None):
-    """Relative residual ||P(s) phi|| / ||phi|| on the nonlinear problem,
-    by matrix-vector products with the stored slots."""
-    c, _, _ = charfun.coefficients(model, s, wams)
-    v = charfun.matvec(charfun.slot_matrices(model, dense=False), c, phi)
+def eigenpair_residual(form, s, phi):
+    """Relative residual ||P(s) phi|| / ||phi|| on the nonlinear problem of
+    the split form ``form``, by matrix-vector products with its slots."""
+    c, _, _ = charfun.coefficients(form, s)
+    v = charfun.matvec(form.slots, c, phi)
     return float(np.linalg.norm(v) / np.linalg.norm(phi))
 
 
@@ -350,8 +354,9 @@ def bordered_solve(P, w, phi, f, t):
     return x, complex(ds)
 
 
-def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
-    """Polish an eigenpair on the exact characteristic function.
+def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25):
+    """Polish an eigenpair on the exact characteristic function of the
+    split form ``form``.
 
     Newton iteration on the bordered system
 
@@ -373,9 +378,9 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
     singular (the fold signature).
     """
     phi = np.asarray(phi0, dtype=complex).ravel().copy()
-    if phi.size != model.r:
+    if phi.size != form.r:
         raise ConfigurationError(
-            f"eigenvector guess has length {phi.size}, expected {model.r}"
+            f"eigenvector guess has length {phi.size}, expected {form.r}"
         )
     nrm2 = np.linalg.norm(phi) ** 2
     if nrm2 == 0.0:
@@ -384,11 +389,11 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
     if abs(quad) > 1e-12 * nrm2:
         phi = phi / np.sqrt(quad)  # principal root; Newton fixes the rest
     s = complex(s0)
-    mats = charfun.slot_matrices(model)
+    mats = form.slots
 
     residual = np.inf
     for _ in range(max_iter):
-        c, c_s, _ = charfun.coefficients(model, s, wams)
+        c, c_s, _ = charfun.coefficients(form, s)
         Pm = charfun.eval_P(mats, c)
         top = Pm @ phi
         nrm = np.linalg.norm(phi)
@@ -425,17 +430,23 @@ def refine_newton(model, s0, phi0, tol=1e-10, max_iter=25, wams=None):
     )
 
 
-def refined_eigenpairs(model, N, shift, count, tol=1e-10, wams=None):
-    """Newton-refined eigenpairs of ``model`` from its collocation pencil.
+def refined_eigenpairs(form, N, shift, count, tol=1e-10):
+    """Newton-refined eigenpairs of the split form ``form`` from a
+    collocation pencil.
 
-    Discretizes at degree ``N`` (the pair (A0, E) for a delay-free model),
-    takes the ``count`` pencil eigenpairs nearest to ``shift``, lifts each
-    and polishes it by :func:`refine_newton`.  A candidate whose lifted
-    endpoint block vanishes (relative to its pencil vector) or whose
-    refinement raises a :class:`DelayTrackError` is skipped, as is one
-    within 1e-9 of an eigenvalue already kept.  Sorted by descending real
-    part.
+    Discretizes the model of the form's combined slots and constant delays
+    at degree ``N`` (the pair (A0, E) for a delay-free model), takes the
+    ``count`` pencil eigenpairs nearest to ``shift``, lifts each and
+    polishes it by :func:`refine_newton` on the form itself, so a WAMS
+    shaping enters only the polish.  A candidate whose lifted endpoint
+    block vanishes (relative to its pencil vector) or whose refinement
+    raises a :class:`DelayTrackError` is skipped, as is one within 1e-9 of
+    an eigenvalue already kept.  Sorted by descending real part.
     """
+    n = form.mu + 2  # slot k of P at this p: sum_j weights[j] M_{j,k}
+    E, A0, *As = (charfun.eval_P(form.slots, np.kron(form.weights, e))
+                  for e in np.eye(n))
+    model = DelayedLinearModel(E, A0, zip(form.taus, As))
     pencil = discretize(model, N if model.mu else 0)
     refined = []
     for pair in solve_discretized(pencil, shift, count):
@@ -443,7 +454,7 @@ def refined_eigenpairs(model, N, shift, count, tol=1e-10, wams=None):
         if np.linalg.norm(phi0) < 1e-12 * np.linalg.norm(pair.phi):
             continue
         try:
-            ref = refine_newton(model, pair.s, phi0, tol=tol, wams=wams)
+            ref = refine_newton(form, pair.s, phi0, tol=tol)
         except DelayTrackError:
             continue
         if any(abs(ref.s - k.s) < 1e-9 for k in refined):

@@ -6,16 +6,16 @@ eigenvector normalization phi^T phi = 1 yields the complex bordered system
     [[P(s), P'(s) phi], [phi^T, 0]] [dphi/dp; ds/dp] = [-(dP/dp) phi; 0],
 
 whose real/imaginary split is the ODE M(y) dy/dp = h(y) in
-y = (phi_r, phi_i, s_r, s_i).  One assembly builds the complex pieces
-P(s), P'(s) phi and -(dP/dp) phi from the split form of :mod:`charfun`
-for constant delays, a delay magnitude acting as the parameter and a
-WAMS-shaped delay alike; the family (a :class:`DelayParameterFamily`
-names its varying delay) and ``options.wams`` imply which, and the
-declared regime is only checked against them.  Every integrator stage
-solves the bordered system with :func:`spectral.bordered_solve`: one sparse
-LU of the r x r complex P(s), a scalar Schur complement on the border and
-one step of iterative refinement -- the same solve the bordered Newton
-corrector takes.
+y = (phi_r, phi_i, s_r, s_i).  One assembly, :func:`assemble`, builds the
+complex pieces P(s), P'(s) phi and -(dP/dp) phi from a
+:class:`charfun.SplitForm`, for constant delays, a delay magnitude acting
+as the parameter and a WAMS-shaped delay alike.  The run takes each form
+from ``family.split_form(p, options.wams)``, so no model is rebuilt per
+step; the declared regime is only checked against the form.  Every
+integrator stage solves the bordered system with
+:func:`spectral.bordered_solve`: one sparse LU of the r x r complex P(s), a
+scalar Schur complement on the border and one step of iterative refinement
+-- the same solve the bordered Newton corrector takes.
 The sweep advances y with explicit integrators, optionally re-polished by
 the Newton corrector at fixed p, while watching for conjugate-pair folds and
 real-axis crossings.
@@ -38,7 +38,6 @@ from .errors import (
     ReinitializationError,
     SingularSystemError,
 )
-from .model import DelayParameterFamily
 
 REGIMES = ("single", "multi", "delay_param", "wams")
 INTEGRATORS = ("euler", "heun", "rk4")
@@ -89,7 +88,7 @@ class TrackState:
 class ContinuationSystem:
     """Complex pieces of the bordered continuation system at one state.
 
-    ``P`` is P(s), dense or sparse as :func:`charfun.slot_matrices` chose.
+    ``P`` is P(s), dense or sparse as the slots of the split form are.
     ``w`` = P'(s) phi is the border column, ``g`` = -(dP/dp) phi the
     parameter forcing and ``phi`` the eigenvector in the border row.  ``M``
     and ``h`` are the real split [[M1, M2], [M3, 0]] y' = h of the same
@@ -154,11 +153,10 @@ class Trajectory:
 class TrackOptions:
     """Sweep controls.
 
-    The family and the WAMS spec ``wams`` imply the regime; ``regime`` and
-    ``delay_index`` declare it and :func:`track_run` rejects a declaration
-    that disagrees with them.  ``delay_param`` needs ``delay_index`` and a
-    :class:`DelayParameterFamily`; ``wams`` goes with ``regime="wams"``
-    only."""
+    The family and the WAMS spec ``wams`` imply the regime; ``regime``
+    declares it, ``wams`` goes with ``regime="wams"`` only, and
+    :meth:`check_regime` rejects a declaration that disagrees with the
+    family."""
 
     dp: float | None = None
     method: str = "euler"
@@ -166,7 +164,6 @@ class TrackOptions:
     corrector_tol: float = 1e-10
     fold_eps: float = 1e-4
     regime: str = "multi"
-    delay_index: int | None = None
     wams: charfun.WamsSpec | None = None
     p_fin: float | None = None
     reinit_on_fold: bool = False
@@ -178,56 +175,42 @@ class TrackOptions:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.method not in INTEGRATORS:
             raise ConfigurationError(f"unknown integrator {self.method!r}")
-        if self.regime == "delay_param" and self.delay_index is None:
-            raise ConfigurationError("delay_param regime needs delay_index")
         if (self.regime == "wams") != (self.wams is not None):
             raise ConfigurationError(
                 f"a WamsSpec goes with regime='wams' and only with it; got "
                 f"regime={self.regime!r}, wams={self.wams}"
             )
 
+    def check_regime(self, form):
+        """Reject a regime that disagrees with the split form ``form``,
+        which alone defines P(s, p): ``delay_param`` goes with a varying
+        delay and only with it, ``single`` needs one delay."""
+        varies = form.delay_index is not None
+        if (self.regime == "delay_param") != varies:
+            raise ConfigurationError(
+                f"regime={self.regime!r} does not match the family: "
+                + (f"it varies delay {form.delay_index}, which needs "
+                   "regime='delay_param'" if varies
+                   else "its delays are fixed")
+            )
+        if self.regime == "single" and form.mu != 1:
+            raise ConfigurationError(
+                f"regime='single' needs mu=1, got {form.mu}"
+            )
 
-def _assemble(model, derivatives, state, delay_index=None, wams=None,
-              dense=None):
-    """Continuation system at ``state`` from the split form of P: the
-    coefficients of :func:`charfun.coefficients` over the slots of
-    :func:`charfun.slot_matrices` give P(s), w = P'(s) phi and
-    g = -(dP/dp) phi."""
-    mats = charfun.slot_matrices(model, derivatives, dense)
-    c, c_s, c_p = charfun.coefficients(model, state.s, wams, delay_index)
+
+def assemble(form, state):
+    """Continuation system at ``state`` from the split form of P at
+    ``state.p``: the coefficients of :func:`charfun.coefficients` over the
+    form's slots give P(s), w = P'(s) phi and g = -(dP/dp) phi."""
+    c, c_s, c_p = charfun.coefficients(form, state.s)
     phi = state.phi
     return ContinuationSystem(
-        P=charfun.eval_P(mats, c),
-        w=charfun.matvec(mats, c_s, phi),
-        g=-charfun.matvec(mats, c_p, phi),
+        P=charfun.eval_P(form.slots, c),
+        w=charfun.matvec(form.slots, c_s, phi),
+        g=-charfun.matvec(form.slots, c_p, phi),
         phi=phi,
     )
-
-
-def assemble_single(model, derivatives, state, dense=None):
-    """Continuation system for exactly one constant delay."""
-    if model.mu != 1:
-        raise ConfigurationError(
-            f"single-delay assembly needs mu=1, got mu={model.mu}"
-        )
-    return _assemble(model, derivatives, state, dense=dense)
-
-
-def assemble_multi(model, derivatives, state, dense=None):
-    """Continuation system for any number of constant delays."""
-    return _assemble(model, derivatives, state, dense=dense)
-
-
-def assemble_delay_param(model, derivatives, state, delay_index, dense=None):
-    """Continuation system when p = ``state.p`` is the magnitude of delay
-    ``delay_index``; the delayed-matrix derivatives are ignored."""
-    return _assemble(model.with_delay(delay_index, state.p), derivatives,
-                     state, delay_index=delay_index, dense=dense)
-
-
-def assemble_wams(model, derivatives, state, wams, dense=None):
-    """Continuation system for one WAMS-shaped stochastic delay."""
-    return _assemble(model, derivatives, state, wams=wams, dense=dense)
 
 
 def _solve_system(system):
@@ -325,8 +308,8 @@ def reinitialize_at(family, p, prev_state, options):
     candidate reaches overlap 0.5.
     """
     candidates = spectral.refined_eigenpairs(
-        family.evaluate(p), options.init_degree, prev_state.s,
-        options.init_count, tol=options.corrector_tol, wams=options.wams,
+        family.split_form(p, options.wams), options.init_degree,
+        prev_state.s, options.init_count, tol=options.corrector_tol,
     )
     if not candidates:
         raise ReinitializationError(f"no refined eigenpair near p={p}")
@@ -348,38 +331,15 @@ def reinitialize_at(family, p, prev_state, options):
     return TrackState.from_eigenpair(p, chosen.s, chosen.phi, chosen.residual)
 
 
-def _refine_state(model, state, options):
-    ref = spectral.refine_newton(
-        model, state.s, state.phi, tol=options.corrector_tol,
-        wams=options.wams,
-    )
+def _refine_state(form, state, options):
+    ref = spectral.refine_newton(form, state.s, state.phi,
+                                 tol=options.corrector_tol)
     return TrackState.from_eigenpair(state.p, ref.s, ref.phi, ref.residual)
 
 
-def _with_residual(model, state, wams):
-    res = spectral.eigenpair_residual(model, state.s, state.phi, wams=wams)
+def _with_residual(form, state):
+    res = spectral.eigenpair_residual(form, state.s, state.phi)
     return replace(state, residual=res)
-
-
-def _delay_index(family, options, model):
-    """Index of the delay that is the parameter, supplied by a
-    :class:`DelayParameterFamily`, or None.  The family and
-    ``options.wams`` define P(s, p); the declared regime and delay index
-    choose nothing and are only checked against them."""
-    index = (family.delay_index if isinstance(family, DelayParameterFamily)
-             else None)
-    declared = options.delay_index if options.regime == "delay_param" else None
-    if declared != index:
-        raise ConfigurationError(
-            f"regime={options.regime!r} with delay_index="
-            f"{options.delay_index} does not match the family: "
-            + ("its delays are fixed" if index is None else
-               f"it varies delay {index}, which needs regime='delay_param' "
-               f"with delay_index={index}")
-        )
-    if options.regime == "single" and model.mu != 1:
-        raise ConfigurationError(f"regime='single' needs mu=1, got {model.mu}")
-    return index
 
 
 def track_run(family, initial, options):
@@ -399,8 +359,9 @@ def track_run(family, initial, options):
     uncorrected one.
     """
     p_init = initial.p
-    model = family.evaluate(p_init)
-    delay_index = _delay_index(family, options, model)
+    wams = options.wams
+    form = family.split_form(p_init, wams)
+    options.check_regime(form)
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
         raise ConfigurationError("p_fin equals the initial parameter")
@@ -409,8 +370,7 @@ def track_run(family, initial, options):
     dp = math.copysign(dp, span)
 
     def assemble_at(st):
-        return _assemble(family.evaluate(st.p), family.derivative(st.p), st,
-                         delay_index, options.wams)
+        return assemble(family.split_form(st.p, wams), st)
 
     traj = Trajectory(
         settings={
@@ -424,7 +384,7 @@ def track_run(family, initial, options):
             "fold_eps": options.fold_eps,
         }
     )
-    state = _with_residual(model, initial, options.wams)
+    state = _with_residual(form, initial)
     traj.samples.append(state)
 
     step = 0
@@ -441,17 +401,17 @@ def track_run(family, initial, options):
 
         new_state = None
         try:
-            system = assemble_at(state)
             new_state = integrate_step(
-                system, state, dp_k, options.method, assemble=assemble_at
+                assemble_at(state), state, dp_k, options.method,
+                assemble=assemble_at,
             )
             if last:
                 new_state = replace(new_state, p=p_fin)
-            model_new = family.evaluate(new_state.p)
+            form_new = family.split_form(new_state.p, wams)
             if correct:
-                new_state = _refine_state(model_new, new_state, options)
+                new_state = _refine_state(form_new, new_state, options)
             else:
-                new_state = _with_residual(model_new, new_state, options.wams)
+                new_state = _with_residual(form_new, new_state)
         except RangeError:
             traj.truncated = True
             break
@@ -461,9 +421,7 @@ def track_run(family, initial, options):
             # correction; the uncorrected sample, if any, is kept as the
             # last one, tagged with the event
             if new_state is not None:
-                traj.samples.append(
-                    _with_residual(model_new, new_state, options.wams)
-                )
+                traj.samples.append(_with_residual(form_new, new_state))
             at = traj.samples[-1]
             failure = TrackEvent(
                 kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
@@ -557,8 +515,8 @@ def find_crossing(family, trajectory, options):
             warm = lo if abs(pm - lo.p) <= abs(pm - hi.p) else hi
             s0, phi0 = (warm.s_r, warm.phi_r) if real else (warm.s, warm.phi)
             ref = spectral.refine_newton(
-                family.evaluate(pm), s0, phi0, tol=options.corrector_tol,
-                wams=options.wams,
+                family.split_form(pm, options.wams), s0, phi0,
+                tol=options.corrector_tol,
             )
             sm = ref.s
             mid = TrackState.from_eigenpair(pm, ref.s, ref.phi, ref.residual)

@@ -34,7 +34,7 @@ def hayes_family():
 
 def hayes_initial(family, p=1.0):
     ref = dt.refine_newton(
-        family.evaluate(p), -0.3 + 1.3j, np.array([1.0 + 0j]), tol=1e-12
+        family.split_form(p), -0.3 + 1.3j, np.array([1.0 + 0j]), tol=1e-12
     )
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
@@ -60,7 +60,7 @@ def test_criterion_02_analytic_delay_margin():
     t0 = time.perf_counter()
     initial = hayes_initial(fam)
     opts = dt.TrackOptions(
-        dp=1e-3, corrector_every=10, regime="delay_param", delay_index=0,
+        dp=1e-3, corrector_every=10, regime="delay_param",
         p_fin=2.0,
     )
     traj = dt.track_run(fam, initial, opts)
@@ -94,7 +94,7 @@ def test_criterion_03_two_crossing_recovery():
     m0 = fam.evaluate(0.0)
     w, V = np.linalg.eig(m0.A0.toarray())
     i = int(np.argmax(w.imag))
-    ref = dt.refine_newton(m0, w[i], V[:, i], tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
     initial = dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi)
     opts = dt.TrackOptions(dp=2e-3, corrector_every=10, regime="multi",
                            p_fin=4.0)
@@ -124,14 +124,9 @@ def test_criterion_03_two_crossing_recovery():
 
 
 def _encoding_case(regime, model, derivs, st, **kw):
-    if regime == "single":
-        sys_ = dt.assemble_single(model, derivs, st)
-    elif regime == "multi":
-        sys_ = dt.assemble_multi(model, derivs, st)
-    elif regime == "delay_param":
-        sys_ = dt.assemble_delay_param(model, derivs, st, kw["delay_index"])
-    else:
-        sys_ = dt.assemble_wams(model, derivs, st, kw["wams"])
+    if regime == "delay_param":  # the varying delay has magnitude st.p
+        model = model.with_delay(kw["delay_index"], st.p)
+    sys_ = dt.assemble(dt.split_form(model, derivs, **kw), st)
     M, h = system_as_dense(sys_)
     Mo, ho = complex_split_oracle(model, derivs, st, regime, **kw)
     scale = max(1.0, np.abs(Mo).max())
@@ -182,12 +177,14 @@ def test_criterion_05_reduction_lattice():
 
         one = dt.DelayedLinearModel(E, A0, [(tau, A1)])
         d_one = dt.ModelDerivatives(dE, dA0, [dA1])
-        a, ha = system_as_dense(dt.assemble_single(one, d_one, st))
-        b, hb = system_as_dense(dt.assemble_multi(one, d_one, st))
+        a, ha = system_as_dense(dt.assemble(dt.split_form(one, d_one), st))
+        b, hb = system_as_dense(dt.assemble(dt.split_form(one, d_one), st))
         worst = max(worst, np.abs(a - b).max(), np.abs(ha - hb).max())
 
         spec = dt.WamsSpec.constant_delay(tau)
-        c, hc = system_as_dense(dt.assemble_wams(one, d_one, st, spec))
+        c, hc = system_as_dense(
+            dt.assemble(dt.split_form(one, d_one, wams=spec), st)
+        )
         worst = max(worst, np.abs(a - c).max() / max(1.0, np.abs(a).max()),
                     np.abs(ha - hc).max())
 
@@ -197,8 +194,12 @@ def test_criterion_05_reduction_lattice():
         d_split = dt.ModelDerivatives(dE, dA0, [dA1, np.zeros((5, 5))])
         merged = dt.DelayedLinearModel(E, A0, [(tau, A1 + A1b)])
         d_merged = dt.ModelDerivatives(dE, dA0, [dA1])
-        d, hd = system_as_dense(dt.assemble_multi(split, d_split, st))
-        e, he = system_as_dense(dt.assemble_single(merged, d_merged, st))
+        d, hd = system_as_dense(
+            dt.assemble(dt.split_form(split, d_split), st)
+        )
+        e, he = system_as_dense(
+            dt.assemble(dt.split_form(merged, d_merged), st)
+        )
         worst = max(worst, np.abs(d - e).max() / max(1.0, np.abs(d).max()),
                     np.abs(hd - he).max() / max(1.0, np.abs(hd).max()))
     ok = worst <= 1e-13
@@ -207,24 +208,19 @@ def test_criterion_05_reduction_lattice():
            f"merge) on random 5x5: worst gap {worst:.2e} (tol 1e-13)")
 
 
-def _sensitivity_case(fam, ref, p, regime, delay_index=None, wams=None):
+def _sensitivity_case(fam, ref, p, delay_index=None, wams=None):
     model, derivs = fam.evaluate(p), fam.derivative(p)
     st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-    if regime == "single":
-        sys_ = dt.assemble_single(model, derivs, st)
-    elif regime == "multi":
-        sys_ = dt.assemble_multi(model, derivs, st)
-    elif regime == "delay_param":
-        sys_ = dt.assemble_delay_param(model, derivs, st, delay_index)
-    else:
-        sys_ = dt.assemble_wams(model, derivs, st, wams)
+    sys_ = dt.assemble(
+        dt.split_form(model, derivs, delay_index=delay_index, wams=wams), st
+    )
     dy = _solve_system(sys_)
     slope = complex(dy[2 * model.r], dy[2 * model.r + 1])
     d = 1e-5
-    up = dt.refine_newton(fam.evaluate(p + d), ref.s, ref.phi, tol=1e-12,
-                          wams=wams)
-    dn = dt.refine_newton(fam.evaluate(p - d), ref.s, ref.phi, tol=1e-12,
-                          wams=wams)
+    up = dt.refine_newton(fam.split_form(p + d, wams), ref.s, ref.phi,
+                          tol=1e-12)
+    dn = dt.refine_newton(fam.split_form(p - d, wams), ref.s, ref.phi,
+                          tol=1e-12)
     return abs(slope - (up.s - dn.s) / (2 * d))
 
 
@@ -236,8 +232,8 @@ def test_criterion_06_sensitivity_oracle():
     slopes = dt.ModelDerivatives([[0.0]], [[-1.0]], [[[0.0]]])
     fam = dt.AffineFamily(base, slopes, (0.1, 1.5))
     roots = dt.hayes_roots(-0.7, -0.8, 0.6, count=2)
-    ref = dt.refine_newton(fam.evaluate(0.7), roots[0], np.array([1.0 + 0j]))
-    gaps["single"] = _sensitivity_case(fam, ref, 0.7, "single")
+    ref = dt.refine_newton(fam.split_form(0.7), roots[0], np.array([1.0 + 0j]))
+    gaps["single"] = _sensitivity_case(fam, ref, 0.7)
 
     # multi: 2x2 with two delays
     rng = np.random.default_rng(61)
@@ -252,15 +248,13 @@ def test_criterion_06_sensitivity_oracle():
     )
     fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
     ref = dt.spectrum_at(fam, 0.4, N=14, shift=1j, count=4)[0]
-    gaps["multi"] = _sensitivity_case(fam, ref, 0.4, "multi")
+    gaps["multi"] = _sensitivity_case(fam, ref, 0.4)
 
     # delay_param: Hayes
     fam = hayes_family()
-    ref = dt.refine_newton(fam.evaluate(1.0), -0.3 + 1.3j,
+    ref = dt.refine_newton(fam.split_form(1.0), -0.3 + 1.3j,
                            np.array([1.0 + 0j]))
-    gaps["delay_param"] = _sensitivity_case(
-        fam, ref, 1.0, "delay_param", delay_index=0
-    )
+    gaps["delay_param"] = _sensitivity_case(fam, ref, 1.0, delay_index=0)
 
     # wams: 3x3 with shaped delay
     rng = np.random.default_rng(62)
@@ -276,7 +270,7 @@ def test_criterion_06_sensitivity_oracle():
     fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
     wams = dt.WamsSpec(tau0=0.02, p_dr=0.1, T=0.02, alpha=1e-3, b=2.0)
     ref = dt.spectrum_at(fam, 0.3, N=12, shift=0.5j, count=4, wams=wams)[0]
-    gaps["wams"] = _sensitivity_case(fam, ref, 0.3, "wams", wams=wams)
+    gaps["wams"] = _sensitivity_case(fam, ref, 0.3, wams=wams)
 
     worst = max(gaps.values())
     ok = worst < 1e-5
@@ -288,13 +282,13 @@ def test_criterion_07_integrator_order():
     fam = hayes_family()
     initial = hayes_initial(fam)
     truth = dt.refine_newton(
-        fam.evaluate(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]), tol=1e-13
+        fam.split_form(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]), tol=1e-13
     ).s
 
     def endpoint_error(dp, method):
         opts = dt.TrackOptions(
             dp=dp, method=method, corrector_every=0, regime="delay_param",
-            delay_index=0, p_fin=1.5,
+            p_fin=1.5,
         )
         traj = dt.track_run(fam, initial, opts)
         return abs(traj.samples[-1].s - truth)
@@ -318,7 +312,7 @@ def test_criterion_08_trajectory_fidelity():
     m0 = quad.evaluate(0.1)
     w, V = np.linalg.eig(m0.A0.toarray())
     i = int(np.argmax(w.imag))
-    ref = dt.refine_newton(m0, w[i], V[:, i], tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
     initial = dt.TrackState.from_eigenpair(0.1, ref.s, ref.phi)
     opts = dt.TrackOptions(dp=0.9e-3, corrector_every=10, regime="multi",
                            p_fin=1.0)
@@ -329,7 +323,7 @@ def test_criterion_08_trajectory_fidelity():
     fam = hayes_family()
     initial = hayes_initial(fam)
     opts = dt.TrackOptions(dp=1e-3, corrector_every=10,
-                           regime="delay_param", delay_index=0, p_fin=2.0)
+                           regime="delay_param", p_fin=2.0)
     traj = dt.track_run(fam, initial, opts)
     rep_hayes = dt.compare_trajectory(traj, fam, checkpoint_count=11,
                                       options=opts)
@@ -348,7 +342,7 @@ def test_criterion_09_fold_handling():
     m0 = fam.evaluate(0.5)
     w, V = np.linalg.eig(m0.A0.toarray())
     i = int(np.argmax(w.imag))
-    ref = dt.refine_newton(m0, w[i], V[:, i], tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
     initial = dt.TrackState.from_eigenpair(0.5, ref.s, ref.phi)
     dp = 1e-3
     opts = dt.TrackOptions(
@@ -381,7 +375,7 @@ def test_criterion_10_scalability_smoke():
     phi = phi / np.sqrt(phi @ phi)
     st = dt.TrackState.from_eigenpair(0.0, -1.0 + 2.0j, phi)
     t0 = time.perf_counter()
-    sys_ = dt.assemble_multi(model, derivs, st)
+    sys_ = dt.assemble(dt.split_form(model, derivs), st)
     out = dt.integrate_step(sys_, st, 1e-3, "euler")
     elapsed = time.perf_counter() - t0
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import delaytrack as dt
-from delaytrack.errors import ConfigurationError
+from delaytrack import charfun
 from delaytrack.track import _solve_system
 
 from conftest import (
@@ -26,11 +26,12 @@ def assert_matches_oracle(system, model, derivs, state, regime, tol=1e-13,
 
 class TestEncodingEquivalence:
     @pytest.mark.parametrize("dense", [True, False])
-    def test_single_random_states(self, dense):
+    def test_single_random_states(self, dense, monkeypatch):
+        monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 5 if dense else 0)
         model, derivs = random_model_with_derivatives(4, 1, seed=10)
         for k in range(25):
             st = random_state(4, seed=100 + k)
-            sys_ = dt.assemble_single(model, derivs, st, dense=dense)
+            sys_ = dt.assemble(dt.split_form(model, derivs), st)
             assert_matches_oracle(sys_, model, derivs, st, "single")
 
     @pytest.mark.parametrize("mu", [2, 3, 5])
@@ -38,14 +39,16 @@ class TestEncodingEquivalence:
         model, derivs = random_model_with_derivatives(5, mu, seed=20 + mu)
         for k in range(25):
             st = random_state(5, seed=200 + k)
-            sys_ = dt.assemble_multi(model, derivs, st)
+            sys_ = dt.assemble(dt.split_form(model, derivs), st)
             assert_matches_oracle(sys_, model, derivs, st, "multi")
 
     def test_delay_param_random_states(self):
         model, derivs = random_model_with_derivatives(4, 3, seed=31)
         for k in range(25):
             st = random_state(4, seed=300 + k, p=0.8)
-            sys_ = dt.assemble_delay_param(model, derivs, st, 1)
+            form = dt.split_form(model.with_delay(1, st.p), derivs,
+                                 delay_index=1)
+            sys_ = dt.assemble(form, st)
             assert_matches_oracle(
                 sys_, model, derivs, st, "delay_param", delay_index=1
             )
@@ -55,18 +58,20 @@ class TestEncodingEquivalence:
         wams = dt.WamsSpec(tau0=0.02, p_dr=0.1, T=0.02, alpha=1e-3, b=2.0)
         for k in range(25):
             st = random_state(4, seed=400 + k)
-            sys_ = dt.assemble_wams(model, derivs, st, wams)
+            sys_ = dt.assemble(dt.split_form(model, derivs, wams=wams), st)
             assert_matches_oracle(
                 sys_, model, derivs, st, "wams", wams=wams
             )
 
-    def test_scalar_hayes_state_both_backends(self, hayes_model):
+    def test_scalar_hayes_state_both_backends(self, hayes_model,
+                                              monkeypatch):
         derivs = dt.ModelDerivatives([[0.0]], [[0.0]], [[[0.0]]])
         st = dt.TrackState.from_eigenpair(
             1.0, -0.3181 + 1.3372j, np.array([1.0 + 0j])
         )
         for dense in (True, False):
-            sys_ = dt.assemble_single(hayes_model, derivs, st, dense=dense)
+            monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 2 if dense else 0)
+            sys_ = dt.assemble(dt.split_form(hayes_model, derivs), st)
             assert_matches_oracle(sys_, hayes_model, derivs, st, "single")
 
 
@@ -82,7 +87,8 @@ class TestStructure:
             np.zeros((r, r)), np.zeros((r, r)), [np.zeros((r, r))]
         )
         st = random_state(r, seed=77)
-        M, _ = system_as_dense(dt.assemble_single(model, derivs, st))
+        M, _ = system_as_dense(dt.assemble(dt.split_form(model, derivs),
+                                           st))
         s_r, s_i = st.s_r, st.s_i
         np.testing.assert_allclose(M[:r, :r], s_r * E - A0, atol=1e-14)
         np.testing.assert_allclose(M[:r, r: 2 * r], -s_i * E, atol=1e-14)
@@ -91,16 +97,10 @@ class TestStructure:
             M[:r, 2 * r + 1], -(E @ st.phi_i), atol=1e-14
         )
 
-    def test_single_requires_one_delay(self):
-        model, derivs = random_model_with_derivatives(3, 2, seed=8)
-        st = random_state(3, seed=9)
-        with pytest.raises(ConfigurationError):
-            dt.assemble_single(model, derivs, st)
-
     def test_block_shape(self):
         model, derivs = random_model_with_derivatives(4, 2, seed=12)
         st = random_state(4, seed=13)
-        sys_ = dt.assemble_multi(model, derivs, st)
+        sys_ = dt.assemble(dt.split_form(model, derivs), st)
         M, h = system_as_dense(sys_)
         assert M.shape == (10, 10)
         assert h.shape == (10,)
@@ -112,8 +112,9 @@ class TestReductionLattice:
         model, derivs = random_model_with_derivatives(5, 1, seed=50)
         for k in range(5):
             st = random_state(5, seed=500 + k)
-            a, ha = system_as_dense(dt.assemble_single(model, derivs, st))
-            b, hb = system_as_dense(dt.assemble_multi(model, derivs, st))
+            form = dt.split_form(model, derivs)
+            a, ha = system_as_dense(dt.assemble(form, st))
+            b, hb = system_as_dense(dt.assemble(form, st))
             assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(a).max())
             assert np.abs(ha - hb).max() <= 1e-14 * max(1.0, np.abs(ha).max())
 
@@ -136,8 +137,10 @@ class TestReductionLattice:
             np.zeros((r, r)), np.zeros((r, r)), [np.zeros((r, r))]
         )
         st = random_state(r, seed=510)
-        a, ha = system_as_dense(dt.assemble_multi(split, d_split, st))
-        b, hb = system_as_dense(dt.assemble_single(merged, d_merged, st))
+        a, ha = system_as_dense(dt.assemble(dt.split_form(split, d_split),
+                                            st))
+        b, hb = system_as_dense(dt.assemble(dt.split_form(merged, d_merged),
+                                            st))
         assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
         assert np.abs(ha - hb).max() <= 1e-13
 
@@ -148,9 +151,10 @@ class TestReductionLattice:
         for k in range(5):
             st = random_state(5, seed=520 + k)
             a, ha = system_as_dense(
-                dt.assemble_wams(model, derivs, st, spec)
+                dt.assemble(dt.split_form(model, derivs, wams=spec), st)
             )
-            b, hb = system_as_dense(dt.assemble_single(model, derivs, st))
+            b, hb = system_as_dense(dt.assemble(dt.split_form(model, derivs),
+                                                st))
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(a).max())
             assert np.abs(ha - hb).max() <= 1e-13 * max(1.0, np.abs(hb).max())
 
@@ -169,10 +173,10 @@ class TestReductionLattice:
         d_padded = dt.ModelDerivatives.zero(padded)
         st = random_state(r, seed=530, p=0.9)
         a, ha = system_as_dense(
-            dt.assemble_delay_param(plain, d_plain, st, 0)
+            dt.assemble(dt.split_form(plain, d_plain, delay_index=0), st)
         )
         b, hb = system_as_dense(
-            dt.assemble_delay_param(padded, d_padded, st, 0)
+            dt.assemble(dt.split_form(padded, d_padded, delay_index=0), st)
         )
         assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(a).max())
         assert np.abs(ha - hb).max() <= 1e-14
@@ -188,11 +192,11 @@ class TestReductionLattice:
         fam = dt.DelayParameterFamily(model, 0, (0.2, 2.0))
         w, V = np.linalg.eig(A0)
         i = int(np.argmax(w.real))
-        ref = dt.refine_newton(fam.evaluate(0.7), w[i], V[:, i])
+        ref = dt.refine_newton(fam.split_form(0.7), w[i], V[:, i])
         st = dt.TrackState.from_eigenpair(0.7, ref.s, ref.phi)
-        sys_ = dt.assemble_delay_param(
-            fam.evaluate(0.7), fam.derivative(0.7), st, 0
-        )
+        sys_ = dt.assemble(dt.split_form(fam.evaluate(0.7),
+                                         fam.derivative(0.7), delay_index=0),
+                           st)
         dy = _solve_system(sys_)
         assert abs(complex(dy[2 * r], dy[2 * r + 1])) < 1e-12
 
@@ -202,10 +206,10 @@ class TestSensitivity:
 
     def fd_slope(self, family, ref, p, d=1e-5, wams=None):
         up = dt.refine_newton(
-            family.evaluate(p + d), ref.s, ref.phi, tol=1e-12, wams=wams
+            family.split_form(p + d, wams), ref.s, ref.phi, tol=1e-12
         )
         dn = dt.refine_newton(
-            family.evaluate(p - d), ref.s, ref.phi, tol=1e-12, wams=wams
+            family.split_form(p - d, wams), ref.s, ref.phi, tol=1e-12
         )
         return (up.s - dn.s) / (2 * d)
 
@@ -220,9 +224,11 @@ class TestSensitivity:
         fam = dt.AffineFamily(base, slopes, (0.1, 1.5))
         p = 0.7
         roots = dt.hayes_roots(-p, -0.8, 0.6, count=2)
-        ref = dt.refine_newton(fam.evaluate(p), roots[0], np.array([1.0 + 0j]))
+        ref = dt.refine_newton(fam.split_form(p), roots[0],
+                               np.array([1.0 + 0j]))
         st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-        sys_ = dt.assemble_single(fam.evaluate(p), fam.derivative(p), st)
+        form = dt.split_form(fam.evaluate(p), fam.derivative(p))
+        sys_ = dt.assemble(form, st)
         slope = self.solved_slope(sys_, 1)
         assert abs(slope - self.fd_slope(fam, ref, p)) < 1e-5
 
@@ -242,18 +248,19 @@ class TestSensitivity:
         pairs = dt.spectrum_at(fam, p, N=14, shift=1j, count=4)
         ref = pairs[0]
         st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-        sys_ = dt.assemble_multi(fam.evaluate(p), fam.derivative(p), st)
+        form = dt.split_form(fam.evaluate(p), fam.derivative(p))
+        sys_ = dt.assemble(form, st)
         slope = self.solved_slope(sys_, 2)
         assert abs(slope - self.fd_slope(fam, ref, p)) < 1e-5
 
     def test_delay_param_regime_hayes(self, hayes_family):
         p = 1.0
         model = hayes_family.evaluate(p)
-        ref = dt.refine_newton(model, -0.3 + 1.3j, np.array([1.0 + 0j]))
+        ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
+                               np.array([1.0 + 0j]))
         st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-        sys_ = dt.assemble_delay_param(
-            model, hayes_family.derivative(p), st, 0
-        )
+        form = dt.split_form(model, hayes_family.derivative(p), delay_index=0)
+        sys_ = dt.assemble(form, st)
         slope = self.solved_slope(sys_, 1)
         assert abs(slope - self.fd_slope(hayes_family, ref, p)) < 1e-5
 
@@ -274,8 +281,7 @@ class TestSensitivity:
         pairs = dt.spectrum_at(fam, p, N=12, shift=0.5j, count=4, wams=wams)
         ref = pairs[0]
         st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-        sys_ = dt.assemble_wams(
-            fam.evaluate(p), fam.derivative(p), st, wams
-        )
+        form = dt.split_form(fam.evaluate(p), fam.derivative(p), wams=wams)
+        sys_ = dt.assemble(form, st)
         slope = self.solved_slope(sys_, r)
         assert abs(slope - self.fd_slope(fam, ref, p, wams=wams)) < 1e-5

@@ -115,9 +115,11 @@ class TestBorderedSolve:
             np.eye(3), [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
         )
         with pytest.raises(DefectiveEigenvalueError):
-            dt.refine_newton(model, 0.0, np.array([1.0, 0.0, 1e-9]))
+            dt.refine_newton(dt.split_form(model), 0.0,
+                             np.array([1.0, 0.0, 1e-9]))
         with pytest.raises(NonConvergenceError):
-            dt.refine_newton(model, 0.0, np.array([1.0, 0.0, 0.5]))
+            dt.refine_newton(dt.split_form(model), 0.0,
+                             np.array([1.0, 0.0, 0.5]))
 
     def test_divergence_on_sparse_path_is_reported_quietly(self):
         # the Hayes equation s + exp(-s) = 0 embedded in r = DENSE_MAX_DIM so that
@@ -131,7 +133,7 @@ class TestBorderedSolve:
         model = dt.DelayedLinearModel(np.eye(r), A0, [(1.0, A1)])
         phi = np.eye(r, dtype=complex)[0]
         with pytest.raises(NonConvergenceError) as info:
-            dt.refine_newton(model, 5.0 + 0j, phi, max_iter=20)
+            dt.refine_newton(dt.split_form(model), 5.0 + 0j, phi, max_iter=20)
         assert info.value.residual is not None
 
 
@@ -141,7 +143,7 @@ def eigenpair_state(model, p=0.4):
     for.  The seed comes from the delay-free pencil (A0, E)."""
     w, V = la.eig(model.A0.toarray(), model.E.toarray())
     i = int(np.argmin(np.abs(w - (-1.0 + 1.0j))))
-    ref = dt.refine_newton(model, w[i], V[:, i], tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(model), w[i], V[:, i], tol=1e-12)
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
 
 
@@ -155,13 +157,9 @@ REGIMES = {
 
 
 def assemble(regime, model, derivs, st, kw):
-    if regime == "single":
-        return dt.assemble_single(model, derivs, st)
-    if regime == "multi":
-        return dt.assemble_multi(model, derivs, st)
-    if regime == "delay_param":
-        return dt.assemble_delay_param(model, derivs, st, kw["delay_index"])
-    return dt.assemble_wams(model, derivs, st, kw["wams"])
+    if regime == "delay_param":  # the varying delay has magnitude st.p
+        model = model.with_delay(kw["delay_index"], st.p)
+    return dt.assemble(dt.split_form(model, derivs, **kw), st)
 
 
 class TestSparseSlope:

@@ -12,16 +12,24 @@ from delaytrack.errors import ConfigurationError, SingularityError
 from conftest import oracle_dhp_ds, oracle_dhs_ds
 
 
+@pytest.fixture(autouse=True)
+def csr_slots(monkeypatch):
+    """Split forms keep the stored csr slots, whatever the dimension."""
+    monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
+
+
 def P_at(model, s, wams=None):
     """P(s) from the split form, over the stored csr slots."""
-    c, _, _ = charfun.coefficients(model, s, wams)
-    return dt.eval_P(dt.slot_matrices(model, dense=False), c)
+    form = dt.split_form(model, wams=wams)
+    c, _, _ = charfun.coefficients(form, s)
+    return dt.eval_P(form.slots, c)
 
 
 def dP_ds_at(model, s, wams=None):
     """dP/ds from the split form, over the stored csr slots."""
-    _, c_s, _ = charfun.coefficients(model, s, wams)
-    return dt.eval_P(dt.slot_matrices(model, dense=False), c_s)
+    form = dt.split_form(model, wams=wams)
+    _, c_s, _ = charfun.coefficients(form, s)
+    return dt.eval_P(form.slots, c_s)
 
 
 def two_delay_scalar():
@@ -183,9 +191,9 @@ class TestShapedDelayTerm:
 
     def forcing(self, derivs, spec, s):
         # -(dP/dp) phi at phi = [1]
-        _, _, c_p = charfun.coefficients(self.model, s, spec)
-        mats = dt.slot_matrices(self.model, derivs, dense=False)
-        return -charfun.matvec(mats, c_p, np.ones(1))[0]
+        form = dt.split_form(self.model, derivs, wams=spec)
+        _, _, c_p = charfun.coefficients(form, s)
+        return -charfun.matvec(form.slots, c_p, np.ones(1))[0]
 
     def test_constant_limit_reduces_to_plain_delay(self):
         spec = dt.WamsSpec.constant_delay(0.7)
@@ -221,7 +229,7 @@ class TestShapedDelayTerm:
             [[1.0]], [[0.0]], [(1.0, [[-1.0]]), (2.0, [[0.5]])]
         )
         with pytest.raises(ConfigurationError):
-            charfun.coefficients(m, 1.0, dt.WamsSpec(tau0=0.1))
+            dt.split_form(m, wams=dt.WamsSpec(tau0=0.1))
 
     def test_dst_ds_matches_central_difference(self):
         spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.03, alpha=1e-3, b=2.0)

@@ -17,7 +17,7 @@ from delaytrack.cli import (
     write_trajectory_csv,
 )
 from delaytrack.errors import ManifestError
-from delaytrack.manifest import load_manifest
+from delaytrack.manifest import load_manifest, write_model_bundle
 
 from conftest import FIXTURES, HAYES_PRINCIPAL
 
@@ -31,7 +31,7 @@ class TestLoadManifest:
         assert isinstance(man.family, dt.DelayParameterFamily)
         assert man.r == 1
         assert man.track.regime == "delay_param"
-        assert man.track.delay_index == 0
+        assert man.family.delay_index == 0
         assert man.init.N == 16
         assert man.p_init == 1.0
         model = man.family.evaluate(1.0)
@@ -80,6 +80,37 @@ class TestLoadManifest:
             load_manifest(tmp_path / "m" / "manifest.ini")
         assert info.value.code == "malformed-matrix"
 
+    @pytest.mark.parametrize("old, new, code", [
+        ("corrector_every = 10", "corector_every = 3", "unknown-key"),
+        ("p_max = 2.5", "p_max = 2.5\nfd_step = 1e-6", "unknown-key"),
+        ("[init]", "[intt]", "unknown-section"),
+    ], ids=["misspelt-key", "leftover-fd_step", "misspelt-section"])
+    def test_unread_name_reported(self, tmp_path, old, new, code):
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        text = path.read_text().replace(old, new)
+        path.write_text(text)
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == code
+        bad = new.splitlines()[-1]
+        assert info.value.line == text.splitlines().index(bad) + 1
+
+    def test_regime_delay_index_must_match_the_family(self, tmp_path):
+        model = dt.DelayedLinearModel(
+            np.eye(2), -np.eye(2), [(0.5, 0.1 * np.eye(2)), (1.0, np.eye(2))]
+        )
+        path = write_model_bundle(model, tmp_path, (0.5, 2.0), delay_index=1)
+        assert load_manifest(path).family.delay_index == 1
+        text = open(path).read()
+        old = "[regime]\nkind = delay_param\ndelay_index = 1"
+        assert old in text
+        with open(path, "w") as fh:
+            fh.write(text.replace(old, old[:-1] + "0"))
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "regime-mismatch"
+
     def test_parse_error_carries_line(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("format_version = 1\n[model\n")
@@ -92,11 +123,12 @@ class TestLoadManifest:
 class TestTrajectoryCsv:
     def test_round_trip_scalars_and_events(self, hayes_family):
         model = hayes_family.evaluate(1.0)
-        ref = dt.refine_newton(model, -0.3 + 1.3j, np.array([1.0 + 0j]))
+        ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
+                               np.array([1.0 + 0j]))
         initial = dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
             dp=5e-3, corrector_every=10, regime="delay_param",
-            delay_index=0, p_fin=2.0,
+            p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         buf = io.StringIO()
@@ -115,7 +147,8 @@ class TestTrajectoryCsv:
 
     def test_rfc4180_line_endings(self, hayes_family):
         model = hayes_family.evaluate(1.0)
-        ref = dt.refine_newton(model, -0.3 + 1.3j, np.array([1.0 + 0j]))
+        ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
+                               np.array([1.0 + 0j]))
         traj = dt.Trajectory(
             samples=[dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi, 0.0)]
         )

@@ -21,12 +21,12 @@ def coalescing_initial(family, p):
     model = family.evaluate(p)
     w, V = np.linalg.eig(model.A0.toarray())
     i = int(np.argmax(w.imag))
-    ref = dt.refine_newton(model, w[i], V[:, i], tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(model), w[i], V[:, i], tol=1e-12)
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
 
 def state_at(family, p, s_guess, phi_guess):
-    ref = dt.refine_newton(family.evaluate(p), s_guess, phi_guess,
+    ref = dt.refine_newton(family.split_form(p), s_guess, phi_guess,
                            tol=1e-12)
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
@@ -59,11 +59,12 @@ class TestDetectFold:
 
     def test_oscillatory_trajectory_not_flagged(self, hayes_family):
         model = hayes_family.evaluate(1.0)
-        ref = dt.refine_newton(model, -0.3 + 1.3j, np.array([1.0 + 0j]))
+        ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
+                               np.array([1.0 + 0j]))
         initial = dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
             dp=0.01, corrector_every=10, regime="delay_param",
-            delay_index=0, p_fin=1.4,
+            p_fin=1.4,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         assert all(ev.kind != "fold" for ev in traj.events)
@@ -74,7 +75,7 @@ class TestDetectFold:
         # the first failed step must end the run there
         p0, dp, every = 1.5, 1e-3, 10
         s0 = coalescing_eigenvalue(p0).real
-        ref = dt.refine_newton(coalescing_family.evaluate(p0), s0,
+        ref = dt.refine_newton(coalescing_family.split_form(p0), s0,
                                np.array([1.0, s0]), tol=1e-12)
         initial = dt.TrackState.from_eigenpair(p0, ref.s, ref.phi)
         opts = dt.TrackOptions(dp=dp, corrector_every=every, regime="multi",
@@ -151,7 +152,7 @@ class TestFindCrossing:
                            np.array([1.0 + 0j]))
         opts = dt.TrackOptions(
             dp=1e-3, corrector_every=10, regime="delay_param",
-            delay_index=0, p_fin=2.0,
+            p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         crossings = dt.find_crossing(hayes_family, traj, opts)
@@ -203,7 +204,7 @@ class TestFindCrossing:
         m0 = fam.evaluate(0.0)
         w, V = np.linalg.eig(m0.A0.toarray())
         i = int(np.argmax(w.imag))
-        ref = dt.refine_newton(m0, w[i], V[:, i], tol=1e-12)
+        ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
         initial = dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
             dp=2e-3, corrector_every=10, regime="multi", p_fin=4.0,

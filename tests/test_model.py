@@ -70,7 +70,7 @@ class TestDerivative:
         snaps = [
             (p, dt.DelayedLinearModel([[1.0]], [[p * p]])) for p in ps
         ]
-        fam = dt.TabulatedFamily(snaps, fd_step=1e-6)
+        fam = dt.TabulatedFamily(snaps)
         d = fam.derivative(1.0)
         assert d.dA0.toarray()[0, 0] == pytest.approx(2.0, abs=1e-5)
 

@@ -58,11 +58,12 @@ class TestSpectrumAt:
 class TestCompareTrajectory:
     def run_hayes(self, hayes_family):
         model = hayes_family.evaluate(1.0)
-        ref = dt.refine_newton(model, -0.3 + 1.3j, np.array([1.0 + 0j]))
+        ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
+                               np.array([1.0 + 0j]))
         initial = dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
             dp=1e-3, corrector_every=10, regime="delay_param",
-            delay_index=0, p_fin=2.0,
+            p_fin=2.0,
         )
         return dt.track_run(hayes_family, initial, opts), opts
 
@@ -74,7 +75,7 @@ class TestCompareTrajectory:
         fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
         w, V = np.linalg.eig(A0)
         i = int(np.argmax(w.real))
-        ref = dt.refine_newton(base, w[i], V[:, i], tol=1e-12)
+        ref = dt.refine_newton(dt.split_form(base), w[i], V[:, i], tol=1e-12)
         initial = dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi)
         opts = dt.TrackOptions(dp=0.01, corrector_every=10, p_fin=1.0)
         traj = dt.track_run(fam, initial, opts)

@@ -30,6 +30,14 @@ def test_matches_dense_eig_of_assembled_pencil(sparse_path):
         assert pair.residual < 1e-10
 
 
+def test_repeated_solve_is_bit_identical():
+    # the Arnoldi start vector is fixed, so the roundoff digits are too
+    pen = dt.discretize(dt.rand_ddae(40, 30, 0.05, 3, 7), 12)
+    assert pen.dim >= charfun.DENSE_MAX_DIM
+    first, second = (dt.solve_discretized(pen, 0.5j, 8) for _ in range(2))
+    assert [e.s for e in first] == [e.s for e in second]
+
+
 def test_factors_only_r_by_r_matrices(monkeypatch):
     r, N = 300, 8
     model = dt.rand_ddae(r, 210, 0.02, 2, seed=5)

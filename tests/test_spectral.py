@@ -109,14 +109,15 @@ class TestLift:
 class TestRefineNewton:
     def test_exact_root_is_fixed_point(self):
         m = dt.DelayedLinearModel([[1.0]], [[0.0]], [(np.pi / 2, [[-1.0]])])
-        out = dt.refine_newton(m, 1j, np.array([1.0 + 0j]), tol=1e-10)
+        out = dt.refine_newton(dt.split_form(m), 1j, np.array([1.0 + 0j]),
+                               tol=1e-10)
         assert abs(out.s - 1j) < 1e-10
         assert out.residual <= 1e-10
 
     def test_hayes_convergence_budget(self, hayes_model):
         # quadratic convergence from a loose start
         out = dt.refine_newton(
-            hayes_model, -0.3 + 1.3j, np.array([1.0 + 0j]),
+            dt.split_form(hayes_model), -0.3 + 1.3j, np.array([1.0 + 0j]),
             tol=1e-10, max_iter=6,
         )
         assert abs(out.s - HAYES_PRINCIPAL) < 1e-10
@@ -126,14 +127,16 @@ class TestRefineNewton:
     def test_divergence_reported(self, hayes_model):
         with pytest.raises(NonConvergenceError) as info:
             dt.refine_newton(
-                hayes_model, 5.0 + 0j, np.array([1.0 + 0j]), max_iter=20
+                dt.split_form(hayes_model), 5.0 + 0j, np.array([1.0 + 0j]),
+                max_iter=20,
             )
         assert info.value.residual is not None
 
     def test_conjugate_closure(self, hayes_model):
-        up = dt.refine_newton(hayes_model, -0.3 + 1.3j, np.array([1.0 + 0j]))
+        up = dt.refine_newton(dt.split_form(hayes_model), -0.3 + 1.3j,
+                              np.array([1.0 + 0j]))
         down = dt.refine_newton(
-            hayes_model, up.s.conjugate(), up.phi.conjugate()
+            dt.split_form(hayes_model), up.s.conjugate(), up.phi.conjugate()
         )
         assert abs(down.s - up.s.conjugate()) < 1e-10
 
@@ -141,6 +144,7 @@ class TestRefineNewton:
         pen = dt.discretize(hayes_model, 16)
         for pair in dt.solve_discretized(pen, 1.3j, 4):
             phi0 = dt.lift_eigenvector(pen, pair.phi)
-            out = dt.refine_newton(hayes_model, pair.s, phi0, tol=1e-10)
+            out = dt.refine_newton(dt.split_form(hayes_model), pair.s, phi0,
+                                   tol=1e-10)
             assert out.residual <= 1e-10
             assert abs(out.phi @ out.phi - 1.0) <= 1e-10

@@ -11,8 +11,8 @@ from conftest import quadratic_eigenvalue
 
 def hayes_initial(family, p=1.0):
     model = family.evaluate(p)
-    ref = dt.refine_newton(model, -0.3 + 1.3j, np.array([1.0 + 0j]),
-                           tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
+                           np.array([1.0 + 0j]), tol=1e-12)
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
 
@@ -20,7 +20,7 @@ def quadratic_initial(family, p=0.1):
     model = family.evaluate(p)
     w, V = np.linalg.eig(model.A0.toarray())
     i = int(np.argmax(w.imag))
-    ref = dt.refine_newton(model, w[i], V[:, i], tol=1e-12)
+    ref = dt.refine_newton(dt.split_form(model), w[i], V[:, i], tol=1e-12)
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
 
@@ -46,7 +46,8 @@ class TestIntegrateStep:
         slopes = dt.ModelDerivatives([[0.0]], [[-1.0]], [])
         fam = dt.AffineFamily(base, slopes, (0.5, 2.0))
         st = dt.TrackState.from_eigenpair(1.0, -1.0 + 0j, [1.0 + 0j])
-        sys_ = dt.assemble_multi(fam.evaluate(1.0), fam.derivative(1.0), st)
+        form = dt.split_form(fam.evaluate(1.0), fam.derivative(1.0))
+        sys_ = dt.assemble(form, st)
         out = dt.integrate_step(sys_, st, 0.1, "euler")
         assert out.s_r == pytest.approx(-1.1, abs=1e-14)
         assert out.s_i == pytest.approx(0.0, abs=1e-14)
@@ -67,7 +68,7 @@ class TestTrackRun:
         fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
         w, V = np.linalg.eig(A0)
         i = int(np.argmax(w.real))
-        ref = dt.refine_newton(base, w[i], V[:, i], tol=1e-12)
+        ref = dt.refine_newton(dt.split_form(base), w[i], V[:, i], tol=1e-12)
         initial = dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi)
         opts = dt.TrackOptions(dp=0.01, corrector_every=0, p_fin=1.0)
         traj = dt.track_run(fam, initial, opts)
@@ -79,7 +80,7 @@ class TestTrackRun:
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
             dp=1e-3, corrector_every=10, regime="delay_param",
-            delay_index=0, p_fin=2.0,
+            p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         assert traj.samples[-1].p == 2.0
@@ -89,7 +90,8 @@ class TestTrackRun:
             k = int(np.argmin(np.abs(ps - pt)))
             st = traj.samples[k]
             model = hayes_family.evaluate(st.p)
-            truth = dt.refine_newton(model, warm.s, warm.phi, tol=1e-12)
+            truth = dt.refine_newton(dt.split_form(model), warm.s, warm.phi,
+                                     tol=1e-12)
             assert abs(st.s - truth.s) < 1e-6
             warm = st
         # samples strictly monotone in p
@@ -113,7 +115,7 @@ class TestTrackRun:
         )
         opts = dt.TrackOptions(
             dp=0.01, corrector_every=10, regime="delay_param",
-            delay_index=0, p_fin=1.5,
+            p_fin=1.5,
         )
         up = dt.track_run(hayes_family, initial, opts)
         down = dt.track_run(hayes_family, conj_initial, opts)
@@ -125,7 +127,7 @@ class TestTrackRun:
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
             dp=1e-3, corrector_every=10, corrector_tol=1e-10,
-            regime="delay_param", delay_index=0, p_fin=1.5,
+            regime="delay_param", p_fin=1.5,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         for st in traj.samples:
@@ -153,7 +155,7 @@ class TestTrackRun:
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
             dp=3e-3, corrector_every=0, regime="delay_param",
-            delay_index=0, p_fin=1.01,
+            p_fin=1.01,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         assert traj.samples[-1].p == 1.01
@@ -161,14 +163,14 @@ class TestTrackRun:
     def test_euler_first_order_on_hayes(self, hayes_family):
         initial = hayes_initial(hayes_family)
         truth = dt.refine_newton(
-            hayes_family.evaluate(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]),
+            hayes_family.split_form(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]),
             tol=1e-13,
         ).s
         errs = {}
         for dp in (0.02, 0.01):
             opts = dt.TrackOptions(
                 dp=dp, corrector_every=0, regime="delay_param",
-                delay_index=0, p_fin=1.5,
+                p_fin=1.5,
             )
             traj = dt.track_run(hayes_family, initial, opts)
             errs[dp] = abs(traj.samples[-1].s - truth)
@@ -178,14 +180,14 @@ class TestTrackRun:
     def test_rk4_high_order_on_hayes(self, hayes_family):
         initial = hayes_initial(hayes_family)
         truth = dt.refine_newton(
-            hayes_family.evaluate(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]),
+            hayes_family.split_form(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]),
             tol=1e-13,
         ).s
         errs = {}
         for dp in (0.1, 0.05):
             opts = dt.TrackOptions(
                 dp=dp, method="rk4", corrector_every=0,
-                regime="delay_param", delay_index=0, p_fin=1.5,
+                regime="delay_param", p_fin=1.5,
             )
             traj = dt.track_run(hayes_family, initial, opts)
             errs[dp] = abs(traj.samples[-1].s - truth)
@@ -194,14 +196,14 @@ class TestTrackRun:
     def test_heun_second_order_on_hayes(self, hayes_family):
         initial = hayes_initial(hayes_family)
         truth = dt.refine_newton(
-            hayes_family.evaluate(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]),
+            hayes_family.split_form(1.5), -0.2 + 1.1j, np.array([1.0 + 0j]),
             tol=1e-13,
         ).s
         errs = {}
         for dp in (0.05, 0.025):
             opts = dt.TrackOptions(
                 dp=dp, method="heun", corrector_every=0,
-                regime="delay_param", delay_index=0, p_fin=1.5,
+                regime="delay_param", p_fin=1.5,
             )
             traj = dt.track_run(hayes_family, initial, opts)
             errs[dp] = abs(traj.samples[-1].s - truth)
@@ -212,7 +214,7 @@ class TestTrackRun:
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
             dp=1e-2, corrector_every=5, regime="delay_param",
-            delay_index=0, p_fin=2.0,
+            p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         kinds = [ev.kind for ev in traj.events]
@@ -266,18 +268,6 @@ class TestRegimeFamilyMismatch:
         with pytest.raises(ConfigurationError):
             dt.track_run(hayes_family, initial, opts)
 
-    def test_delay_family_needs_its_delay_index(self):
-        model = dt.DelayedLinearModel(
-            np.eye(2), -np.eye(2), [(0.5, 0.1 * np.eye(2)), (1.0, np.eye(2))]
-        )
-        fam = dt.DelayParameterFamily(model, 1, (0.5, 2.0))
-        initial = dt.TrackState.from_eigenpair(1.0, -1.0 + 0j, [1.0, 0.0])
-        opts = dt.TrackOptions(dp=1e-2, corrector_every=0,
-                               regime="delay_param", delay_index=0,
-                               p_fin=1.5)
-        with pytest.raises(ConfigurationError):
-            dt.track_run(fam, initial, opts)
-
     def test_wams_spec_needs_wams_regime(self):
         # tracked as "multi", the spec was ignored: the path ended 0.20
         # away from the shaped eigenvalue with residual 0.35 and no event
@@ -304,7 +294,6 @@ class TestRegimeFamilyMismatch:
         fam = dt.AffineFamily(hayes_model, slopes, (0.5, 2.5))
         initial = hayes_initial(fam)
         opts = dt.TrackOptions(dp=1e-2, corrector_every=0,
-                               regime="delay_param", delay_index=0,
-                               p_fin=2.0)
+                               regime="delay_param", p_fin=2.0)
         with pytest.raises(ConfigurationError):
             dt.track_run(fam, initial, opts)
