@@ -46,9 +46,13 @@ _EXP_MAX = 700.0
 # pencil by shift-invert Arnoldi.  Measured on rand_ddae models (OpenBLAS,
 # 1 thread, 2-CPU x86-64 Linux): dense QZ against shift-invert crosses
 # below pencil dimension 72 (4.7-5.6 vs 2.5-4.3 ms there, 18-20 vs
-# 3.1-3.5 ms at 130); one dense bordered solve against the sparse one
-# crosses between r = 150 (1.4 vs 1.6 ms) and r = 200 (2.6 vs 2.0 ms),
-# with 0.6 vs 1.3 ms at r = 100.  128 lies between the two.
+# 3.1-3.5 ms at 130; timed with Arnoldi run to machine precision, and
+# stopping it at the polish tol only favours shift-invert further);
+# one dense bordered solve against the sparse one, re-timed with the
+# threshold-pivoted factor of spectral._factor (medians over 3 models,
+# two runs), crosses between r = 150 (0.64-0.73 vs 0.77-0.84 ms) and
+# r = 200 (1.8-1.9 vs 1.1-1.2 ms), with 0.21-0.33 vs 0.42-0.71 ms at
+# r = 100.  128 lies between the two.
 DENSE_MAX_DIM = 128
 
 

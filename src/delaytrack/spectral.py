@@ -17,6 +17,7 @@ then polished on the exact nonlinear P by a bordered Newton iteration;
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,23 @@ from .errors import (
 )
 from .model import DelayedLinearModel
 
+log = logging.getLogger("delaytrack")
+
 # discretized generalized eigenvalues beyond this magnitude are treated as
 # the infinite modes of the singular pencil and dropped
 INFINITE_EIGENVALUE_THRESHOLD = 1e8
+
+# SuperLU threshold partial pivoting: a diagonal entry is kept as the pivot
+# while it is at least this fraction of the largest entry of its column,
+# so COLAMD's fill-reducing order survives more often than with strict
+# partial pivoting (1.0).  Measured on the collocated P_N(-1+1j) of the
+# r = 5000 rand_ddae model (102 250 nonzeros; OpenBLAS, 1 thread, 2-CPU
+# x86-64 Linux), threshold 1.0 -> 0.01: fill 645 616 -> 436 874, factor
+# 0.091 -> 0.074 s, solve 1.57 -> 1.27 ms, residual 4.8e-14 -> 4.7e-14.
+# 0.1 filled 606 k and 0.0 the same as 0.01; the MMD orderings filled
+# more (520-608 k) and NATURAL 3.8 M.  Every caller corrects against the
+# exact P (refinement in bordered_solve, the Newton polish).
+DIAG_PIVOT_THRESH = 0.01
 
 
 @dataclass
@@ -165,13 +180,14 @@ def _pencil_residual(pencil, s, v):
     return float(np.linalg.norm(w) / np.linalg.norm(v))
 
 
-def solve_discretized(pencil, shift, count):
+def solve_discretized(pencil, shift, count, tol=0.0):
     """``count`` finite eigenpairs of the pencil nearest to ``shift``.
 
     Pencils below ``charfun.DENSE_MAX_DIM`` use a dense generalized solve
     of the assembled (SigmaA, SigmaE); larger ones use shift-invert Arnoldi
     through one sparse LU of the r x r collocated characteristic matrix
-    (see :func:`_shift_invert`), without assembling the pencil.
+    (see :func:`_shift_invert`), without assembling the pencil, stopped at
+    the relative accuracy ``tol`` (0: machine precision).
     Infinite modes of the singular pencil are filtered by magnitude, and
     the returned list is sorted by descending real part.
     """
@@ -186,7 +202,7 @@ def solve_discretized(pencil, shift, count):
         order = np.argsort(np.abs(w - shift))[:count]
         w, V = w[order], V[:, order]
     else:
-        w, V = _shift_invert(pencil, shift, count)
+        w, V = _shift_invert(pencil, shift, count, tol)
     pairs = [
         Eigenpair(complex(s), v.copy(), _pencil_residual(pencil, s, v))
         for s, v in zip(w, V.T)
@@ -195,7 +211,7 @@ def solve_discretized(pencil, shift, count):
     return pairs
 
 
-def _shift_invert(pencil, sigma, count):
+def _shift_invert(pencil, sigma, count, tol=0.0):
     """Arnoldi on y = (SigmaA - sigma SigmaE)^-1 SigmaE x, solved blockwise.
 
     With Dt[1:, :] = [d10 | D11], the interior block rows give
@@ -209,7 +225,8 @@ def _shift_invert(pencil, sigma, count):
     in the split form and sparsity pattern of P(sigma), and
     y_0 = -P_N(sigma)^-1 (E x_0 - sum_j A_j l_j[1:] W).  P_N is factored
     once by :func:`_factor`, whose zero-pivot nudge covers a shift that
-    lands on an eigenvalue.
+    lands on an eigenvalue.  ARPACK stops at the relative accuracy ``tol``
+    of the Ritz values (0: machine precision).
     """
     m, N, r = pencil.model, pencil.N, pencil.r
     try:
@@ -251,7 +268,7 @@ def _shift_invert(pencil, sigma, count):
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
     try:
-        mu, V = eigs(op, k=k, which="LM", v0=v0)
+        mu, V = eigs(op, k=k, which="LM", v0=v0, tol=tol)
     except ArpackNoConvergence as exc:
         raise NonConvergenceError(
             f"Arnoldi iteration did not converge: {exc}"
@@ -276,19 +293,24 @@ def eigenpair_residual(form, s, phi):
 
 
 def _factor(P):
-    """Sparse LU of P.  An exactly zero pivot (P singular at a simple
-    eigenvalue) refactors P nudged by 1e-14 relative on the diagonal.  The
-    refinement in :func:`bordered_solve` against the exact P absorbs the
-    nudge; in :func:`_shift_invert` it moves the shift by about as much,
-    and the Newton polish absorbs that."""
+    """Sparse LU of P with COLAMD ordering and threshold partial pivoting
+    (``DIAG_PIVOT_THRESH``).  An exactly zero pivot (P singular at a simple
+    eigenvalue) refactors P nudged by 1e-14 relative on the diagonal and
+    logs a warning.  The refinement in :func:`bordered_solve` against the
+    exact P absorbs the nudge; in :func:`_shift_invert` it moves the shift
+    by about as much, and the Newton polish absorbs that."""
     P = sparse.csc_array(P, dtype=complex)
     try:
-        return splu(P)
+        return splu(P, diag_pivot_thresh=DIAG_PIVOT_THRESH)
     except RuntimeError:
         nudge = 1e-14 * max(1.0, float(abs(P).max()))
+        log.warning(
+            "exactly singular %d x %d factor: refactoring with a diagonal "
+            "nudge of %.3g", P.shape[0], P.shape[0], nudge,
+        )
         shift = nudge * sparse.eye_array(P.shape[0], format="csc")
         try:
-            return splu(P + shift)
+            return splu(P + shift, diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:
             raise SingularSystemError(
                 f"characteristic matrix is singular: {exc}"
@@ -371,7 +393,7 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25):
     Eigenvectors that are isotropic under the transpose pairing
     (phi^T phi = 0, e.g. (1, j) of a pure rotation) admit no quadratic
     normalization at all; once the residual criterion holds they are
-    returned Euclidean-normalized instead.
+    returned Euclidean-normalized instead, with a logged warning.
 
     Raises :class:`NonConvergenceError` after ``max_iter`` iterations and
     :class:`DefectiveEigenvalueError` when the bordered Jacobian is
@@ -405,6 +427,10 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25):
                 return Eigenpair(s, phi, residual)
             if abs(quad) <= 1e-12 * nrm * nrm:
                 # isotropic eigenvector: no quadratic normalization exists
+                log.warning(
+                    "isotropic eigenvector (phi^T phi = 0) at s=%s: "
+                    "returned Euclidean-normalized", s,
+                )
                 return Eigenpair(s, phi / nrm, residual)
 
         try:
@@ -436,7 +462,8 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
 
     Discretizes the model of the form's combined slots and constant delays
     at degree ``N`` (the pair (A0, E) for a delay-free model), takes the
-    ``count`` pencil eigenpairs nearest to ``shift``, lifts each and
+    ``count`` pencil eigenpairs nearest to ``shift`` (shift-invert Arnoldi
+    stops at ``tol`` too, since the polish meets it anyway), lifts each and
     polishes it by :func:`refine_newton` on the form itself, so a WAMS
     shaping enters only the polish.  A candidate whose lifted endpoint
     block vanishes (relative to its pencil vector) or whose refinement
@@ -449,7 +476,7 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
     model = DelayedLinearModel(E, A0, zip(form.taus, As))
     pencil = discretize(model, N if model.mu else 0)
     refined = []
-    for pair in solve_discretized(pencil, shift, count):
+    for pair in solve_discretized(pencil, shift, count, tol):
         phi0 = lift_eigenvector(pencil, pair.phi)
         if np.linalg.norm(phi0) < 1e-12 * np.linalg.norm(pair.phi):
             continue

@@ -5,6 +5,7 @@ a dense solve of the full bordered matrix and, through ``_solve_system``,
 to a sparse LU of the real split M that the continuation ODE is written in.
 """
 
+import logging
 import warnings
 
 import numpy as np
@@ -19,8 +20,9 @@ from delaytrack.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
+from delaytrack import charfun
 from delaytrack.charfun import DENSE_MAX_DIM
-from delaytrack.spectral import bordered_solve
+from delaytrack.spectral import _factor, bordered_solve, refined_eigenpairs
 from delaytrack.track import _solve_system
 
 from conftest import (
@@ -83,6 +85,49 @@ class TestBorderedSolve:
         xd, dsd = dense_bordered(P, w, phi, f, 0.3)
         assert np.abs(x - xd).max() <= 1e-12 * np.abs(xd).max()
         assert abs(ds - dsd) <= 1e-12 * abs(dsd)
+
+    def test_zero_pivot_nudge_is_logged(self, caplog):
+        # the exactly singular P of test_exact_zero_pivot_is_not_singular
+        r = 60
+        upper = sparse.triu(sparse.random(r, r, density=0.1, random_state=2),
+                            k=1)
+        P = sparse.csr_array(sparse.diags(np.arange(r, dtype=float)) + upper,
+                             dtype=complex)
+        with caplog.at_level(logging.WARNING, logger="delaytrack"):
+            _factor(P)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        nudge = 1e-14 * (r - 1)  # 1e-14 relative to max |P_ij| = r - 1
+        assert f"{r} x {r}" in record.getMessage()
+        assert f"{nudge:.3g}" in record.getMessage()
+
+    def test_regular_factor_logs_nothing(self, caplog):
+        P = sparse.csr_array(3.0 * sparse.eye_array(5), dtype=complex)
+        with caplog.at_level(logging.WARNING, logger="delaytrack"):
+            _factor(P)
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-3 + 1e-3j],
+                             ids=["at_eigenvalue", "one_step_away"])
+    def test_pivoted_factor_near_an_eigenvalue(self, offset):
+        # on the sparse path P(s*) is numerically singular and P^-1 P'(s*)
+        # phi is huge; the threshold-pivoted factor plus one refinement
+        # step must still match a dense solve of the bordered matrix
+        model = dt.rand_ddae(300, 210, 0.02, 2, seed=5)
+        assert model.r >= DENSE_MAX_DIM
+        form = dt.split_form(model)
+        pair = refined_eigenpairs(form, 8, -1.0 + 1.0j, 6, tol=1e-12)[0]
+        s = pair.s + offset
+        c, c_s, _ = charfun.coefficients(form, s)
+        P = charfun.eval_P(form.slots, c)
+        assert sparse.issparse(P)
+        w = charfun.matvec(form.slots, c_s, pair.phi)
+        rng = np.random.default_rng(5)
+        f, t = cvec(rng, model.r), 0.3 - 0.1j
+        x, ds = bordered_solve(P, w, pair.phi, f, t)
+        xd, dsd = dense_bordered(P, w, pair.phi, f, t)
+        got, want = np.append(x, ds), np.append(xd, dsd)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("as_sparse", [True, False])
     def test_zero_schur_complement_is_singular(self, as_sparse):

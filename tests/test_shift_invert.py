@@ -2,11 +2,13 @@
 the real warm start of the crossing locator."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sparse
+from scipy.sparse.linalg import LinearOperator
 
 import delaytrack as dt
 from delaytrack import charfun, spectral
@@ -59,6 +61,41 @@ def test_factors_only_r_by_r_matrices(monkeypatch):
     pairs = dt.spectrum_at(family, 0.0, N=N, shift=-1 + 1j, count=6)
     assert pairs
     assert shapes and set(shapes) == {(r, r)}
+
+
+def test_arnoldi_stop_at_the_polish_tolerance_loses_no_candidate(
+    monkeypatch,
+):
+    # spectrum_at stops ARPACK at the tol its Newton polish meets; forcing
+    # it to machine precision must find the same eigenvalues, with more
+    # operator applications
+    model = dt.rand_ddae(300, 210, 0.02, 2, seed=5)
+    family = dt.AffineFamily(model, dt.ModelDerivatives.zero(model), (0, 1))
+    arpack = spectral.eigs
+    applied = []
+
+    def counting(op, *args, forced=None, **kwargs):
+        def matvec(x):
+            applied[-1] += 1
+            return op.matvec(x)
+
+        if forced is not None:
+            kwargs["tol"] = forced
+        applied.append(0)
+        counted = LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return arpack(counted, *args, **kwargs)
+
+    runs = {}
+    for forced in (None, 0.0):
+        monkeypatch.setattr(spectral, "eigs", partial(counting, forced=forced))
+        runs[forced] = dt.spectrum_at(family, 0.0, N=8, shift=-1 + 1j,
+                                      count=6, tol=1e-10)
+    stopped, full = runs[None], runs[0.0]
+    assert len(applied) == 2
+    assert len(stopped) == len(full) == 6
+    for a, b in zip(stopped, full):
+        assert abs(a.s - b.s) <= 1e-9
+    assert applied[1] > applied[0]
 
 
 def test_shift_on_an_eigenvalue(sparse_path):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,23 @@ class TestRefineNewton:
             dt.split_form(hayes_model), up.s.conjugate(), up.phi.conjugate()
         )
         assert abs(down.s - up.s.conjugate()) < 1e-10
+
+    def test_isotropic_eigenvector_is_logged(self, hayes_model, caplog):
+        # (1, j) of the pure rotation at s = j has phi^T phi = 0: returned
+        # Euclidean-normalized, which is said once on the package logger
+        m = dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        with caplog.at_level(logging.WARNING, logger="delaytrack"):
+            out = dt.refine_newton(dt.split_form(m), 1j,
+                                   np.array([1.0, 1j]))
+        assert np.linalg.norm(out.phi) == pytest.approx(1.0)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "isotropic" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="delaytrack"):
+            dt.refine_newton(dt.split_form(hayes_model), -0.3 + 1.3j,
+                             np.array([1.0 + 0j]))
+        assert caplog.records == []
 
     def test_refined_invariants_on_random_candidates(self, hayes_model):
         pen = dt.discretize(hayes_model, 16)
