@@ -47,6 +47,7 @@ from .oracle import (
 from .spectral import (
     DiscretizedPencil,
     Eigenpair,
+    HeldFactor,
     discretize,
     lift_eigenvector,
     refine_newton,
@@ -79,6 +80,7 @@ __all__ = [
     "DelayedLinearModel",
     "DiscretizedPencil",
     "Eigenpair",
+    "HeldFactor",
     "ManifestError",
     "ModelDerivatives",
     "NonConvergenceError",

@@ -18,6 +18,7 @@ then polished on the exact nonlinear P by a bordered Newton iteration;
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,16 @@ INFINITE_EIGENVALUE_THRESHOLD = 1e8
 # more (520-608 k) and NATURAL 3.8 M.  Every caller corrects against the
 # exact P (refinement in bordered_solve, the Newton polish).
 DIAG_PIVOT_THRESH = 0.01
+
+# budget of a bordered solve on a held factor of an earlier P, in solves
+# with that factor (each pass also takes one product with the exact P);
+# past it, P itself is factored.  A factor costs as much as 16, 25, 21
+# and 45 such passes at r = 128, 300, 1000 and 5000 (rand_ddae at
+# s = -1+1j; OpenBLAS, 1 thread, 2-CPU x86-64 Linux), so a held solve
+# that succeeds within the budget is the cheaper one.  On the r = 5000
+# benchmark family the refinement gains 10-100x per pass over steps of
+# dp = 1e-3 to 2e-2; the second benchmark step needs 11 solves.
+HELD_SOLVES = 20
 
 
 @dataclass
@@ -317,7 +328,79 @@ def _factor(P):
             ) from exc
 
 
-def bordered_solve(P, w, phi, f, t):
+class HeldFactor:
+    """The sparse LU of one recent P, kept for the bordered solves of one
+    call (a sweep, a crossing search) to reuse on the nearby P that come
+    after it.  Create one per call and let it go with the call: the factor
+    is as large as the LU fill."""
+
+    def __init__(self):
+        self.lu = None
+
+
+def _elimination(lu, w, phi):
+    """Block elimination of [[A, w], [phi^T, 0]] with ``lu`` the LU of A:
+    the map (f, t) -> (x, ds), one solve each, and the Schur complement
+    phi^T A^-1 w; the map is None when that complement is zero or
+    nonfinite."""
+    b = lu.solve(w)
+    schur = phi @ b
+    if schur == 0.0 or not np.isfinite(schur):
+        return None, schur
+
+    def eliminate(f, t):
+        a = lu.solve(f)
+        ds = (phi @ a - t) / schur
+        return a - ds * b, ds
+
+    return eliminate, schur
+
+
+def _held_solve(lu, P, w, phi, f, t):
+    """Bordered solve against the exact ``P`` with the factor ``lu`` of a
+    nearby matrix: block elimination, then refinement passes against the
+    exact bordered residual until it is at most 1e-13 ||(f, t)||, the
+    level that one refinement step on a fresh factor reaches (7e-16 to
+    1.3e-13 ||(f, t)|| measured on the r = 5000 benchmark steps).
+
+    Returns ``(solution, solves, ratio)``: ``(x, ds)``, the solves spent
+    and the last residual ratio per pass.  ``solution`` is None when the
+    attempt is dropped: a zero or nonfinite Schur complement or residual,
+    or a ratio too weak to reach the tolerance within ``HELD_SOLVES``
+    solves.  It never raises, so a stale factor cannot declare the
+    bordered matrix singular."""
+    eliminate, _ = _elimination(lu, w, phi)
+    if eliminate is None:
+        return None, 1, math.nan
+    x, ds = eliminate(f, t)
+    solves, ratio = 2, math.nan
+    target = 1e-13 * math.hypot(np.linalg.norm(f), abs(t))
+    seen = []  # the residual after each pass
+    while True:
+        rf, rt = f - P @ x - w * ds, t - phi @ x
+        res = math.hypot(np.linalg.norm(rf), abs(rt))
+        if not np.isfinite(res):
+            return None, solves, ratio
+        if res <= target:
+            return (x, ds), solves, ratio
+        seen.append(res)
+        # the first pass carries the cancellation error of the elimination
+        # (b is huge near an eigenvalue), so the contraction is read from
+        # the refinement passes on, over the last two: it often alternates
+        # between strong and weak from one pass to the next.  Give up as
+        # soon as it cannot reach the target within the budget.
+        if len(seen) > 1:
+            back = min(2, len(seen) - 1)
+            ratio = (res / seen[-1 - back]) ** (1.0 / back)
+            if not (ratio < 1.0 and solves + math.log(target / res)
+                    / math.log(ratio) <= HELD_SOLVES):
+                return None, solves, ratio
+        dx, dds = eliminate(rf, rt)
+        solves += 1
+        x, ds = x + dx, ds + dds
+
+
+def bordered_solve(P, w, phi, f, t, held=None):
     """Solve the complex bordered system
 
         [[P, w], [phi^T, 0]] [x; ds] = [f; t]
@@ -327,37 +410,52 @@ def bordered_solve(P, w, phi, f, t):
     ds/dp); with (f, t) = -(P phi, (phi^T phi - 1)/2) it is the Newton step.
 
     A dense ndarray P is solved as the dense (r+1) bordered matrix.  A
-    sparse P takes one sparse LU of P alone: block elimination with
-    b = P^-1 w and the scalar Schur complement phi^T b, followed by exactly
-    one step of iterative refinement against the exact bordered residual.
-    Near an eigenvalue b is huge and the unrefined x loses all accuracy;
-    the refinement step restores it.
+    sparse P is solved through one sparse LU: block elimination with
+    b = LU^-1 w and the scalar Schur complement phi^T b, then iterative
+    refinement against the exact bordered residual of P.  Near an
+    eigenvalue b is huge and the unrefined x loses all accuracy; the
+    refinement restores it.  On a fresh factor of P one refinement step
+    does.  A :class:`HeldFactor` ``held`` lends the LU of an earlier,
+    nearby P instead, and the refinement is repeated on it until the
+    residual is at most 1e-13 ||(f, t)||.  When the measured contraction
+    shows that this takes more than ``HELD_SOLVES`` solves, the attempt is
+    dropped (one DEBUG record on the ``delaytrack`` logger), and P itself
+    is factored and held for the next solve.
 
     Raises :class:`SingularSystemError` when the bordered matrix is
-    singular: a zero or nonfinite Schur complement, or a nonfinite result.
+    singular: a zero or nonfinite Schur complement on a fresh factor of P,
+    or a nonfinite result.
     """
     w = np.asarray(w, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     f = np.asarray(f, dtype=complex)
     with np.errstate(all="ignore"):  # nonfinite values are reported below
         if sparse.issparse(P):
-            lu = _factor(P)
-            b = lu.solve(w)
-            schur = phi @ b
-            if schur == 0.0 or not np.isfinite(schur):
-                raise SingularSystemError(
-                    "bordered matrix is singular: Schur complement "
-                    f"phi^T P^-1 w = {schur}"
-                )
-
-            def eliminate(f, t):
-                a = lu.solve(f)
-                ds = (phi @ a - t) / schur
-                return a - ds * b, ds
-
-            x, ds = eliminate(f, t)
-            dx, dds = eliminate(f - P @ x - w * ds, t - phi @ x)
-            x, ds = x + dx, ds + dds
+            solution = None
+            if held is not None and held.lu is not None:
+                solution, solves, ratio = _held_solve(held.lu, P, w, phi,
+                                                      f, t)
+                if solution is None:
+                    log.debug(
+                        "dropped the held %d x %d factor after %d solves "
+                        "(residual ratio %.3g)", P.shape[0], P.shape[0],
+                        solves, ratio,
+                    )
+                    held.lu = None  # before the new factor: one LU at a time
+            if solution is None:
+                lu = _factor(P)
+                if held is not None:
+                    held.lu = lu
+                eliminate, schur = _elimination(lu, w, phi)
+                if eliminate is None:
+                    raise SingularSystemError(
+                        "bordered matrix is singular: Schur complement "
+                        f"phi^T P^-1 w = {schur}"
+                    )
+                x, ds = eliminate(f, t)
+                dx, dds = eliminate(f - P @ x - w * ds, t - phi @ x)
+                solution = x + dx, ds + dds
+            x, ds = solution
         else:
             r = P.shape[0]
             K = np.zeros((r + 1, r + 1), dtype=complex)
@@ -376,7 +474,7 @@ def bordered_solve(P, w, phi, f, t):
     return x, complex(ds)
 
 
-def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25):
+def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     """Polish an eigenpair on the exact characteristic function of the
     split form ``form``.
 
@@ -385,8 +483,10 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25):
         F(phi, s) = [ P(s) phi ; (phi^T phi - 1) / 2 ] = 0
 
     with Jacobian blocks [[P(s), dP/ds phi], [phi^T, 0]], solved by
-    :func:`bordered_solve`.  The transpose (not conjugate) border keeps F
-    holomorphic, so plain complex Newton converges quadratically.  Returns
+    :func:`bordered_solve`, which reuses the factor in ``held`` (a
+    :class:`HeldFactor`) when one is given.  The transpose (not conjugate)
+    border keeps F holomorphic, so plain complex Newton converges
+    quadratically.  Returns
     an :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
     |phi^T phi - 1| <= tol.
 
@@ -435,7 +535,7 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25):
 
         try:
             dphi, ds = bordered_solve(
-                Pm, charfun.matvec(mats, c_s, phi), phi, -top, -defect
+                Pm, charfun.matvec(mats, c_s, phi), phi, -top, -defect, held
             )
         except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):

@@ -13,12 +13,17 @@ as the parameter and a WAMS-shaped delay alike.  The run takes each form
 from ``family.split_form(p, options.wams)``, so no model is rebuilt per
 step; the declared regime is only checked against the form.  Every
 integrator stage solves the bordered system with
-:func:`spectral.bordered_solve`: one sparse LU of the r x r complex P(s), a
-scalar Schur complement on the border and one step of iterative refinement
--- the same solve the bordered Newton corrector takes.
+:func:`spectral.bordered_solve` -- the same solve the bordered Newton
+corrector takes: a sparse LU of the r x r complex P(s), a scalar Schur
+complement on the border and iterative refinement against the exact
+bordered residual.  Consecutive P(s, p) differ by O(dp), so one sweep (and
+one crossing search) keeps a single :class:`spectral.HeldFactor` for all
+its stages, steps and corrector iterations, and refactors only when
+refinement on the held LU stops contracting fast enough.
 The sweep advances y with explicit integrators, optionally re-polished by
 the Newton corrector at fixed p, while watching for conjugate-pair folds and
-real-axis crossings.
+real-axis crossings.  A real eigenpair (real to roundoff) is tracked from
+its real parts, so it stays exactly real.
 """
 
 from __future__ import annotations
@@ -213,10 +218,10 @@ def assemble(form, state):
     )
 
 
-def _solve_system(system):
+def _solve_system(system, held=None):
     """Real slope dy/dp = (dphi_r, dphi_i, ds_r, ds_i) of the sweep ODE."""
     x, ds = spectral.bordered_solve(
-        system.P, system.w, system.phi, system.g, 0.0
+        system.P, system.w, system.phi, system.g, 0.0, held
     )
     return np.concatenate([x.real, x.imag, [ds.real, ds.imag]])
 
@@ -238,15 +243,18 @@ def _vector_state(p, y, r, residual=math.nan):
     )
 
 
-def integrate_step(system, state, dp, method="euler", assemble=None):
+def integrate_step(system, state, dp, method="euler", assemble=None,
+                   held=None):
     """Advance the continuation state by one step of size ``dp``.
 
     ``assemble`` maps an intermediate TrackState to a fresh
-    ContinuationSystem and is required for the multi-stage methods.
+    ContinuationSystem and is required for the multi-stage methods.  Every
+    stage solves on the factor in ``held`` (a :class:`spectral.HeldFactor`)
+    when one is given.
     """
     r = system.r
     y = _state_vector(state)
-    k1 = _solve_system(system)
+    k1 = _solve_system(system, held)
     if method == "euler":
         y_new = y + dp * k1
     elif method in ("heun", "rk4"):
@@ -256,19 +264,19 @@ def integrate_step(system, state, dp, method="euler", assemble=None):
             )
         if method == "heun":
             k2 = _solve_system(
-                assemble(_vector_state(state.p + dp, y + dp * k1, r))
+                assemble(_vector_state(state.p + dp, y + dp * k1, r)), held
             )
             y_new = y + (dp / 2.0) * (k1 + k2)
         else:
             half = state.p + dp / 2.0
             k2 = _solve_system(
-                assemble(_vector_state(half, y + (dp / 2.0) * k1, r))
+                assemble(_vector_state(half, y + (dp / 2.0) * k1, r)), held
             )
             k3 = _solve_system(
-                assemble(_vector_state(half, y + (dp / 2.0) * k2, r))
+                assemble(_vector_state(half, y + (dp / 2.0) * k2, r)), held
             )
             k4 = _solve_system(
-                assemble(_vector_state(state.p + dp, y + dp * k3, r))
+                assemble(_vector_state(state.p + dp, y + dp * k3, r)), held
             )
             y_new = y + (dp / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
@@ -331,9 +339,9 @@ def reinitialize_at(family, p, prev_state, options):
     return TrackState.from_eigenpair(p, chosen.s, chosen.phi, chosen.residual)
 
 
-def _refine_state(form, state, options):
+def _refine_state(form, state, options, held):
     ref = spectral.refine_newton(form, state.s, state.phi,
-                                 tol=options.corrector_tol)
+                                 tol=options.corrector_tol, held=held)
     return TrackState.from_eigenpair(state.p, ref.s, ref.phi, ref.residual)
 
 
@@ -356,7 +364,10 @@ def track_run(family, initial, options):
     when the corrector does not converge (``corrector_fail``), or when
     :func:`detect_fold` sees a conjugate pair collapse (``fold``); the
     event marks the last sample, which for a failed correction is the
-    uncorrected one.
+    uncorrected one.  The sparse bordered solves of the run share one
+    :class:`spectral.HeldFactor`, which goes with the run.  An initial or
+    reinitialized state that is real to roundoff is tracked from its real
+    parts.
     """
     p_init = initial.p
     wams = options.wams
@@ -384,8 +395,9 @@ def track_run(family, initial, options):
             "fold_eps": options.fold_eps,
         }
     )
-    state = _with_residual(form, initial)
+    state = _with_residual(form, _real_if_roundoff(initial))
     traj.samples.append(state)
+    held = spectral.HeldFactor()
 
     step = 0
     while (p_fin - state.p) * math.copysign(1.0, dp) > 1e-14 * max(
@@ -403,13 +415,14 @@ def track_run(family, initial, options):
         try:
             new_state = integrate_step(
                 assemble_at(state), state, dp_k, options.method,
-                assemble=assemble_at,
+                assemble=assemble_at, held=held,
             )
             if last:
                 new_state = replace(new_state, p=p_fin)
             form_new = family.split_form(new_state.p, wams)
             if correct:
-                new_state = _refine_state(form_new, new_state, options)
+                new_state = _refine_state(form_new, new_state, options,
+                                          held)
             else:
                 new_state = _with_residual(form_new, new_state)
         except RangeError:
@@ -470,6 +483,8 @@ def _handle_fold(family, traj, options):
     except (ReinitializationError, NonConvergenceError):
         traj.truncated = True
         return False
+    fresh = _with_residual(family.split_form(p_resume, options.wams),
+                           _real_if_roundoff(fresh))
     traj.samples.append(fresh)
     traj.events.append(
         TrackEvent(
@@ -486,6 +501,16 @@ def _real_to_roundoff(state):
     )
 
 
+def _real_if_roundoff(state):
+    """``state`` with its imaginary parts set to exactly 0 when it is real
+    to roundoff.  P(s) is real for real s, so every step and correction
+    from there stays exactly real, where roundoff-sized imaginary parts
+    would shrink geometrically into subnormal arithmetic."""
+    if not _real_to_roundoff(state):
+        return state
+    return replace(state, phi_i=np.zeros_like(state.phi_i), s_i=0.0)
+
+
 def find_crossing(family, trajectory, options):
     """Refine every real-axis crossing of the tracked eigenvalue.
 
@@ -495,11 +520,13 @@ def find_crossing(family, trajectory, options):
     bracketing samples are real to roundoff, each solve starts from their
     real parts: the imaginary parts are noise that the corrections shrink
     into subnormal arithmetic, while a real start keeps every iterate, and
-    s_star, exactly real.  Returns a list of (p_star, s_star), empty when
-    the trajectory never crosses.
+    s_star, exactly real.  The Newton solves of the call share one
+    :class:`spectral.HeldFactor`.  Returns a list of (p_star, s_star),
+    empty when the trajectory never crosses.
     """
     crossings = []
     samples = trajectory.samples
+    held = spectral.HeldFactor()
     for a, b in zip(samples[:-1], samples[1:]):
         if not (np.isfinite(a.s_r) and np.isfinite(b.s_r)):
             continue
@@ -516,7 +543,7 @@ def find_crossing(family, trajectory, options):
             s0, phi0 = (warm.s_r, warm.phi_r) if real else (warm.s, warm.phi)
             ref = spectral.refine_newton(
                 family.split_form(pm, options.wams), s0, phi0,
-                tol=options.corrector_tol,
+                tol=options.corrector_tol, held=held,
             )
             sm = ref.s
             mid = TrackState.from_eigenpair(pm, ref.s, ref.phi, ref.residual)

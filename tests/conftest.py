@@ -12,12 +12,27 @@ import numpy as np
 import pytest
 
 import delaytrack as dt
+from delaytrack import spectral
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "fixtures")
 
 # principal root of s + exp(-s) = 0, certified by |g(s)| < 1e-15
 HAYES_PRINCIPAL = complex(-0.3181315052047641, 1.3372357014306895)
+
+
+@pytest.fixture
+def factor_count(monkeypatch):
+    """Number of SuperLU factorizations so far."""
+    calls = []
+    factor = spectral.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", counting)
+    return lambda: len(calls)
 
 
 @pytest.fixture

@@ -182,6 +182,105 @@ class TestBorderedSolve:
         assert info.value.residual is not None
 
 
+def pair_system(s_offset):
+    """Bordered system of the r = 300 rand_ddae model at a refined
+    eigenvalue moved by ``s_offset``, with a random right-hand side."""
+    model = dt.rand_ddae(300, 210, 0.02, 2, seed=5)
+    form = dt.split_form(model)
+    pair = refined_eigenpairs(form, 8, -1.0 + 1.0j, 6, tol=1e-12)[0]
+    c, c_s, _ = charfun.coefficients(form, pair.s + s_offset)
+    P = charfun.eval_P(form.slots, c)
+    assert sparse.issparse(P)
+    w = charfun.matvec(form.slots, c_s, pair.phi)
+    rng = np.random.default_rng(8)
+    return P, w, pair.phi, cvec(rng, model.r), 0.3 - 0.1j
+
+
+class TestHeldFactor:
+    """``bordered_solve`` on the factor of an earlier, nearby P refines
+    against the exact P, and factors P afresh when that cannot work."""
+
+    def test_stale_factor_matches_fresh(self, factor_count, caplog):
+        # the factor at an eigenvalue serves the P one step of 1e-3 away,
+        # where that eigenvalue makes it a poor preconditioner
+        P0, *_ = pair_system(0.0)
+        P, w, phi, f, t = pair_system(1e-3 + 1e-3j)
+        held = dt.HeldFactor()
+        held.lu = lu = _factor(P0)
+        before = factor_count()
+        with caplog.at_level(logging.DEBUG, logger="delaytrack"):
+            x, ds = bordered_solve(P, w, phi, f, t, held)
+        assert factor_count() == before and held.lu is lu
+        assert caplog.records == []
+        xf, dsf = bordered_solve(P, w, phi, f, t)
+        got, want = np.append(x, ds), np.append(xf, dsf)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_unrelated_factor_is_dropped(self, factor_count, caplog):
+        P, w, phi, f, t = pair_system(0.0)
+        held = dt.HeldFactor()
+        held.lu = stale = _factor(sparse.eye_array(P.shape[0],
+                                                   format="csc"))
+        before = factor_count()
+        with caplog.at_level(logging.DEBUG, logger="delaytrack"):
+            x, ds = bordered_solve(P, w, phi, f, t, held)
+        assert factor_count() == before + 1
+        assert held.lu is not stale
+        xf, dsf = bordered_solve(P, w, phi, f, t)
+        np.testing.assert_array_equal(x, xf)
+        assert ds == dsf
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("dropped the held 300 x 300 factor after ")
+        assert "solves (residual ratio " in message
+
+    def test_exact_zero_pivot_with_a_held_factor(self):
+        # the exactly singular P of test_exact_zero_pivot_is_not_singular,
+        # reached from the held factor of a regular neighbour
+        rng = np.random.default_rng(2)
+        r = 60
+        upper = sparse.triu(sparse.random(r, r, density=0.1, random_state=2),
+                            k=1)
+        P = sparse.csr_array(sparse.diags(np.arange(r, dtype=float)) + upper,
+                             dtype=complex)
+        held = dt.HeldFactor()
+        held.lu = _factor(P + 0.5 * sparse.eye_array(r))
+        w, phi, f = cvec(rng, r), cvec(rng, r), cvec(rng, r)
+        x, ds = bordered_solve(P, w, phi, f, 0.3, held)
+        xd, dsd = dense_bordered(P, w, phi, f, 0.3)
+        assert np.abs(x - xd).max() <= 1e-12 * np.abs(xd).max()
+        assert abs(ds - dsd) <= 1e-12 * abs(dsd)
+
+    def test_only_a_fresh_factor_reports_a_singular_system(self):
+        # the singular bordered matrix of test_zero_schur_complement_is_
+        # singular: a held factor of 2I gives the same zero Schur
+        # complement, which drops it; the fresh factor raises
+        r = 4
+        P = sparse.eye_array(r, dtype=complex, format="csr")
+        e0, e1 = np.eye(r)[0], np.eye(r)[1]
+        held = dt.HeldFactor()
+        held.lu = _factor(2.0 * P)
+        with pytest.raises(SingularSystemError):
+            bordered_solve(P, e0, e1, np.ones(r), 0.0, held)
+
+    def test_newton_divergence_with_a_held_factor(self):
+        # the wandering Newton run of test_divergence_on_sparse_path_is_
+        # reported_quietly, every iteration after the first on a held
+        # factor: the zero Schur complement at s = 0 still ends it
+        r = DENSE_MAX_DIM
+        A0 = -2.0 * np.eye(r)
+        A0[0, 0] = 0.0
+        A1 = np.zeros((r, r))
+        A1[0, 0] = -1.0
+        model = dt.DelayedLinearModel(np.eye(r), A0, [(1.0, A1)])
+        phi = np.eye(r, dtype=complex)[0]
+        with pytest.raises(NonConvergenceError) as info:
+            dt.refine_newton(dt.split_form(model), 5.0 + 0j, phi,
+                             max_iter=20, held=dt.HeldFactor())
+        assert info.value.residual is not None
+
+
 def eigenpair_state(model, p=0.4):
     """A refined eigenpair of ``model``: P(s) is numerically singular and
     |P^-1 P'(s) phi| is of order 1e15, the case the refinement step exists

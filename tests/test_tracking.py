@@ -4,6 +4,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import delaytrack as dt
+from delaytrack import spectral
+from delaytrack.charfun import DENSE_MAX_DIM
 from delaytrack.errors import ConfigurationError
 
 from conftest import quadratic_eigenvalue
@@ -223,17 +225,21 @@ class TestTrackRun:
         assert abs(ev.p - np.pi / 2) < 2e-2
 
 
+def drifting_family(r, n_dyn, density, mu, seed, slope):
+    """rand_ddae model whose A0 drifts by slope * (A0 + 3I) on [0, 1]."""
+    base = dt.rand_ddae(r, n_dyn, density, mu, seed)
+    zero = sparse.csr_array((r, r))
+    slopes = dt.ModelDerivatives(
+        zero, slope * (base.A0 + 3.0 * sparse.eye_array(r)), [zero] * mu
+    )
+    return dt.AffineFamily(base, slopes, p_range=(0.0, 1.0))
+
+
 class TestSparseRealEigenvalue:
     def test_step_loop_takes_no_dense_path(self, monkeypatch):
         # a real eigenvalue at r = 1000: every step must stay on the sparse
         # bordered solve, with no dense SVD, QZ or bordered solve
-        r = 1000
-        base = dt.rand_ddae(r, 700, 2e-3, 2, 11)
-        zero = sparse.csr_array((r, r))
-        slopes = dt.ModelDerivatives(
-            zero, 0.6 * (base.A0 + 3.0 * sparse.eye_array(r)), [zero] * 2
-        )
-        fam = dt.AffineFamily(base, slopes, p_range=(0.0, 1.0))
+        fam = drifting_family(1000, 700, 2e-3, 2, 11, 0.6)
         pairs = dt.spectrum_at(fam, 0.0, N=6, shift=0j, count=6)
         seed = max((e for e in pairs if abs(e.s.imag) < 1e-8),
                    key=lambda e: e.s.real)
@@ -297,3 +303,121 @@ class TestRegimeFamilyMismatch:
                                regime="delay_param", p_fin=2.0)
         with pytest.raises(ConfigurationError):
             dt.track_run(fam, initial, opts)
+
+
+@pytest.fixture(scope="module")
+def sparse_sweep():
+    """A 12-step sweep of a complex pair at r = 300, where P is csr."""
+    fam = drifting_family(300, 210, 0.02, 2, 5, 0.2)
+    assert fam.evaluate(0.0).r >= DENSE_MAX_DIM
+    pairs = dt.spectrum_at(fam, 0.0, N=8, shift=-1.0 + 1.0j, count=6)
+    seed = min((e for e in pairs if e.s.imag > 1e-8),
+               key=lambda e: abs(e.s - (-1.0 + 1.0j)))
+    initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi,
+                                           seed.residual)
+    return fam, initial
+
+
+def sparse_coalescing_family():
+    """The 2 x 2 coalescing companion family (eigenvalues -1 +/- sqrt(p -
+    1)) padded with DENSE_MAX_DIM - 2 modes at -5, so P is sparse."""
+    r = DENSE_MAX_DIM
+    A0 = sparse.lil_array(-5.0 * sparse.eye_array(r))
+    A0[0, 0], A0[0, 1], A0[1, 0], A0[1, 1] = 0.0, 1.0, -2.0, -2.0
+    slope = sparse.lil_array((r, r))
+    slope[1, 0] = 1.0
+    zero = sparse.csr_array((r, r))
+    base = dt.DelayedLinearModel(sparse.eye_array(r, format="csr"),
+                                 sparse.csr_array(A0))
+    slopes = dt.ModelDerivatives(zero, sparse.csr_array(slope), [])
+    return dt.AffineFamily(base, slopes, (0.2, 1.8))
+
+
+def sparse_coalescing_state(family, p, s):
+    phi = np.zeros(DENSE_MAX_DIM, dtype=complex)
+    phi[:2] = 1.0, s
+    ref = dt.refine_newton(family.split_form(p), s, phi, tol=1e-12)
+    return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
+
+
+class TestHeldFactor:
+    """A sweep keeps one sparse LU across its stages, steps and corrector
+    iterations, and refactors only when refinement on it cannot work."""
+
+    def test_sweep_factors_fewer_times_than_it_steps(self, sparse_sweep,
+                                                      factor_count):
+        fam, initial = sparse_sweep
+        opts = dt.TrackOptions(dp=1e-3, corrector_every=5, p_fin=1.2e-2)
+        before = factor_count()
+        traj = dt.track_run(fam, initial, opts)
+        steps = len(traj.samples) - 1
+        assert steps == 12 and not traj.truncated and not traj.events
+        assert factor_count() - before < steps
+        for st in traj.samples[::opts.corrector_every] + traj.samples[-1:]:
+            assert st.residual <= opts.corrector_tol
+
+    @pytest.mark.parametrize("method", ["euler", "heun", "rk4"])
+    def test_sweep_matches_fresh_factors(self, sparse_sweep, monkeypatch,
+                                         method):
+        fam, initial = sparse_sweep
+        opts = dt.TrackOptions(dp=1e-3, method=method, corrector_every=5,
+                               p_fin=1.2e-2)
+        held = dt.track_run(fam, initial, opts)
+        solve = spectral.bordered_solve
+
+        def fresh(P, w, phi, f, t, held=None):
+            if held is not None:
+                held.lu = None
+            return solve(P, w, phi, f, t, held)
+
+        monkeypatch.setattr(spectral, "bordered_solve", fresh)
+        ref = dt.track_run(fam, initial, opts)
+        assert len(held.samples) == len(ref.samples) == 13
+        for a, b in zip(held.samples, ref.samples):
+            assert abs(a.s - b.s) <= 1e-10 * abs(b.s)
+            assert np.linalg.norm(a.phi - b.phi) <= 1e-10 * np.linalg.norm(
+                b.phi)
+
+    def test_conjugate_fold_is_flagged(self, factor_count):
+        fam = sparse_coalescing_family()
+        initial = sparse_coalescing_state(fam, 0.5, -1.0 + np.sqrt(0.5) * 1j)
+        dp = 1e-3
+        opts = dt.TrackOptions(dp=dp, corrector_every=10, p_fin=1.5)
+        traj = dt.track_run(fam, initial, opts)
+        folds = [ev for ev in traj.events if ev.kind == "fold"]
+        assert folds and abs(folds[0].p - 1.0) <= 2 * dp
+        assert traj.truncated
+        assert factor_count() < len(traj.samples) - 1
+
+    def test_real_branch_into_fold_truncates(self):
+        fam = sparse_coalescing_family()
+        p0, dp, every = 1.5, 1e-3, 10
+        initial = sparse_coalescing_state(fam, p0, -1.0 + np.sqrt(0.5))
+        opts = dt.TrackOptions(dp=dp, corrector_every=every, p_fin=0.5)
+        traj = dt.track_run(fam, initial, opts)
+        assert traj.truncated
+        failures = [ev for ev in traj.events
+                    if ev.kind in ("fold", "corrector_fail")]
+        assert failures
+        assert min(traj.ps) >= 1.0 - (every + 1) * dp
+        for st in traj.samples[:failures[0].index][::every]:
+            assert st.residual <= opts.corrector_tol
+
+
+def test_real_branch_stays_exactly_real():
+    # a real eigenvalue seeded with roundoff-sized imaginary parts is
+    # tracked from its real parts, so Im s and phi_i stay exactly 0
+    # instead of shrinking into subnormal arithmetic
+    fam = drifting_family(100, 70, 0.02, 2, 11, 0.6)
+    pairs = dt.spectrum_at(fam, 0.0, N=8, shift=0j, count=6)
+    seed = max((e for e in pairs if abs(e.s.imag) <= 1e-8),
+               key=lambda e: e.s.real)
+    assert seed.s.imag != 0.0 or np.any(seed.phi.imag != 0.0)
+    initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi,
+                                           seed.residual)
+    opts = dt.TrackOptions(dp=5e-3, corrector_every=10, p_fin=1.0)
+    traj = dt.track_run(fam, initial, opts)
+    assert not traj.truncated
+    assert traj.samples[-1].s.imag == 0.0
+    assert all(not st.phi_i.any() for st in traj.samples)
+    assert traj.samples[-1].residual <= opts.corrector_tol
