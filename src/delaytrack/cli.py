@@ -31,7 +31,8 @@ from .errors import (
     RangeError,
 )
 from .manifest import load_manifest, write_model_bundle
-from .track import TrackEvent, TrackState, Trajectory, find_crossing, track_run
+from .track import (INTEGRATORS, TrackEvent, TrackState, Trajectory,
+                    find_crossing, track_run)
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
@@ -71,10 +72,7 @@ def read_trajectory_csv(fh):
         if not row:
             continue
         p, s_r, s_i, residual = (float(v) for v in row[:4])
-        traj.samples.append(
-            TrackState(p=p, phi_r=empty, phi_i=empty, s_r=s_r, s_i=s_i,
-                       residual=residual)
-        )
+        traj.samples.append(TrackState(p, complex(s_r, s_i), empty, residual))
         for kind in filter(None, row[4].split(";")):
             traj.events.append(
                 TrackEvent(kind=kind, p=p, s=complex(s_r, s_i), index=i)
@@ -267,7 +265,7 @@ def cmd_gen(args):
 
 def _add_track_flags(p):
     p.add_argument("--dp", type=float, default=None, help="step size")
-    p.add_argument("--method", choices=("euler", "heun", "rk4"), default=None)
+    p.add_argument("--method", choices=INTEGRATORS, default=None)
     p.add_argument("--corrector-every", type=int, default=None,
                    dest="corrector_every")
     p.add_argument("--tol", type=float, default=None,

@@ -5,14 +5,16 @@ eigenvector normalization phi^T phi = 1 yields the complex bordered system
 
     [[P(s), P'(s) phi], [phi^T, 0]] [dphi/dp; ds/dp] = [-(dP/dp) phi; 0],
 
-whose real/imaginary split is the ODE M(y) dy/dp = h(y) in
-y = (phi_r, phi_i, s_r, s_i).  One assembly, :func:`assemble`, builds the
-complex pieces P(s), P'(s) phi and -(dP/dp) phi from a
-:class:`charfun.SplitForm`, for constant delays, a delay magnitude acting
-as the parameter and a WAMS-shaped delay alike.  The run takes each form
-from ``family.split_form(p, options.wams)``, so no model is rebuilt per
-step; the declared regime is only checked against the form.  Every
-integrator stage solves the bordered system with
+an ODE in the complex eigenpair (phi, s) itself, which is the continuation
+state.  Its real split M(y) dy/dp = h(y) in y = (phi_r, phi_i, s_r, s_i),
+the form the paper writes, is kept as :attr:`ContinuationSystem.M` and
+:attr:`ContinuationSystem.h` for checking; the sweep never builds it.
+One assembly, :func:`assemble`, builds the complex pieces P(s), P'(s) phi
+and -(dP/dp) phi from a :class:`charfun.SplitForm`, for constant delays, a
+delay magnitude acting as the parameter and a WAMS-shaped delay alike.  The
+run takes each form from ``family.split_form(p, options.wams)``, so no
+model is rebuilt per step; the declared regime is only checked against the
+form.  Every integrator stage solves the bordered system with
 :func:`spectral.bordered_solve` -- the same solve the bordered Newton
 corrector takes: a sparse LU of the r x r complex P(s), a scalar Schur
 complement on the border and iterative refinement against the exact
@@ -20,10 +22,11 @@ bordered residual.  Consecutive P(s, p) differ by O(dp), so one sweep (and
 one crossing search) keeps a single :class:`spectral.HeldFactor` for all
 its stages, steps and corrector iterations, and refactors only when
 refinement on the held LU stops contracting fast enough.
-The sweep advances y with explicit integrators, optionally re-polished by
-the Newton corrector at fixed p, while watching for conjugate-pair folds and
-real-axis crossings.  A real eigenpair (real to roundoff) is tracked from
-its real parts, so it stays exactly real.
+The sweep advances (phi, s) with one explicit Runge-Kutta loop over the
+table of Euler, Heun and RK4, optionally re-polished by the Newton
+corrector at fixed p, while watching for conjugate-pair folds and real-axis
+crossings.  A real eigenpair (real to roundoff) is tracked from its real
+parts, so it stays exactly real.
 """
 
 from __future__ import annotations
@@ -45,7 +48,15 @@ from .errors import (
 )
 
 REGIMES = ("single", "multi", "delay_param", "wams")
-INTEGRATORS = ("euler", "heun", "rk4")
+# explicit Runge-Kutta schemes (stage offsets, weights, divisor): stage i + 1
+# starts at p + offset_i dp from the slope of stage i, and the step adds
+# dp / divisor times the weighted sum of the stage slopes
+_SCHEMES = {
+    "euler": ((), (1,), 1),
+    "heun": ((1,), (1, 1), 2),
+    "rk4": ((0.5, 0.5, 1), (1, 2, 2, 1), 6),
+}
+INTEGRATORS = tuple(_SCHEMES)
 EVENT_KINDS = ("fold", "axis_crossing", "reinit", "corrector_fail")
 
 # candidates within this overlap margin of the best are tie-broken on Re(s)
@@ -55,38 +66,34 @@ _OVERLAP_MIN = 0.5
 
 @dataclass(frozen=True)
 class TrackState:
-    """Real continuation vector (phi_r, phi_i, s_r, s_i) at one p."""
+    """The continuation state: the complex eigenpair (s, phi) at one p,
+    with ``phi`` copied to a complex 1-D array on construction."""
 
     p: float
-    phi_r: np.ndarray
-    phi_i: np.ndarray
-    s_r: float
-    s_i: float
+    s: complex
+    phi: np.ndarray
     residual: float = math.nan
 
-    @property
-    def s(self):
-        return complex(self.s_r, self.s_i)
+    def __post_init__(self):
+        object.__setattr__(self, "s", complex(self.s))
+        object.__setattr__(self, "phi",
+                           np.array(self.phi, dtype=complex).ravel())
 
     @property
-    def phi(self):
-        return self.phi_r + 1j * self.phi_i
+    def s_r(self):
+        return self.s.real
+
+    @property
+    def s_i(self):
+        return self.s.imag
 
     @property
     def r(self):
-        return self.phi_r.size
+        return self.phi.size
 
     @classmethod
     def from_eigenpair(cls, p, s, phi, residual=math.nan):
-        phi = np.asarray(phi, dtype=complex).ravel()
-        return cls(
-            p=float(p),
-            phi_r=phi.real.copy(),
-            phi_i=phi.imag.copy(),
-            s_r=float(np.real(s)),
-            s_i=float(np.imag(s)),
-            residual=float(residual),
-        )
+        return cls(float(p), s, phi, float(residual))
 
 
 @dataclass
@@ -104,10 +111,6 @@ class ContinuationSystem:
     w: np.ndarray
     g: np.ndarray
     phi: np.ndarray
-
-    @property
-    def r(self):
-        return self.phi.size
 
     @property
     def M(self):
@@ -218,70 +221,39 @@ def assemble(form, state):
     )
 
 
-def _solve_system(system, held=None):
-    """Real slope dy/dp = (dphi_r, dphi_i, ds_r, ds_i) of the sweep ODE."""
+def _slope(system, held):
+    """Slope d(phi, s)/dp of the continuation ODE, as one complex vector."""
     x, ds = spectral.bordered_solve(
         system.P, system.w, system.phi, system.g, 0.0, held
     )
-    return np.concatenate([x.real, x.imag, [ds.real, ds.imag]])
+    return np.concatenate((x, [ds]))
 
 
-def _state_vector(state):
-    return np.concatenate(
-        [state.phi_r, state.phi_i, [state.s_r, state.s_i]]
-    )
+def integrate_step(assemble, state, dp, method="euler", held=None):
+    """Advance the complex eigenpair (phi, s) of ``state`` by one explicit
+    Runge-Kutta step of size ``dp``.
 
-
-def _vector_state(p, y, r, residual=math.nan):
-    return TrackState(
-        p=float(p),
-        phi_r=y[:r].copy(),
-        phi_i=y[r:2 * r].copy(),
-        s_r=float(y[2 * r]),
-        s_i=float(y[2 * r + 1]),
-        residual=residual,
-    )
-
-
-def integrate_step(system, state, dp, method="euler", assemble=None,
-                   held=None):
-    """Advance the continuation state by one step of size ``dp``.
-
-    ``assemble`` maps an intermediate TrackState to a fresh
-    ContinuationSystem and is required for the multi-stage methods.  Every
-    stage solves on the factor in ``held`` (a :class:`spectral.HeldFactor`)
-    when one is given.
+    ``method`` names a scheme of :data:`INTEGRATORS` (Euler, Heun or RK4);
+    an unknown name raises :class:`ConfigurationError`.  ``assemble`` maps
+    a TrackState to its ContinuationSystem and is called once per stage;
+    each stage after the first starts from the slope of the one before.
+    Every stage solves on the factor in ``held`` (a
+    :class:`spectral.HeldFactor`) when one is given.
     """
-    r = system.r
-    y = _state_vector(state)
-    k1 = _solve_system(system, held)
-    if method == "euler":
-        y_new = y + dp * k1
-    elif method in ("heun", "rk4"):
-        if assemble is None:
-            raise ConfigurationError(
-                f"{method} needs an assembly callback for internal stages"
-            )
-        if method == "heun":
-            k2 = _solve_system(
-                assemble(_vector_state(state.p + dp, y + dp * k1, r)), held
-            )
-            y_new = y + (dp / 2.0) * (k1 + k2)
-        else:
-            half = state.p + dp / 2.0
-            k2 = _solve_system(
-                assemble(_vector_state(half, y + (dp / 2.0) * k1, r)), held
-            )
-            k3 = _solve_system(
-                assemble(_vector_state(half, y + (dp / 2.0) * k2, r)), held
-            )
-            k4 = _solve_system(
-                assemble(_vector_state(state.p + dp, y + dp * k3, r)), held
-            )
-            y_new = y + (dp / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ConfigurationError(f"unknown integrator {method!r}")
-    return _vector_state(state.p + dp, y_new, r, residual=state.residual)
+    try:
+        offsets, weights, divisor = _SCHEMES[method]
+    except KeyError:
+        raise ConfigurationError(f"unknown integrator {method!r}") from None
+    y = np.concatenate((state.phi, [state.s]))
+    k = _slope(assemble(state), held)
+    total = weights[0] * k
+    for a, w in zip(offsets, weights[1:]):
+        y_a = y + (a * dp) * k
+        k = _slope(assemble(TrackState(state.p + a * dp, y_a[-1], y_a[:-1])),
+                   held)
+        total = total + w * k
+    y = y + (dp / divisor) * total
+    return TrackState(state.p + dp, y[-1], y[:-1], state.residual)
 
 
 def detect_fold(window, fold_eps):
@@ -413,10 +385,8 @@ def track_run(family, initial, options):
 
         new_state = None
         try:
-            new_state = integrate_step(
-                assemble_at(state), state, dp_k, options.method,
-                assemble=assemble_at, held=held,
-            )
+            new_state = integrate_step(assemble_at, state, dp_k,
+                                       options.method, held)
             if last:
                 new_state = replace(new_state, p=p_fin)
             form_new = family.split_form(new_state.p, wams)
@@ -497,7 +467,7 @@ def _handle_fold(family, traj, options):
 def _real_to_roundoff(state):
     return (
         abs(state.s_i) <= 1e-12 * max(1.0, abs(state.s))
-        and np.linalg.norm(state.phi_i) <= 1e-12 * np.linalg.norm(state.phi)
+        and np.linalg.norm(state.phi.imag) <= 1e-12 * np.linalg.norm(state.phi)
     )
 
 
@@ -508,7 +478,7 @@ def _real_if_roundoff(state):
     would shrink geometrically into subnormal arithmetic."""
     if not _real_to_roundoff(state):
         return state
-    return replace(state, phi_i=np.zeros_like(state.phi_i), s_i=0.0)
+    return replace(state, s=state.s.real, phi=state.phi.real)
 
 
 def find_crossing(family, trajectory, options):
@@ -540,7 +510,8 @@ def find_crossing(family, trajectory, options):
                 break
             pm = 0.5 * (lo.p + hi.p)
             warm = lo if abs(pm - lo.p) <= abs(pm - hi.p) else hi
-            s0, phi0 = (warm.s_r, warm.phi_r) if real else (warm.s, warm.phi)
+            s0, phi0 = ((warm.s.real, warm.phi.real) if real
+                        else (warm.s, warm.phi))
             ref = spectral.refine_newton(
                 family.split_form(pm, options.wams), s0, phi0,
                 tol=options.corrector_tol, held=held,

@@ -210,6 +210,14 @@ def complex_split_oracle(model, derivs, state, regime, delay_index=None,
     return M, h
 
 
+def real_slope(system):
+    """Real split (dphi_r, dphi_i, ds_r, ds_i) of the continuation slope
+    that ``spectral.bordered_solve`` returns for ``system``."""
+    x, ds = spectral.bordered_solve(system.P, system.w, system.phi,
+                                    system.g, 0.0)
+    return np.concatenate([x.real, x.imag, [ds.real, ds.imag]])
+
+
 def system_as_dense(system):
     M = system.M
     return (M.toarray() if hasattr(M, "toarray") else np.asarray(M)), system.h

@@ -1,8 +1,9 @@
 """The bordered solve behind every continuation step and Newton step.
 
 ``bordered_solve`` factors only the r x r complex P; these tests hold it to
-a dense solve of the full bordered matrix and, through ``_solve_system``,
-to a sparse LU of the real split M that the continuation ODE is written in.
+a dense solve of the full bordered matrix and, through
+``conftest.real_slope``, to a sparse LU of the real split M that the
+continuation ODE is written in.
 """
 
 import logging
@@ -23,12 +24,12 @@ from delaytrack.errors import (
 from delaytrack import charfun
 from delaytrack.charfun import DENSE_MAX_DIM
 from delaytrack.spectral import _factor, bordered_solve, refined_eigenpairs
-from delaytrack.track import _solve_system
 
 from conftest import (
     complex_split_oracle,
     random_model_with_derivatives,
     random_state,
+    real_slope,
 )
 
 
@@ -325,7 +326,7 @@ class TestSparseSlope:
         for st in states:
             sys_ = assemble(regime, model, derivs, st, kw)
             assert sparse.issparse(sys_.P)
-            dy = _solve_system(sys_)
+            dy = real_slope(sys_)
             split = splu(sys_.M.tocsc()).solve(sys_.h)
             assert np.abs(dy - split).max() <= 1e-12 * np.abs(split).max()
             M, h = complex_split_oracle(model, derivs, st, regime, **kw)

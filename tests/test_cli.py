@@ -96,6 +96,16 @@ class TestLoadManifest:
         bad = new.splitlines()[-1]
         assert info.value.line == text.splitlines().index(bad) + 1
 
+    def test_unknown_method_reported(self, tmp_path):
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        path.write_text(
+            path.read_text().replace("method = euler", "method = midpoint")
+        )
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "bad-track-options"
+
     def test_regime_delay_index_must_match_the_family(self, tmp_path):
         model = dt.DelayedLinearModel(
             np.eye(2), -np.eye(2), [(0.5, 0.1 * np.eye(2)), (1.0, np.eye(2))]

@@ -96,8 +96,7 @@ class TestCompareTrajectory:
         traj, opts = self.run_hayes(hayes_family)
         for i, st in enumerate(traj.samples):
             traj.samples[i] = dt.TrackState(
-                p=st.p, phi_r=st.phi_r, phi_i=st.phi_i,
-                s_r=st.s_r + 0.1, s_i=st.s_i, residual=st.residual,
+                p=st.p, s=st.s + 0.1, phi=st.phi, residual=st.residual,
             )
         report = dt.compare_trajectory(traj, hayes_family,
                                        checkpoint_count=5, options=opts)

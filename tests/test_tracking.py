@@ -8,7 +8,12 @@ from delaytrack import spectral
 from delaytrack.charfun import DENSE_MAX_DIM
 from delaytrack.errors import ConfigurationError
 
-from conftest import quadratic_eigenvalue
+from conftest import (
+    quadratic_eigenvalue,
+    random_model_with_derivatives,
+    random_state,
+    system_as_dense,
+)
 
 
 def hayes_initial(family, p=1.0):
@@ -37,10 +42,10 @@ class TestIntegrateStep:
     def test_zero_rhs_keeps_state(self):
         sys_ = unit_system(g=np.zeros(1, dtype=complex))
         st = dt.TrackState.from_eigenpair(0.0, -1.0 + 2.0j, [1.0 + 0j])
-        out = dt.integrate_step(sys_, st, 0.25, "euler")
+        out = dt.integrate_step(lambda _: sys_, st, 0.25, "euler")
         assert out.p == 0.25
         assert out.s == st.s
-        np.testing.assert_array_equal(out.phi_r, st.phi_r)
+        np.testing.assert_array_equal(out.phi.real, st.phi.real)
 
     def test_linear_eigenvalue_exact_euler(self):
         # E = [[1]], A0(p) = [[-p]]: eigenvalue s(p) = -p, slope exactly -1
@@ -50,15 +55,60 @@ class TestIntegrateStep:
         st = dt.TrackState.from_eigenpair(1.0, -1.0 + 0j, [1.0 + 0j])
         form = dt.split_form(fam.evaluate(1.0), fam.derivative(1.0))
         sys_ = dt.assemble(form, st)
-        out = dt.integrate_step(sys_, st, 0.1, "euler")
+        out = dt.integrate_step(lambda _: sys_, st, 0.1, "euler")
         assert out.s_r == pytest.approx(-1.1, abs=1e-14)
         assert out.s_i == pytest.approx(0.0, abs=1e-14)
 
-    def test_multistage_needs_callback(self):
+    def test_unknown_method_rejected(self):
         sys_ = unit_system(g=np.zeros(1, dtype=complex))
         st = dt.TrackState.from_eigenpair(0.0, 1j, [1.0 + 0j])
         with pytest.raises(ConfigurationError):
-            dt.integrate_step(sys_, st, 0.1, "rk4")
+            dt.integrate_step(lambda _: sys_, st, 0.1, "midpoint")
+        with pytest.raises(ConfigurationError):
+            dt.TrackOptions(method="midpoint")
+
+    @pytest.mark.parametrize("r", [5, DENSE_MAX_DIM], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("method", ["euler", "heun", "rk4"])
+    def test_stages_match_real_split(self, method, r):
+        # one step against the real-split formulas y = (phi_r, phi_i, s_r,
+        # s_i), M(y) dy/dp = h(y), each stage a dense solve of M and h
+        model, derivs = random_model_with_derivatives(r, 2, seed=40 + r,
+                                                      density=0.02)
+        fam = dt.AffineFamily(model, derivs, (0.0, 1.0))
+        state = random_state(r, seed=41, p=0.4)
+        dp = 0.05
+
+        def assemble_at(st):
+            return dt.assemble(fam.split_form(st.p), st)
+
+        def slope(p, y):
+            st = dt.TrackState(p, complex(y[2 * r], y[2 * r + 1]),
+                               y[:r] + 1j * y[r:2 * r])
+            M, h = system_as_dense(assemble_at(st))
+            return np.linalg.solve(M, h)
+
+        assert sparse.issparse(assemble_at(state).P) == (r == DENSE_MAX_DIM)
+        p = state.p
+        y = np.concatenate([state.phi.real, state.phi.imag,
+                            [state.s.real, state.s.imag]])
+        k1 = slope(p, y)
+        if method == "euler":
+            step = dp * k1
+        elif method == "heun":
+            k2 = slope(p + dp, y + dp * k1)
+            step = (dp / 2.0) * (k1 + k2)
+        else:
+            half = p + dp / 2.0
+            k2 = slope(half, y + (dp / 2.0) * k1)
+            k3 = slope(half, y + (dp / 2.0) * k2)
+            k4 = slope(p + dp, y + dp * k3)
+            step = (dp / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        out = dt.integrate_step(assemble_at, state, dp, method)
+        got = np.concatenate([out.phi.real, out.phi.imag,
+                              [out.s.real, out.s.imag]]) - y
+        assert out.p == p + dp
+        assert np.abs(got - step).max() <= 1e-12 * np.abs(step).max()
 
 
 class TestTrackRun:
@@ -404,9 +454,11 @@ class TestHeldFactor:
             assert st.residual <= opts.corrector_tol
 
 
-def test_real_branch_stays_exactly_real():
+@pytest.mark.parametrize("method", ["euler", "heun", "rk4"])
+def test_real_branch_stays_exactly_real(method):
     # a real eigenvalue seeded with roundoff-sized imaginary parts is
-    # tracked from its real parts, so Im s and phi_i stay exactly 0
+    # tracked from its real parts, so Im s and Im phi stay exactly 0
+    # through every stage of every integrator
     # instead of shrinking into subnormal arithmetic
     fam = drifting_family(100, 70, 0.02, 2, 11, 0.6)
     pairs = dt.spectrum_at(fam, 0.0, N=8, shift=0j, count=6)
@@ -415,9 +467,10 @@ def test_real_branch_stays_exactly_real():
     assert seed.s.imag != 0.0 or np.any(seed.phi.imag != 0.0)
     initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi,
                                            seed.residual)
-    opts = dt.TrackOptions(dp=5e-3, corrector_every=10, p_fin=1.0)
+    opts = dt.TrackOptions(dp=5e-3, method=method, corrector_every=10,
+                           p_fin=1.0)
     traj = dt.track_run(fam, initial, opts)
     assert not traj.truncated
     assert traj.samples[-1].s.imag == 0.0
-    assert all(not st.phi_i.any() for st in traj.samples)
+    assert all(not st.phi.imag.any() for st in traj.samples)
     assert traj.samples[-1].residual <= opts.corrector_tol
