@@ -32,10 +32,6 @@ class DefectiveEigenvalueError(DelayTrackError):
 class SingularSystemError(DelayTrackError):
     """Bordered continuation system is singular or gave a nonfinite slope."""
 
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
 
 class ReinitializationError(DelayTrackError):
     """No recomputed eigenpair overlaps the tracked branch."""

@@ -5,14 +5,16 @@ delay interval [-tau_max, 0] at Chebyshev-Gauss-Lobatto nodes.  Values of
 the solution segment at the nodes satisfy a generalized linear eigenproblem
 (SigmaA, SigmaE): interior block rows impose the spectral differentiation
 operator, and the endpoint block row imposes the DDAE itself with delayed
-values recovered by barycentric interpolation.  The pencil is held as its
-collocation data and its matrices are assembled only for dense QZ below
-``charfun.DENSE_MAX_DIM``; above it, shift-invert Arnoldi eliminates the
-interior rows with an N x N solve and factors only the r x r collocated
-characteristic matrix, which has the split form and sparsity pattern of
-P(sigma) (the structure behind infinite Arnoldi).  Candidate eigenpairs are
-then polished on the exact nonlinear P by a bordered Newton iteration;
-:func:`refined_eigenpairs` is that whole pipeline.
+values recovered by barycentric interpolation.  The pencil is built from
+a :class:`charfun.SplitForm` alone (its delays and its weighted slots at
+its p) and held as its collocation data; its matrices are assembled only
+for dense QZ below ``charfun.DENSE_MAX_DIM``; above it, shift-invert
+Arnoldi eliminates the interior rows with an N x N solve and factors only
+the r x r collocated characteristic matrix, which has the split form and
+sparsity pattern of P(sigma) (the structure behind infinite Arnoldi).
+Candidate eigenpairs are then polished on the exact nonlinear P by a
+bordered Newton iteration; :func:`refined_eigenpairs` is that whole
+pipeline.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
     NonConvergenceError,
     SingularSystemError,
 )
-from .model import DelayedLinearModel
 
 log = logging.getLogger("delaytrack")
 
@@ -67,19 +68,20 @@ HELD_SOLVES = 20
 
 @dataclass
 class DiscretizedPencil:
-    """Collocation of ``model`` at polynomial degree N, held as its data.
+    """Collocation of a split form at polynomial degree N, held as its data.
 
     The generalized pair (SigmaA, SigmaE) acts on the stacked values of the
     solution segment at the ``nodes`` (block k at ``nodes[k]``; the segment
     endpoint theta = 0 is block 0).  Its interior block rows are
     (Dt[1:, :] - s [0 I]) kron I_r, with ``Dt`` the scaled differentiation
     matrix, and its endpoint block row is A0 - s E + sum_j A_j (l_j kron I),
-    with ``delay_rows[j]`` = l_j the barycentric row of delay j.  The
-    matrices ``SigmaA``/``SigmaE`` are assembled on access only; the
-    shift-invert solve and the residual never form them.
+    over the form's weighted ``slots`` (E, A0, A_1, ..., A_mu), csr, with
+    ``delay_rows[j]`` = l_j the barycentric row of delay j.  The matrices
+    ``SigmaA``/``SigmaE`` are assembled on access only; the shift-invert
+    solve and the residual never form them.
     """
 
-    model: DelayedLinearModel
+    slots: tuple
     N: int
     nodes: np.ndarray
     Dt: np.ndarray
@@ -87,7 +89,7 @@ class DiscretizedPencil:
 
     @property
     def r(self):
-        return self.model.r
+        return self.slots[0].shape[0]
 
     @property
     def dim(self):
@@ -95,27 +97,22 @@ class DiscretizedPencil:
 
     @property
     def SigmaA(self):
-        m, N = self.model, self.N
-        if N == 0:
-            return m.A0.copy()
         # Dt[1:] kron I below, and e_0 (e_0 kron A0 + sum_j l_j kron A_j)
         # on top, each added as one Kronecker product
-        rows = np.zeros((m.mu + 1, N + 1, N + 1))
+        rows = np.zeros((len(self.slots) - 1, self.N + 1, self.N + 1))
         rows[0, 0, 0] = 1.0
         rows[1:, 0, :] = self.delay_rows
         interior = self.Dt.copy()
         interior[0] = 0.0
         out = sparse.kron(interior, sparse.eye_array(self.r))
-        for row, A in zip(rows, [m.A0] + [A for _, A in m.delay_terms]):
+        for row, A in zip(rows, self.slots[1:]):
             out = out + sparse.kron(row, A)
         return sparse.csr_array(out)
 
     @property
     def SigmaE(self):
-        if self.N == 0:
-            return self.model.E.copy()
         identity = sparse.eye_array(self.N * self.r)
-        return sparse.csr_array(sparse.block_diag([self.model.E, identity]))
+        return sparse.csr_array(sparse.block_diag([self.slots[0], identity]))
 
 
 @dataclass
@@ -157,36 +154,42 @@ def _barycentric_row(nodes, t):
     return q / q.sum()
 
 
-def discretize(model, N):
-    """Collocation pencil of ``model`` with polynomial degree ``N``.
+def discretize(form, N):
+    """Collocation pencil of the split form ``form`` at polynomial degree
+    ``N``, holding the form's weighted slots at its p as csr.
 
-    A delay-free model with N = 0 reduces to the pair (A0, E).  Models with
+    A delay-free form with N = 0 reduces to the pair (A0, E).  Forms with
     delays need N >= 2.
     """
-    if model.mu > 0 and N < 2:
+    if form.mu > 0 and N < 2:
         raise ConfigurationError(
-            f"N={N} cannot resolve {model.mu} delay term(s); need N >= 2"
+            f"N={N} cannot resolve {form.mu} delay term(s); need N >= 2"
         )
-    span = model.tau_max if model.mu else 1.0
+    span = max(form.taus) if form.mu else 1.0
     x, D = cheb_points_diff(N)
     nodes = (x - 1.0) * span / 2.0  # theta_0 = 0, theta_N = -span
     # endpoint block row: s E x(0) = A0 x(0) + sum_j A_j x(-tau_j), with
     # x(-tau_j) interpolated from the nodes;
     # interior block rows: s x(theta_k) = sum_m Dt[k, m] x(theta_m)
-    rows = [_barycentric_row(nodes, -tau) for tau in model.taus]
+    rows = [_barycentric_row(nodes, -tau) for tau in form.taus]
+    # slot k of P at this p: sum_j weights[j] M_{j,k}
+    slots = tuple(
+        sparse.csr_array(charfun.eval_P(form.slots, np.kron(form.weights, e)))
+        for e in np.eye(form.mu + 2)
+    )
     return DiscretizedPencil(
-        model=model, N=N, nodes=nodes, Dt=D * (2.0 / span),
-        delay_rows=np.array(rows).reshape(model.mu, N + 1),
+        slots=slots, N=N, nodes=nodes, Dt=D * (2.0 / span),
+        delay_rows=np.array(rows).reshape(form.mu, N + 1),
     )
 
 
 def _pencil_residual(pencil, s, v):
     """||(SigmaA - s SigmaE) v|| / ||v|| by block products."""
-    m = pencil.model
+    E, A0, *delayed = pencil.slots
     V = v.reshape(pencil.N + 1, pencil.r)
     w = pencil.Dt @ V - s * V
-    w[0] = m.A0 @ V[0] - s * (m.E @ V[0])
-    for (_, A), row in zip(m.delay_terms, pencil.delay_rows):
+    w[0] = A0 @ V[0] - s * (E @ V[0])
+    for A, row in zip(delayed, pencil.delay_rows):
         w[0] += A @ (row @ V)
     return float(np.linalg.norm(w) / np.linalg.norm(v))
 
@@ -204,16 +207,15 @@ def solve_discretized(pencil, shift, count, tol=0.0):
     """
     if count < 1:
         raise ConfigurationError("count must be at least 1")
-    n = pencil.dim
     shift = complex(shift)
-    if n < charfun.DENSE_MAX_DIM:
+    if pencil.dim < charfun.DENSE_MAX_DIM:
         w, V = la.eig(pencil.SigmaA.toarray(), pencil.SigmaE.toarray())
-        keep = np.isfinite(w) & (np.abs(w) <= INFINITE_EIGENVALUE_THRESHOLD)
-        w, V = w[keep], V[:, keep]
-        order = np.argsort(np.abs(w - shift))[:count]
-        w, V = w[order], V[:, order]
     else:
         w, V = _shift_invert(pencil, shift, count, tol)
+    keep = np.isfinite(w) & (np.abs(w) <= INFINITE_EIGENVALUE_THRESHOLD)
+    w, V = w[keep], V[:, keep]
+    order = np.argsort(np.abs(w - shift))[:count]
+    w, V = w[order], V[:, order]
     pairs = [
         Eigenpair(complex(s), v.copy(), _pencil_residual(pencil, s, v))
         for s, v in zip(w, V.T)
@@ -237,9 +239,12 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
     y_0 = -P_N(sigma)^-1 (E x_0 - sum_j A_j l_j[1:] W).  P_N is factored
     once by :func:`_factor`, whose zero-pivot nudge covers a shift that
     lands on an eigenvalue.  ARPACK stops at the relative accuracy ``tol``
-    of the Ritz values (0: machine precision).
+    of the Ritz values (0: machine precision).  Returns the eigenvalues
+    sigma + 1/mu of the Ritz values mu, inf where mu is tiny (an infinite
+    mode), and the Ritz vectors.
     """
-    m, N, r = pencil.model, pencil.N, pencil.r
+    N, r = pencil.N, pencil.r
+    E, _, *delayed = pencil.slots
     try:
         # N x N: applying the inverse to N x r blocks is many times
         # cheaper than a solve against them
@@ -252,19 +257,17 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
     g = Kinv @ pencil.Dt[1:, 0]
     L = pencil.delay_rows[:, 1:]
     a = pencil.delay_rows[:, 0] - L @ g
-    mats = [m.E, m.A0] + [A for _, A in m.delay_terms]
     try:
-        lu = _factor(charfun.eval_P(mats, [sigma, -1.0, *(-a)]))
+        lu = _factor(charfun.eval_P(pencil.slots, [sigma, -1.0, *(-a)]))
     except SingularSystemError as exc:
         raise NonConvergenceError(
             f"collocated characteristic matrix singular at sigma={sigma}"
         ) from exc
-    delayed = mats[2:]
 
     def solve(x):
         X = x.reshape(N + 1, r)
         W = Kinv @ X[1:]
-        rhs = m.E @ X[0]
+        rhs = E @ X[0]
         for A, z in zip(delayed, L @ W):
             rhs = rhs - A @ z
         y0 = -lu.solve(rhs)
@@ -285,9 +288,7 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
             f"Arnoldi iteration did not converge: {exc}"
         ) from exc
     small = np.abs(mu) < 1.0 / INFINITE_EIGENVALUE_THRESHOLD
-    w = np.where(small, np.inf, sigma + 1.0 / np.where(small, 1.0, mu))
-    keep = np.isfinite(w) & (np.abs(w) <= INFINITE_EIGENVALUE_THRESHOLD)
-    return w[keep], V[:, keep]
+    return np.where(small, np.inf, sigma + 1.0 / np.where(small, 1.0, mu)), V
 
 
 def lift_eigenvector(pencil, v):
@@ -560,21 +561,17 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
     """Newton-refined eigenpairs of the split form ``form`` from a
     collocation pencil.
 
-    Discretizes the model of the form's combined slots and constant delays
-    at degree ``N`` (the pair (A0, E) for a delay-free model), takes the
-    ``count`` pencil eigenpairs nearest to ``shift`` (shift-invert Arnoldi
-    stops at ``tol`` too, since the polish meets it anyway), lifts each and
-    polishes it by :func:`refine_newton` on the form itself, so a WAMS
-    shaping enters only the polish.  A candidate whose lifted endpoint
-    block vanishes (relative to its pencil vector) or whose refinement
-    raises a :class:`DelayTrackError` is skipped, as is one within 1e-9 of
-    an eigenvalue already kept.  Sorted by descending real part.
+    Discretizes the form at degree ``N`` (the pair (A0, E) for a delay-free
+    form), takes the ``count`` pencil eigenpairs nearest to ``shift``
+    (shift-invert Arnoldi stops at ``tol`` too, since the polish meets it
+    anyway), lifts each and polishes it by :func:`refine_newton` on the
+    form itself, so a WAMS shaping enters only the polish.  A candidate
+    whose lifted endpoint block vanishes (relative to its pencil vector) or
+    whose refinement raises a :class:`DelayTrackError` is skipped, as is
+    one within 1e-9 of an eigenvalue already kept.  Sorted by descending
+    real part.
     """
-    n = form.mu + 2  # slot k of P at this p: sum_j weights[j] M_{j,k}
-    E, A0, *As = (charfun.eval_P(form.slots, np.kron(form.weights, e))
-                  for e in np.eye(n))
-    model = DelayedLinearModel(E, A0, zip(form.taus, As))
-    pencil = discretize(model, N if model.mu else 0)
+    pencil = discretize(form, N if form.mu else 0)
     refined = []
     for pair in solve_discretized(pencil, shift, count, tol):
         phi0 = lift_eigenvector(pencil, pair.phi)

@@ -486,13 +486,12 @@ def find_crossing(family, trajectory, options):
 
     Each sign change of s_r between consecutive samples is bisected in p;
     the eigenpair is re-solved by warm-started Newton at every midpoint
-    until |Re s| < 1e-9 or the bracket narrows below 1e-9.  When both
-    bracketing samples are real to roundoff, each solve starts from their
-    real parts: the imaginary parts are noise that the corrections shrink
-    into subnormal arithmetic, while a real start keeps every iterate, and
-    s_star, exactly real.  The Newton solves of the call share one
-    :class:`spectral.HeldFactor`.  Returns a list of (p_star, s_star),
-    empty when the trajectory never crosses.
+    until |Re s| < 1e-9 or the bracket narrows below 1e-9.  Each solve
+    starts from the nearer bracketing sample through
+    :func:`_real_if_roundoff`, as :func:`track_run` does, so a real branch
+    keeps every iterate, and s_star, exactly real.  The Newton solves of
+    the call share one :class:`spectral.HeldFactor`.  Returns a list of
+    (p_star, s_star), empty when the trajectory never crosses.
     """
     crossings = []
     samples = trajectory.samples
@@ -502,18 +501,17 @@ def find_crossing(family, trajectory, options):
             continue
         if a.s_r == 0.0 or a.s_r * b.s_r >= 0.0:
             continue
-        real = _real_to_roundoff(a) and _real_to_roundoff(b)
         lo, hi = a, b
         pm, sm = lo.p, lo.s
         for _ in range(200):
             if abs(hi.p - lo.p) < 1e-9:
                 break
             pm = 0.5 * (lo.p + hi.p)
-            warm = lo if abs(pm - lo.p) <= abs(pm - hi.p) else hi
-            s0, phi0 = ((warm.s.real, warm.phi.real) if real
-                        else (warm.s, warm.phi))
+            warm = _real_if_roundoff(
+                lo if abs(pm - lo.p) <= abs(pm - hi.p) else hi
+            )
             ref = spectral.refine_newton(
-                family.split_form(pm, options.wams), s0, phi0,
+                family.split_form(pm, options.wams), warm.s, warm.phi,
                 tol=options.corrector_tol, held=held,
             )
             sm = ref.s

@@ -112,7 +112,8 @@ class TestLoadManifest:
         )
         path = write_model_bundle(model, tmp_path, (0.5, 2.0), delay_index=1)
         assert load_manifest(path).family.delay_index == 1
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         old = "[regime]\nkind = delay_param\ndelay_index = 1"
         assert old in text
         with open(path, "w") as fh:

@@ -21,7 +21,8 @@ def sparse_path(monkeypatch):
 
 
 def test_matches_dense_eig_of_assembled_pencil(sparse_path):
-    pen = dt.discretize(dt.rand_ddae(20, 14, 0.1, 3, seed=42), 8)
+    pen = dt.discretize(dt.split_form(dt.rand_ddae(20, 14, 0.1, 3, seed=42)),
+                        8)
     shift = -1.0 + 1.0j
     pairs = dt.solve_discretized(pen, shift, 6)
     w = la.eig(pen.SigmaA.toarray(), pen.SigmaE.toarray(), right=False)
@@ -34,7 +35,7 @@ def test_matches_dense_eig_of_assembled_pencil(sparse_path):
 
 def test_repeated_solve_is_bit_identical():
     # the Arnoldi start vector is fixed, so the roundoff digits are too
-    pen = dt.discretize(dt.rand_ddae(40, 30, 0.05, 3, 7), 12)
+    pen = dt.discretize(dt.split_form(dt.rand_ddae(40, 30, 0.05, 3, 7)), 12)
     assert pen.dim >= charfun.DENSE_MAX_DIM
     first, second = (dt.solve_discretized(pen, 0.5j, 8) for _ in range(2))
     assert [e.s for e in first] == [e.s for e in second]
@@ -103,14 +104,15 @@ def test_shift_on_an_eigenvalue(sparse_path):
     model = dt.DelayedLinearModel(
         sparse.eye_array(r), sparse.diags_array(np.arange(1.0, r + 1.0))
     )
-    pairs = dt.solve_discretized(dt.discretize(model, 0), 5.0, 3)
+    pairs = dt.solve_discretized(dt.discretize(dt.split_form(model), 0),
+                                 5.0, 3)
     got = sorted(p.s.real for p in pairs)
     np.testing.assert_allclose(got, [4.0, 5.0, 6.0], rtol=0, atol=1e-9)
     assert all(abs(p.s.imag) < 1e-9 for p in pairs)
 
 
 def test_singular_interior_block_names_the_shift(sparse_path, hayes_model):
-    pen = dt.discretize(hayes_model, 8)
+    pen = dt.discretize(dt.split_form(hayes_model), 8)
     Dt = pen.Dt.copy()
     Dt[1:, 1:] = np.diag(np.arange(1.0, 9.0))  # exact eigenvalue 2
     with pytest.raises(dt.NonConvergenceError, match=r"shift sigma=\(2\+0j\)"):

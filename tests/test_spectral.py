@@ -2,8 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import delaytrack as dt
+from delaytrack import charfun
 from delaytrack.errors import ConfigurationError, NonConvergenceError
 
 from conftest import HAYES_PRINCIPAL
@@ -16,12 +18,12 @@ def rightmost(pairs):
 class TestDiscretize:
     def test_delay_free_degree_zero(self, quadratic_family):
         m = quadratic_family.evaluate(0.5)
-        pen = dt.discretize(m, 0)
+        pen = dt.discretize(dt.split_form(m), 0)
         np.testing.assert_array_equal(pen.SigmaA.toarray(), m.A0.toarray())
         np.testing.assert_array_equal(pen.SigmaE.toarray(), m.E.toarray())
 
     def test_dimension(self, hayes_model):
-        pen = dt.discretize(hayes_model, 12)
+        pen = dt.discretize(dt.split_form(hayes_model), 12)
         assert pen.SigmaA.shape == (13, 13)
         assert pen.dim == 13
         assert pen.nodes[0] == 0.0
@@ -29,10 +31,10 @@ class TestDiscretize:
 
     def test_rejects_tiny_degree_with_delays(self, hayes_model):
         with pytest.raises(ConfigurationError):
-            dt.discretize(hayes_model, 1)
+            dt.discretize(dt.split_form(hayes_model), 1)
 
     def test_hayes_rightmost_eigenvalue(self, hayes_model):
-        pen = dt.discretize(hayes_model, 16)
+        pen = dt.discretize(dt.split_form(hayes_model), 16)
         pairs = dt.solve_discretized(pen, 1.3j, 2)
         best = rightmost(pairs)
         assert abs(best.s - HAYES_PRINCIPAL) < 1e-6
@@ -40,7 +42,7 @@ class TestDiscretize:
     def test_spectral_convergence(self, hayes_model):
         errs = {}
         for N in (8, 16):
-            pen = dt.discretize(hayes_model, N)
+            pen = dt.discretize(dt.split_form(hayes_model), N)
             best = rightmost(dt.solve_discretized(pen, 1.3j, 2))
             errs[N] = abs(best.s - HAYES_PRINCIPAL)
         assert errs[8] / errs[16] >= 10.0
@@ -49,33 +51,35 @@ class TestDiscretize:
 class TestSolveDiscretized:
     def test_scalar_pair(self):
         # pencil (A0, E) = ([[-2]], [[1]]) has the single eigenvalue -2
-        pen = dt.discretize(dt.DelayedLinearModel([[1.0]], [[-2.0]]), 0)
+        m = dt.DelayedLinearModel([[1.0]], [[-2.0]])
+        pen = dt.discretize(dt.split_form(m), 0)
         pairs = dt.solve_discretized(pen, 0.0, 1)
         assert pairs[0].s == pytest.approx(-2.0)
 
     def test_rotation_pair(self):
         m = dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-        pairs = dt.solve_discretized(dt.discretize(m, 0), 1j, 2)
+        pen = dt.discretize(dt.split_form(m), 0)
+        pairs = dt.solve_discretized(pen, 1j, 2)
         vals = sorted((p.s for p in pairs), key=lambda z: z.imag)
         assert vals[0] == pytest.approx(-1j, abs=1e-12)
         assert vals[1] == pytest.approx(1j, abs=1e-12)
 
     def test_conjugate_pair_near_shift(self, hayes_model):
-        pen = dt.discretize(hayes_model, 16)
+        pen = dt.discretize(dt.split_form(hayes_model), 16)
         pairs = dt.solve_discretized(pen, 1j, 2)
         ss = sorted((p.s for p in pairs), key=lambda z: z.imag)
         assert ss[1] == pytest.approx(HAYES_PRINCIPAL, abs=1e-6)
         assert ss[0] == pytest.approx(HAYES_PRINCIPAL.conjugate(), abs=1e-6)
 
     def test_residuals_reported(self, hayes_model):
-        pen = dt.discretize(hayes_model, 16)
+        pen = dt.discretize(dt.split_form(hayes_model), 16)
         for pair in dt.solve_discretized(pen, 1.3j, 2):
             assert pair.residual < 1e-8
 
     def test_sparse_path_matches_dense(self, hayes_model):
         import delaytrack.charfun as charfun
 
-        pen = dt.discretize(hayes_model, 24)
+        pen = dt.discretize(dt.split_form(hayes_model), 24)
         dense = dt.solve_discretized(pen, 1.3j, 2)
         old = charfun.DENSE_MAX_DIM
         charfun.DENSE_MAX_DIM = 0
@@ -92,17 +96,17 @@ class TestSolveDiscretized:
 class TestLift:
     def test_delay_free_identity(self, quadratic_family):
         m = quadratic_family.evaluate(0.5)
-        pen = dt.discretize(m, 0)
+        pen = dt.discretize(dt.split_form(m), 0)
         v = np.array([1.0 + 2j, -0.5 + 0j])
         np.testing.assert_array_equal(dt.lift_eigenvector(pen, v), v)
 
     def test_endpoint_block_first(self, hayes_model):
-        pen = dt.discretize(hayes_model, 8)
+        pen = dt.discretize(dt.split_form(hayes_model), 8)
         v = np.arange(pen.dim, dtype=complex)
         np.testing.assert_array_equal(dt.lift_eigenvector(pen, v), v[:1])
 
     def test_hayes_endpoint_nonzero(self, hayes_model):
-        pen = dt.discretize(hayes_model, 16)
+        pen = dt.discretize(dt.split_form(hayes_model), 16)
         pair = rightmost(dt.solve_discretized(pen, 1.3j, 2))
         phi = dt.lift_eigenvector(pen, pair.phi)
         assert abs(phi[0]) > 1e-3
@@ -160,10 +164,59 @@ class TestRefineNewton:
         assert caplog.records == []
 
     def test_refined_invariants_on_random_candidates(self, hayes_model):
-        pen = dt.discretize(hayes_model, 16)
+        pen = dt.discretize(dt.split_form(hayes_model), 16)
         for pair in dt.solve_discretized(pen, 1.3j, 4):
             phi0 = dt.lift_eigenvector(pen, pair.phi)
             out = dt.refine_newton(dt.split_form(hayes_model), pair.s, phi0,
                                    tol=1e-10)
             assert out.residual <= 1e-10
             assert abs(out.phi @ out.phi - 1.0) <= 1e-10
+
+
+def _families(r):
+    """An affine, a tabulated and a delay-parameter family of rand_ddae
+    models of dimension r, each with the p at which to compare."""
+    base = dt.rand_ddae(r, (7 * r) // 10, 0.1, 2, seed=3)
+    step = dt.rand_ddae(r, (7 * r) // 10, 0.1, 2, seed=4)
+    slopes = dt.ModelDerivatives(step.E, step.A0,
+                                 [A for _, A in step.delay_terms])
+    snaps = [
+        (float(k), dt.DelayedLinearModel(
+            base.E + k * step.E, base.A0 + k * step.A0,
+            [(tau, A + k * k * B) for (tau, A), (_, B)
+             in zip(base.delay_terms, step.delay_terms)],
+        ))
+        for k in range(3)
+    ]
+    return [
+        (dt.AffineFamily(base, slopes, (0.0, 1.0)), 0.37),
+        (dt.TabulatedFamily(snaps), 1.3),
+        (dt.DelayParameterFamily(base, 1, (0.05, 0.5)), 0.2),
+    ]
+
+
+class TestSplitFormPencil:
+    @pytest.mark.parametrize("r", [20, 130])
+    def test_weighted_slots_match_the_evaluated_model(self, r):
+        for family, p in _families(r):
+            form = family.split_form(p)
+            assert sparse.issparse(form.slots[0]) == (
+                r >= charfun.DENSE_MAX_DIM
+            )
+            got = dt.discretize(form, 8)
+            ref = dt.discretize(dt.split_form(family.evaluate(p)), 8)
+            np.testing.assert_array_equal(got.nodes, ref.nodes)
+            for a, b in ((got.SigmaA, ref.SigmaA), (got.SigmaE, ref.SigmaE)):
+                assert abs(a - b).max() <= 1e-14 * abs(b).max()
+
+    def test_spectrum_at_builds_no_model(self, monkeypatch, hayes_family):
+        model = dt.rand_ddae(130, 91, 0.05, 2, seed=5)
+        family = dt.AffineFamily(model, dt.ModelDerivatives.zero(model),
+                                 (0.0, 1.0))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a DelayedLinearModel was built")
+
+        monkeypatch.setattr(dt.DelayedLinearModel, "__init__", refuse)
+        assert dt.spectrum_at(hayes_family, 1.0, N=16, shift=1.3j, count=2)
+        assert dt.spectrum_at(family, 0.5, N=8, shift=-1 + 1j, count=4)
