@@ -24,8 +24,12 @@ The coefficient of a delayed slot is minus one of three kernels:
 P(s), dP/ds and dP/dp.  A :class:`SplitForm` is the one description of P
 at one p that every consumer takes: families build their slots once and
 return a form per p, and :func:`split_form` wraps a single model.
+Below ``DENSE_MAX_DIM`` the slots are one real (n, r, r) stack, so a
+combination of them is a real matrix product; from it up they are a
+tuple of csr matrices.
 :func:`eval_P` forms a matrix from coefficients and slots; :func:`matvec`
-applies the same combination to a vector without forming it.
+applies the same combination, or several at once, to a vector without
+forming it, from one set of slot products M_k x.
 """
 
 from __future__ import annotations
@@ -48,11 +52,15 @@ _EXP_MAX = 700.0
 # below pencil dimension 72 (4.7-5.6 vs 2.5-4.3 ms there, 18-20 vs
 # 3.1-3.5 ms at 130; timed with Arnoldi run to machine precision, and
 # stopping it at the polish tol only favours shift-invert further);
-# one dense bordered solve against the sparse one, re-timed with the
-# threshold-pivoted factor of spectral._factor (medians over 3 models,
-# two runs), crosses between r = 150 (0.64-0.73 vs 0.77-0.84 ms) and
-# r = 200 (1.8-1.9 vs 1.1-1.2 ms), with 0.21-0.33 vs 0.42-0.71 ms at
-# r = 100.  128 lies between the two.
+# one bordered step, the assembly of P(s), P'(s) phi and -(dP/dp) phi
+# plus the bordered solve, re-timed with stacked dense slots against csr
+# slots and the threshold-pivoted factor of spectral._factor (ranges over
+# 3 models with mu = 2, two runs): dense 0.34-0.52 vs sparse 1.30-1.97 ms
+# at r = 100 (0.85-1.35 ms on a held factor), 0.73-1.15 vs 1.59-2.19 ms
+# (held 1.17-1.79) at r = 150 and 1.34-1.97 vs 1.84-2.47 ms (held
+# 1.07-1.90) at r = 200; the solve alone crosses between r = 150
+# (0.55-0.73 vs 0.52-0.86 ms) and r = 200 (0.86-1.37 vs 0.85-1.12 ms).
+# 128 lies between the QZ and the step crossovers.
 DENSE_MAX_DIM = 128
 
 
@@ -191,21 +199,27 @@ def transfer_scalars(spec, s):
 def slot_matrices(model, derivatives=None):
     """The slots (E, A0, A_1, ..., A_mu) of ``model``, followed by their
     parameter derivatives (dE, dA0, dA_1, ..., dA_mu) if ``derivatives`` is
-    given: dense ndarrays below ``DENSE_MAX_DIM``, the stored csr matrices
-    from it up."""
+    given.
+
+    Below ``DENSE_MAX_DIM`` they are one real (n, r, r) ndarray, slot k at
+    index k, so that :func:`eval_P` and :func:`matvec` combine them by one
+    real matrix product each; from it up they are the tuple of the stored
+    csr matrices.  Stacks are joined with ``np.concatenate``: ``+`` would
+    add two ndarray stacks elementwise."""
     mats = [model.E, model.A0] + [A for _, A in model.delay_terms]
     if derivatives is not None:
         mats += [derivatives.dE, derivatives.dA0, *derivatives.dA_terms]
     if model.r < DENSE_MAX_DIM:
-        return tuple(M.toarray() for M in mats)
+        return np.stack([M.toarray() for M in mats])
     return tuple(mats)
 
 
 @dataclass(frozen=True)
 class SplitForm:
     """P(s, p) at one p: ``slots`` holds blocks of n = mu + 2 slot matrices
-    (E, A0, A_1, ..., A_mu), concatenated, and block j enters P with the
-    scalar weight ``weights[j]`` and dP/dp with ``dweights[j]``:
+    (E, A0, A_1, ..., A_mu), concatenated (the real stack or the csr tuple
+    of :func:`slot_matrices`), and block j enters P with the scalar weight
+    ``weights[j]`` and dP/dp with ``dweights[j]``:
 
         P(s, p) = sum_j weights[j] sum_k c_k(s) M_{j,k}.
 
@@ -214,7 +228,7 @@ class SplitForm:
     the kernel of :func:`coefficients`.
     """
 
-    slots: tuple
+    slots: np.ndarray | tuple
     weights: tuple
     dweights: tuple
     taus: tuple
@@ -285,29 +299,61 @@ def coefficients(form, s):
 
 
 def eval_P(mats, c):
-    """The matrix sum_k c[k] mats[k] over the slots with a nonzero
-    coefficient: P(s) for the coefficients ``c`` of :func:`coefficients`,
-    dP/ds for ``c_s``.
+    """The matrix sum_k c[k] mats[k]: P(s) for the coefficients ``c`` of
+    :func:`coefficients`, dP/ds for ``c_s``.
 
-    Dense or csr as the slots are; the csr pattern is the union of the
-    patterns of the slots summed.  Raises :class:`SingularityError` on a
-    nonfinite entry.
+    On a dense stack, one real product of the stack, as an (n, r r)
+    matrix, with the real and imaginary parts of ``c``; real coefficients
+    give a real matrix.  On csr slots, the sum over the slots with a
+    nonzero coefficient, whose pattern is the union of theirs.  Raises
+    :class:`SingularityError` on a nonfinite entry.
     """
-    P = None
-    for ck, M in zip(c, mats):
-        if ck != 0.0:
-            P = ck * M if P is None else P + ck * M
+    if isinstance(mats, np.ndarray):
+        n, r, _ = mats.shape
+        c = np.asarray(c)
+        if np.iscomplexobj(c):
+            # columns (Re c, Im c) give (Re P, Im P) side by side, read
+            # back as one complex array
+            parts = np.ascontiguousarray(c, dtype=complex).view(float)
+            P = (mats.reshape(n, r * r).T @ parts.reshape(n, 2)).view(complex)
+        else:
+            P = c @ mats.reshape(n, r * r)
+        P = P.reshape(r, r)
+    else:
+        P = None
+        for ck, M in zip(c, mats):
+            if ck != 0.0:
+                P = ck * M if P is None else P + ck * M
     if not np.all(np.isfinite(P.data if sparse.issparse(P) else P)):
         raise SingularityError("nonfinite entries in P(s)")
     return P
 
 
 def matvec(mats, c, x):
-    """sum_k c[k] (mats[k] @ x) by matrix-vector products, skipping zero
-    coefficients: P(s) x, P'(s) x or (dP/dp) x without forming the
-    matrix."""
-    y = np.zeros(len(x), dtype=complex)
-    for ck, M in zip(c, mats):
-        if ck != 0.0:
-            y += ck * (M @ x)
-    return y
+    """sum_k c[k] (mats[k] @ x) without forming the matrix: P(s) x, P'(s) x
+    or (dP/dp) x.
+
+    ``c`` is one coefficient row, which gives one vector, or a stack of
+    rows, which gives one row per coefficient row.  The slot products
+    M_k x are taken once for all rows: on a dense stack by one real
+    product of the stack, as an (n r, r) matrix, with (Re x, Im x); on csr
+    slots by one product per slot with a nonzero coefficient in some row.
+    """
+    rows = np.asarray(c)
+    C = np.atleast_2d(rows)
+    x = np.ascontiguousarray(x, dtype=complex)
+    if isinstance(mats, np.ndarray):
+        n, r, _ = mats.shape
+        Y = mats.reshape(n * r, r) @ x.view(float).reshape(r, 2)
+        Y = Y.view(complex).reshape(n, r)
+        # row by row, so that a row gives the same digits alone as in a
+        # stack
+        out = np.array([row @ Y for row in C])
+    else:
+        out = np.zeros((len(C), len(x)), dtype=complex)
+        for k in np.flatnonzero(C.any(axis=0)):
+            y = mats[k] @ x
+            for ck, o in zip(C[:, k], out):
+                if ck != 0.0:
+                    o += ck * y
+    return out if rows.ndim > 1 else out[0]

@@ -283,7 +283,9 @@ class TabulatedFamily(ModelFamily):
         k, (p0, m0), (p1, m1) = self._segment(p, slack=True)
         cached_k, slots = self._cached
         if cached_k != k:
-            slots = slot_matrices(m0) + slot_matrices(m1)
+            first, second = slot_matrices(m0), slot_matrices(m1)
+            slots = (np.concatenate((first, second))
+                     if isinstance(first, np.ndarray) else first + second)
             self._cached = (k, slots)
         theta = (min(max(p, p0), p1) - p0) / (p1 - p0)
         inv = 1.0 / (p1 - p0)

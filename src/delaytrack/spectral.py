@@ -7,11 +7,12 @@ the solution segment at the nodes satisfy a generalized linear eigenproblem
 operator, and the endpoint block row imposes the DDAE itself with delayed
 values recovered by barycentric interpolation.  The pencil is built from
 a :class:`charfun.SplitForm` alone (its delays and its weighted slots at
-its p) and held as its collocation data; its matrices are assembled only
-for dense QZ below ``charfun.DENSE_MAX_DIM``; above it, shift-invert
-Arnoldi eliminates the interior rows with an N x N solve and factors only
-the r x r collocated characteristic matrix, which has the split form and
-sparsity pattern of P(sigma) (the structure behind infinite Arnoldi).
+its p) and held as its collocation data; its matrices are assembled, as
+ndarrays, only for dense QZ below ``charfun.DENSE_MAX_DIM``; above it,
+shift-invert Arnoldi eliminates the interior rows with an N x N solve and
+factors only the r x r collocated characteristic matrix, which has the
+split form and sparsity pattern of P(sigma) (the structure behind
+infinite Arnoldi).
 Candidate eigenpairs are then polished on the exact nonlinear P by a
 bordered Newton iteration; :func:`refined_eigenpairs` is that whole
 pipeline.
@@ -183,6 +184,23 @@ def discretize(form, N):
     )
 
 
+def _dense_pair(pencil):
+    """(SigmaA, SigmaE) as ndarrays, each block row written by np.kron in
+    the order of the sparse sums of :attr:`DiscretizedPencil.SigmaA`, so
+    the entries are the same."""
+    r = pencil.r
+    E, A0, *delayed = (M.toarray() for M in pencil.slots)
+    interior = pencil.Dt.copy()
+    interior[0] = 0.0
+    A = np.kron(interior, np.eye(r))
+    A[:r, :r] += A0
+    for row, Aj in zip(pencil.delay_rows, delayed):
+        A[:r] += np.kron(row, Aj)
+    B = np.eye(pencil.dim)
+    B[:r, :r] = E
+    return A, B
+
+
 def _pencil_residual(pencil, s, v):
     """||(SigmaA - s SigmaE) v|| / ||v|| by block products."""
     E, A0, *delayed = pencil.slots
@@ -209,7 +227,7 @@ def solve_discretized(pencil, shift, count, tol=0.0):
         raise ConfigurationError("count must be at least 1")
     shift = complex(shift)
     if pencil.dim < charfun.DENSE_MAX_DIM:
-        w, V = la.eig(pencil.SigmaA.toarray(), pencil.SigmaE.toarray())
+        w, V = la.eig(*_dense_pair(pencil))
     else:
         w, V = _shift_invert(pencil, shift, count, tol)
     keep = np.isfinite(w) & (np.abs(w) <= INFINITE_EIGENVALUE_THRESHOLD)
@@ -487,8 +505,10 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     :func:`bordered_solve`, which reuses the factor in ``held`` (a
     :class:`HeldFactor`) when one is given.  The transpose (not conjugate)
     border keeps F holomorphic, so plain complex Newton converges
-    quadratically.  Returns
-    an :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
+    quadratically.  Each iteration reads P(s) phi and P'(s) phi from one
+    set of slot products and forms P(s) only to take a Newton step, so a
+    pair that already converged costs no matrix.  Returns an
+    :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
     |phi^T phi - 1| <= tol.
 
     Eigenvectors that are isotropic under the transpose pairing
@@ -512,13 +532,13 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     if abs(quad) > 1e-12 * nrm2:
         phi = phi / np.sqrt(quad)  # principal root; Newton fixes the rest
     s = complex(s0)
-    mats = form.slots
 
     residual = np.inf
     for _ in range(max_iter):
         c, c_s, _ = charfun.coefficients(form, s)
-        Pm = charfun.eval_P(mats, c)
-        top = Pm @ phi
+        # P(s) phi and P'(s) phi from one set of slot products; P(s) itself
+        # is formed only for a Newton step
+        top, w = charfun.matvec(form.slots, [c, c_s], phi)
         nrm = np.linalg.norm(phi)
         residual = float(np.linalg.norm(top) / nrm)
         quad = phi @ phi
@@ -536,7 +556,7 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
 
         try:
             dphi, ds = bordered_solve(
-                Pm, charfun.matvec(mats, c_s, phi), phi, -top, -defect, held
+                charfun.eval_P(form.slots, c), w, phi, -top, -defect, held
             )
         except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):

@@ -10,11 +10,14 @@ state.  Its real split M(y) dy/dp = h(y) in y = (phi_r, phi_i, s_r, s_i),
 the form the paper writes, is kept as :attr:`ContinuationSystem.M` and
 :attr:`ContinuationSystem.h` for checking; the sweep never builds it.
 One assembly, :func:`assemble`, builds the complex pieces P(s), P'(s) phi
-and -(dP/dp) phi from a :class:`charfun.SplitForm`, for constant delays, a
-delay magnitude acting as the parameter and a WAMS-shaped delay alike.  The
-run takes each form from ``family.split_form(p, options.wams)``, so no
-model is rebuilt per step; the declared regime is only checked against the
-form.  Every integrator stage solves the bordered system with
+and -(dP/dp) phi, and the residual ||P(s) phi|| / ||phi||, from a
+:class:`charfun.SplitForm` and one set of slot products, for constant
+delays, a delay magnitude acting as the parameter and a WAMS-shaped delay
+alike.  The run takes each form from ``family.split_form(p, options.wams)``,
+so no model is rebuilt per step; the declared regime is only checked
+against the form.  A sample that is not corrected is assembled once: that
+system gives its residual and is the first stage of the step from it.
+Every integrator stage solves the bordered system with
 :func:`spectral.bordered_solve` -- the same solve the bordered Newton
 corrector takes: a sparse LU of the r x r complex P(s), a scalar Schur
 complement on the border and iterative refinement against the exact
@@ -102,15 +105,17 @@ class ContinuationSystem:
 
     ``P`` is P(s), dense or sparse as the slots of the split form are.
     ``w`` = P'(s) phi is the border column, ``g`` = -(dP/dp) phi the
-    parameter forcing and ``phi`` the eigenvector in the border row.  ``M``
-    and ``h`` are the real split [[M1, M2], [M3, 0]] y' = h of the same
-    system, derived (sparse) on access; the solver never builds them.
+    parameter forcing and ``phi`` the eigenvector in the border row;
+    ``residual`` is ||P(s) phi|| / ||phi||.  ``M`` and ``h`` are the real
+    split [[M1, M2], [M3, 0]] y' = h of the same system, derived (sparse)
+    on access; the solver never builds them.
     """
 
     P: object
     w: np.ndarray
     g: np.ndarray
     phi: np.ndarray
+    residual: float = math.nan
 
     @property
     def M(self):
@@ -210,14 +215,14 @@ class TrackOptions:
 def assemble(form, state):
     """Continuation system at ``state`` from the split form of P at
     ``state.p``: the coefficients of :func:`charfun.coefficients` over the
-    form's slots give P(s), w = P'(s) phi and g = -(dP/dp) phi."""
+    form's slots give P(s), and over one set of slot products M_k phi the
+    residual P(s) phi, w = P'(s) phi and g = -(dP/dp) phi."""
     c, c_s, c_p = charfun.coefficients(form, state.s)
     phi = state.phi
+    top, w, dpphi = charfun.matvec(form.slots, [c, c_s, c_p], phi)
     return ContinuationSystem(
-        P=charfun.eval_P(form.slots, c),
-        w=charfun.matvec(form.slots, c_s, phi),
-        g=-charfun.matvec(form.slots, c_p, phi),
-        phi=phi,
+        P=charfun.eval_P(form.slots, c), w=w, g=-dpphi, phi=phi,
+        residual=float(np.linalg.norm(top) / np.linalg.norm(phi)),
     )
 
 
@@ -337,9 +342,11 @@ def track_run(family, initial, options):
     :func:`detect_fold` sees a conjugate pair collapse (``fold``); the
     event marks the last sample, which for a failed correction is the
     uncorrected one.  The sparse bordered solves of the run share one
-    :class:`spectral.HeldFactor`, which goes with the run.  An initial or
-    reinitialized state that is real to roundoff is tracked from its real
-    parts.
+    :class:`spectral.HeldFactor`, which goes with the run.  The residual of
+    the initial state and of every uncorrected sample is read from the
+    system assembled there, which the next step takes as its first stage.
+    An initial or reinitialized state that is real to roundoff is tracked
+    from its real parts.
     """
     p_init = initial.p
     wams = options.wams
@@ -352,7 +359,23 @@ def track_run(family, initial, options):
     dp = abs(options.dp) if options.dp else abs(span) / 1000.0
     dp = math.copysign(dp, span)
 
+    # (state, system) for the initial state or the last uncorrected
+    # sample: the system gave its residual and is the first stage of the
+    # step from it
+    kept = None
+
+    def settle(form, st):
+        nonlocal kept
+        system = assemble(form, st)
+        st = replace(st, residual=system.residual)
+        kept = (st, system)
+        return st
+
     def assemble_at(st):
+        nonlocal kept
+        hit, kept = kept, None
+        if hit is not None and hit[0] is st:
+            return hit[1]
         return assemble(family.split_form(st.p, wams), st)
 
     traj = Trajectory(
@@ -367,7 +390,7 @@ def track_run(family, initial, options):
             "fold_eps": options.fold_eps,
         }
     )
-    state = _with_residual(form, _real_if_roundoff(initial))
+    state = settle(form, _real_if_roundoff(initial))
     traj.samples.append(state)
     held = spectral.HeldFactor()
 
@@ -394,7 +417,7 @@ def track_run(family, initial, options):
                 new_state = _refine_state(form_new, new_state, options,
                                           held)
             else:
-                new_state = _with_residual(form_new, new_state)
+                new_state = settle(form_new, new_state)
         except RangeError:
             traj.truncated = True
             break

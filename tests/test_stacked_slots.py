@@ -1,0 +1,196 @@
+"""Dense slots are one real stack, and a continuation state is evaluated
+once: its residual and the first stage of the step from it come from one
+assembly."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+
+import delaytrack as dt
+from delaytrack import charfun, spectral
+
+from conftest import random_model_with_derivatives, random_state
+
+
+def model_slots(model, derivs):
+    """The slots of ``model`` and ``derivs`` as a list of ndarrays."""
+    mats = [model.E, model.A0, *(A for _, A in model.delay_terms),
+            derivs.dE, derivs.dA0, *derivs.dA_terms]
+    return [M.toarray() for M in mats]
+
+
+def per_slot(mats, c):
+    """sum_k c[k] mats[k], one slot at a time."""
+    return sum(ck * M for ck, M in zip(c, mats))
+
+
+def assert_close(a, b, rtol):
+    assert np.abs(a - b).max() <= rtol * max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+@pytest.mark.parametrize("r", [1, 2, 100])
+def test_slot_products_match_per_slot_sums(r, layout, monkeypatch):
+    if layout == "csr":
+        monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
+    model, derivs = random_model_with_derivatives(r, 2, seed=40 + r)
+    form = dt.split_form(model, derivs)
+    mats = model_slots(model, derivs)
+    if layout == "dense":
+        assert isinstance(form.slots, np.ndarray)
+        assert form.slots.dtype == np.float64
+        assert form.slots.shape == (8, r, r)
+        np.testing.assert_array_equal(form.slots, np.stack(mats))
+    else:
+        assert all(sparse.issparse(M) for M in form.slots)
+    st = random_state(r, seed=r)
+    rows = np.array(charfun.coefficients(form, st.s))
+    for c in rows:
+        P = dt.eval_P(form.slots, c)
+        P = P.toarray() if sparse.issparse(P) else P
+        assert_close(P, per_slot(mats, c), 1e-13)
+        y = charfun.matvec(form.slots, c, st.phi)
+        assert y.shape == (r,)
+        assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
+    stacked = charfun.matvec(form.slots, rows, st.phi)
+    assert stacked.shape == (3, r)
+    for y, c in zip(stacked, rows):
+        assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
+        # a row gives the same digits alone as in a stack
+        np.testing.assert_array_equal(y, charfun.matvec(form.slots, c,
+                                                        st.phi))
+
+
+def test_real_coefficients_on_real_slots_stay_exactly_real():
+    model, derivs = random_model_with_derivatives(6, 2, seed=5)
+    form = dt.split_form(model, derivs)
+    # real s: complex coefficients whose imaginary parts are 0
+    rows = charfun.coefficients(form, -0.7)
+    phi = np.random.default_rng(1).standard_normal(6).astype(complex)
+    for c in rows:
+        P = dt.eval_P(form.slots, c)
+        assert P.dtype == complex and not P.imag.any()
+    assert not charfun.matvec(form.slots, rows, phi).imag.any()
+    # real-typed coefficients give a real matrix
+    assert dt.eval_P(form.slots, np.real(rows[0])).dtype == np.float64
+
+
+def test_tabulated_form_on_both_sides_of_a_snapshot():
+    rng = np.random.default_rng(8)
+
+    def snapshot():
+        return dt.DelayedLinearModel(
+            np.eye(3), rng.standard_normal((3, 3)),
+            [(0.4, rng.standard_normal((3, 3)))],
+        )
+
+    fam = dt.TabulatedFamily([(0.0, snapshot()), (1.0, snapshot()),
+                              (2.0, snapshot())])
+    s = -0.3 + 0.9j
+    for p in (0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 1.5, 1.0 - 1e-3):
+        form = fam.split_form(p)
+        assert isinstance(form.slots, np.ndarray)
+        assert form.slots.shape == (6, 3, 3)
+        c, _, _ = charfun.coefficients(form, s)
+        one = dt.split_form(fam.evaluate(p))
+        c1, _, _ = charfun.coefficients(one, s)
+        assert_close(dt.eval_P(form.slots, c), dt.eval_P(one.slots, c1),
+                     1e-13)
+
+
+def drifting_family(r, seed):
+    base = dt.rand_ddae(r, int(0.7 * r), 0.02, 2, seed)
+    zero = sparse.csr_array((r, r))
+    slopes = dt.ModelDerivatives(
+        zero, 0.6 * (base.A0 + 3.0 * sparse.eye_array(r)), [zero] * 2
+    )
+    return dt.AffineFamily(base, slopes, p_range=(0.0, 1.0))
+
+
+def complex_start(family, p, N=8):
+    pairs = dt.spectrum_at(family, p, N=N, shift=0j, count=6)
+    seed = max(pairs, key=lambda e: e.s.imag)
+    assert seed.s.imag > 1e-3
+    return dt.TrackState.from_eigenpair(p, seed.s, seed.phi, seed.residual)
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_uncorrected_residuals_are_the_eigenpair_residual(layout,
+                                                          monkeypatch):
+    if layout == "csr":
+        monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
+    fam = drifting_family(60, 3)
+    initial = complex_start(fam, 0.0)
+    opts = dt.TrackOptions(dp=1e-2, corrector_every=4, p_fin=0.2,
+                           method="heun")
+    traj = dt.track_run(fam, initial, opts)
+    assert not traj.truncated and len(traj.samples) == 21
+    for k, st in enumerate(traj.samples):
+        if k % opts.corrector_every == 0 and k > 0:
+            continue  # corrected: the residual of the Newton polish
+        ref = spectral.eigenpair_residual(fam.split_form(st.p), st.s,
+                                         st.phi)
+        assert abs(st.residual - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_uncorrected_euler_step_evaluates_the_family_once(layout,
+                                                          monkeypatch):
+    if layout == "csr":
+        monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
+    fam = drifting_family(30, 3)
+    initial = complex_start(fam, 0.0)
+    forms = []
+    split_form = fam.split_form
+
+    def counting(p, wams=None):
+        forms.append(p)
+        return split_form(p, wams)
+
+    def residual(*args):
+        raise AssertionError("a sample's residual was computed again")
+
+    monkeypatch.setattr(fam, "split_form", counting)
+    monkeypatch.setattr(spectral, "eigenpair_residual", residual)
+    opts = dt.TrackOptions(dp=1e-2, corrector_every=0, p_fin=0.1)
+    traj = dt.track_run(fam, initial, opts)
+    assert not traj.truncated and len(traj.samples) == 11
+    # one form for the initial state, then one per step
+    assert len(forms) == len(traj.samples)
+    assert forms == [st.p for st in traj.samples]
+
+
+def test_converged_pair_forms_no_matrix(monkeypatch):
+    fam = drifting_family(30, 3)
+    form = fam.split_form(0.0)
+    pair = complex_start(fam, 0.0)
+    calls = []
+    eval_P = charfun.eval_P
+
+    def counting(*args):
+        calls.append(1)
+        return eval_P(*args)
+
+    monkeypatch.setattr(charfun, "eval_P", counting)
+    again = dt.refine_newton(form, pair.s, pair.phi)
+    assert calls == []
+    assert again.s == pair.s and again.residual <= 1e-10
+    # an unconverged start forms P(s) once per Newton step
+    dt.refine_newton(form, pair.s + 1e-3, pair.phi)
+    assert 1 <= len(calls) <= 5
+
+
+def test_dense_qz_pair_is_the_assembled_pencil(monkeypatch):
+    model, _ = random_model_with_derivatives(3, 2, seed=11)
+    pencil = dt.discretize(dt.split_form(model), 8)
+    A, B = spectral._dense_pair(pencil)
+    np.testing.assert_array_equal(A, pencil.SigmaA.toarray())
+    np.testing.assert_array_equal(B, pencil.SigmaE.toarray())
+
+    def built(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built for dense QZ")
+
+    monkeypatch.setattr(sparse, "kron", built)
+    monkeypatch.setattr(sparse, "block_diag", built)
+    pairs = spectral.solve_discretized(pencil, 0j, 4)
+    assert len(pairs) == 4
