@@ -27,7 +27,7 @@ print(f"start: p = 0.5, s = {seed.s:+.6f} (analytic -1 + j sqrt(0.5))")
 
 options = dt.TrackOptions(
     dp=1e-3, corrector_every=10, regime="multi", p_fin=1.5,
-    reinit_on_fold=True, init_degree=0, init_count=4,
+    reinit_on_fold=True,
 )
 trajectory = dt.track_run(family, initial, options)
 

@@ -2,8 +2,9 @@
 
 A manifest is a plain text file of ``key = value`` lines grouped under
 ``[section]`` headers (``#`` starts a comment).  It names the Matrix Market
-files of every matrix slot, the family kind, the tracking regime, and the
-sweep/initialization defaults.  ``format_version = 1``.
+files of every matrix slot, the family kind, the optional WAMS shaping of
+the delayed term, and the sweep/initialization defaults.
+``format_version = 2``.
 
 Sections
 --------
@@ -11,17 +12,14 @@ Sections
             delays (comma list of tau seconds), A1..Amu, p_min, p_max,
             *_slope files (affine), delay_index (delay_param)
 [snapshot.K]  p plus per-slot files (tabulated kind, K = 0, 1, ...)
-[regime]    kind (single | multi | delay_param | wams), delay_index,
-            tau0, p_dr, T, alpha, b (wams)
-[track]     p_init, p_fin, dp, method, corrector_every, corrector_tol,
-            fold_eps
+[wams]      tau0, p_dr, T, alpha, b (optional: shapes the single delayed
+            term of a family whose delays are fixed)
+[track]     p_init, p_fin, dp, method, corrector_every, corrector_tol
 [init]      N, shift (complex literal), count
 
-The family kind and the WAMS parameters imply the regime: a delay_param
-family varies its delay_index, and a wams regime shapes the single delayed
-term.  The declared [regime] kind and delay_index select no code path:
-loading checks them against the family's split form, as
-:func:`track.track_run` does.
+The family and the [wams] section define P(s, p), so the loader derives
+the tracking regime from them: ``wams`` with a [wams] section,
+``delay_param`` for a delay_param family and ``multi`` otherwise.
 
 A key the loader does not read and a section it does not know are errors
 (codes ``unknown-key`` and ``unknown-section``), so a misspelt name cannot
@@ -46,9 +44,9 @@ from .model import (
     ModelDerivatives,
     TabulatedFamily,
 )
-from .track import REGIMES, TrackOptions
+from .track import TrackOptions
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 FAMILY_KINDS = ("affine", "tabulated", "delay_param")
 
@@ -228,7 +226,7 @@ def load_manifest(path):
 
     Raises :class:`ManifestError` with a distinct ``code`` and line anchor
     for every invariant violation (missing file, dimension mismatch,
-    unknown regime, malformed matrix, ...).
+    malformed matrix, ...).
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -301,22 +299,23 @@ def load_manifest(path):
                 raise ManifestError(str(exc), code="bad-delay-index",
                                     path=path) from exc
 
-    rs = sec("regime")
-    regime = rs.get_str("kind", required=True)
-    if regime not in REGIMES:
-        rs._fail(f"unknown regime {regime!r}", code="unknown-regime",
-                 entry=rs.raw("kind"))
     wams = None
-    if regime == "wams":
+    if "wams" in sections:
+        ws = sec("wams")
         wams = WamsSpec(
-            tau0=rs.get_float("tau0", required=True),
-            p_dr=rs.get_float("p_dr", 0.0),
-            T=rs.get_float("T", 1.0),
-            alpha=rs.get_float("alpha", 0.0),
-            b=rs.get_float("b", 0.0),
+            tau0=ws.get_float("tau0", required=True),
+            p_dr=ws.get_float("p_dr", 0.0),
+            T=ws.get_float("T", 1.0),
+            alpha=ws.get_float("alpha", 0.0),
+            b=ws.get_float("b", 0.0),
         )
-    declared = (rs.get_int("delay_index", required=True)
-                if regime == "delay_param" else None)
+        try:
+            family.split_form(p_min, wams)
+        except ConfigurationError as exc:
+            raise ManifestError(str(exc), code="bad-wams", path=path,
+                                line=headers["wams"]) from exc
+    regime = ("wams" if wams is not None
+              else "delay_param" if kind == "delay_param" else "multi")
 
     ts = sec("track")
     try:
@@ -325,7 +324,6 @@ def load_manifest(path):
             method=ts.get_str("method", "euler"),
             corrector_every=ts.get_int("corrector_every", 10),
             corrector_tol=ts.get_float("corrector_tol", 1e-10),
-            fold_eps=ts.get_float("fold_eps", 1e-4),
             regime=regime,
             wams=wams,
             p_fin=ts.get_float("p_fin", p_max),
@@ -334,17 +332,6 @@ def load_manifest(path):
         raise ManifestError(str(exc), code="bad-track-options",
                             path=path) from exc
     p_init = ts.get_float("p_init", p_min)
-    try:
-        form = family.split_form(p_min, wams)
-        options.check_regime(form)
-    except ConfigurationError as exc:
-        rs._fail(str(exc), code="regime-mismatch", entry=rs.raw("kind"))
-    if declared != form.delay_index:
-        rs._fail(
-            f"delay_index {declared} differs from the [model] delay_index "
-            f"{form.delay_index} that the family varies",
-            code="regime-mismatch", entry=rs.raw("delay_index"),
-        )
 
     ins = sec("init")
     init = InitSettings(
@@ -381,7 +368,7 @@ def write_model_bundle(model, out_dir, p_range, delay_index=0,
 
     The bundle is set up as a delay-parameter family over
     ``delay_index`` when the model has delays, otherwise as a constant
-    affine family tracked under the multi regime.
+    affine family.
     """
     os.makedirs(out_dir, exist_ok=True)
     _write_mm(os.path.join(out_dir, "E.mtx"), model.E)
@@ -404,11 +391,6 @@ def write_model_bundle(model, out_dir, p_range, delay_index=0,
         lines.append(f"delay_index = {delay_index}")
     lines.append(f"p_min = {p_range[0]!r}")
     lines.append(f"p_max = {p_range[1]!r}")
-    lines.append("")
-    lines.append("[regime]")
-    lines.append(f"kind = {'delay_param' if model.mu else 'multi'}")
-    if model.mu:
-        lines.append(f"delay_index = {delay_index}")
     lines.append("")
     lines.append("[track]")
     lines.append(f"p_init = {p_range[0]!r}")

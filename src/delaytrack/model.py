@@ -61,10 +61,6 @@ class DelayedLinearModel:
     def taus(self):
         return tuple(tau for tau, _ in self.delay_terms)
 
-    @property
-    def tau_max(self):
-        return max(self.taus) if self.delay_terms else 0.0
-
     def with_delay(self, index, tau):
         """Copy of the model with delay ``index`` set to magnitude ``tau``."""
         if not 0 <= index < self.mu:

@@ -14,9 +14,9 @@ and -(dP/dp) phi, and the residual ||P(s) phi|| / ||phi||, from a
 :class:`charfun.SplitForm` and one set of slot products, for constant
 delays, a delay magnitude acting as the parameter and a WAMS-shaped delay
 alike.  The run takes each form from ``family.split_form(p, options.wams)``,
-so no model is rebuilt per step; the declared regime is only checked
-against the form.  A sample that is not corrected is assembled once: that
-system gives its residual and is the first stage of the step from it.
+so no model is rebuilt per step.  A sample that is not corrected is
+assembled once: that system gives its residual and is the first stage of
+the step from it.
 Every integrator stage solves the bordered system with
 :func:`spectral.bordered_solve` -- the same solve the bordered Newton
 corrector takes: a sparse LU of the r x r complex P(s), a scalar Schur
@@ -34,6 +34,7 @@ parts, so it stays exactly real.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -47,6 +48,7 @@ from .errors import (
     NonConvergenceError,
     RangeError,
     ReinitializationError,
+    SingularityError,
     SingularSystemError,
 )
 
@@ -65,6 +67,11 @@ EVENT_KINDS = ("fold", "axis_crossing", "reinit", "corrector_fail")
 # candidates within this overlap margin of the best are tie-broken on Re(s)
 _OVERLAP_TIE = 0.02
 _OVERLAP_MIN = 0.5
+# |Im s| below which a pair that came from off the axis counts as folded
+FOLD_EPS = 1e-4
+# collocation degree and candidate count of a reinitialization
+INIT_DEGREE = 16
+INIT_COUNT = 6
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,6 @@ class TrackState:
     @property
     def s_i(self):
         return self.s.imag
-
-    @property
-    def r(self):
-        return self.phi.size
 
     @classmethod
     def from_eigenpair(cls, p, s, phi, residual=math.nan):
@@ -175,13 +178,10 @@ class TrackOptions:
     method: str = "euler"
     corrector_every: int = 10
     corrector_tol: float = 1e-10
-    fold_eps: float = 1e-4
     regime: str = "multi"
     wams: charfun.WamsSpec | None = None
     p_fin: float | None = None
     reinit_on_fold: bool = False
-    init_degree: int = 16
-    init_count: int = 6
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -261,23 +261,23 @@ def integrate_step(assemble, state, dp, method="euler", held=None):
     return TrackState(state.p + dp, y[-1], y[:-1], state.residual)
 
 
-def detect_fold(window, fold_eps):
+def detect_fold(window):
     """Fold event for the most recent sample, or None.
 
     A conjugate pair collapsing onto the real axis shows up as the tracked
-    s_i crossing (or dropping below ``fold_eps``) after having been clearly
-    away from the axis.  A real eigenvalue driven into a fold is caught by
-    the step itself: the bordered solve raises :class:`SingularSystemError`
-    and the corrector :class:`DefectiveEigenvalueError` or
-    :class:`NonConvergenceError`, which :func:`track_run` treats as a failed
-    step.
+    s_i crossing (or dropping below :data:`FOLD_EPS`) after having been
+    clearly away from the axis.  A real eigenvalue driven into a fold is
+    caught by the step itself: the bordered solve raises
+    :class:`SingularSystemError` and the corrector
+    :class:`DefectiveEigenvalueError` or :class:`NonConvergenceError`, which
+    :func:`track_run` treats as a failed step.
     """
     if len(window) < 2:
         return None
     prev, cur = window[-2], window[-1]
-    came_from_above = abs(prev.s_i) >= fold_eps
+    came_from_above = abs(prev.s_i) >= FOLD_EPS
     crossed = came_from_above and prev.s_i * cur.s_i < 0.0
-    shrunk = came_from_above and abs(cur.s_i) < fold_eps
+    shrunk = came_from_above and abs(cur.s_i) < FOLD_EPS
     if crossed or shrunk:
         return TrackEvent(kind="fold", p=cur.p, s=cur.s)
     return None
@@ -293,8 +293,8 @@ def reinitialize_at(family, p, prev_state, options):
     candidate reaches overlap 0.5.
     """
     candidates = spectral.refined_eigenpairs(
-        family.split_form(p, options.wams), options.init_degree,
-        prev_state.s, options.init_count, tol=options.corrector_tol,
+        family.split_form(p, options.wams), INIT_DEGREE, prev_state.s,
+        INIT_COUNT, tol=options.corrector_tol,
     )
     if not candidates:
         raise ReinitializationError(f"no refined eigenpair near p={p}")
@@ -337,11 +337,13 @@ def track_run(family, initial, options):
     point.  Axis crossings are recorded as events.  A failed step ends the
     run (``truncated``) unless ``options.reinit_on_fold`` restarts it on
     the overlapping branch.  A step fails when its bordered solve is
-    singular or the corrector finds the eigenvalue defective (``fold``),
-    when the corrector does not converge (``corrector_fail``), or when
-    :func:`detect_fold` sees a conjugate pair collapse (``fold``); the
-    event marks the last sample, which for a failed correction is the
-    uncorrected one.  The sparse bordered solves of the run share one
+    singular, when P cannot be evaluated at the stepped state (an
+    overflowing kernel, :class:`SingularityError`) or when the corrector
+    finds the eigenvalue defective (``fold``), when the corrector does not
+    converge (``corrector_fail``), or when :func:`detect_fold` sees a
+    conjugate pair collapse (``fold``); the event marks the last sample,
+    which for a failed correction is the uncorrected one if its residual
+    can be evaluated.  The sparse bordered solves of the run share one
     :class:`spectral.HeldFactor`, which goes with the run.  The residual of
     the initial state and of every uncorrected sample is read from the
     system assembled there, which the next step takes as its first stage.
@@ -387,7 +389,6 @@ def track_run(family, initial, options):
             "p_fin": p_fin,
             "corrector_every": options.corrector_every,
             "corrector_tol": options.corrector_tol,
-            "fold_eps": options.fold_eps,
         }
     )
     state = settle(form, _real_if_roundoff(initial))
@@ -421,13 +422,15 @@ def track_run(family, initial, options):
         except RangeError:
             traj.truncated = True
             break
-        except (SingularSystemError, DefectiveEigenvalueError,
-                NonConvergenceError) as exc:
-            # a failed step: a singular bordered system or a failed
-            # correction; the uncorrected sample, if any, is kept as the
-            # last one, tagged with the event
+        except (SingularSystemError, SingularityError,
+                DefectiveEigenvalueError, NonConvergenceError) as exc:
+            # a failed step: a singular bordered system, a P that cannot be
+            # evaluated or a failed correction; the uncorrected sample, if
+            # any and if its residual can be evaluated, is kept as the last
+            # one, tagged with the event
             if new_state is not None:
-                traj.samples.append(_with_residual(form_new, new_state))
+                with contextlib.suppress(SingularityError):
+                    traj.samples.append(_with_residual(form_new, new_state))
             at = traj.samples[-1]
             failure = TrackEvent(
                 kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
@@ -441,7 +444,7 @@ def track_run(family, initial, options):
                     TrackEvent(kind="axis_crossing", p=new_state.p,
                                s=new_state.s, index=len(traj.samples) - 1)
                 )
-            failure = detect_fold(traj.samples[-3:], options.fold_eps)
+            failure = detect_fold(traj.samples[-3:])
 
         if failure is not None:
             failure.index = len(traj.samples) - 1

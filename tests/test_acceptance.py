@@ -347,7 +347,7 @@ def test_criterion_09_fold_handling():
     dp = 1e-3
     opts = dt.TrackOptions(
         dp=dp, corrector_every=10, regime="multi", p_fin=1.5,
-        reinit_on_fold=True, init_degree=0, init_count=4,
+        reinit_on_fold=True,
     )
     traj = dt.track_run(fam, initial, opts)
     folds = [ev for ev in traj.events if ev.kind == "fold"]

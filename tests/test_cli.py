@@ -6,6 +6,8 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 import delaytrack as dt
 from delaytrack.cli import (
@@ -23,6 +25,58 @@ from conftest import FIXTURES, HAYES_PRINCIPAL
 
 HAYES = os.path.join(FIXTURES, "hayes", "manifest.ini")
 QUADRATIC = os.path.join(FIXTURES, "quadratic", "manifest.ini")
+
+WAMS_SPEC = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
+A0_SNAP0 = [[-1.0, 0.0], [0.0, -2.0]]
+A0_SNAP2 = [[-3.0, 4.0], [0.0, -6.0]]
+
+
+def write_matrices(directory, mats):
+    """Write each named matrix to ``directory``/NAME.mtx."""
+    os.makedirs(directory, exist_ok=True)
+    for name, mat in mats.items():
+        scipy.io.mmwrite(
+            os.path.join(directory, f"{name}.mtx"),
+            sp.coo_array(np.asarray(mat, dtype=float)),
+            field="real", symmetry="general",
+        )
+
+
+def write_wams_bundle(directory):
+    """The WAMS demo model as a manifest: delayed rate feedback whose gain
+    drifts with p, its one delay shaped by ``WAMS_SPEC``."""
+    A1 = np.array([[0.0, 0.0], [0.0, -0.8]])
+    write_matrices(directory, {
+        "E": np.eye(2), "A0": [[0.0, 1.0], [-4.0, -0.4]], "A1": A1,
+        "A1_slope": 0.5 * A1,
+    })
+    path = os.path.join(directory, "manifest.ini")
+    with open(path, "w") as fh:
+        fh.write(
+            "format_version = 2\n"
+            "[model]\nr = 2\nkind = affine\nE = E.mtx\nA0 = A0.mtx\n"
+            "delays = 0.05\nA1 = A1.mtx\nA1_slope = A1_slope.mtx\n"
+            "p_min = 0.0\np_max = 1.0\n"
+            "[wams]\ntau0 = 0.05\np_dr = 0.2\nT = 0.02\nalpha = 5e-3\n"
+            "b = 2.0\n"
+            "[track]\ndp = 0.002\n"
+            "[init]\nN = 12\nshift = 2j\ncount = 4\n"
+        )
+    return path
+
+
+def write_tabulated_bundle(directory, snapshots):
+    """A delay-free tabulated family with one [snapshot.K] per (p, A0)."""
+    write_matrices(directory, {"E": np.eye(2)})
+    text = ("format_version = 2\n[model]\nr = 2\nkind = tabulated\n"
+            "delays =\np_min = 0.0\np_max = 2.0\n")
+    for k, (p, A0) in enumerate(snapshots):
+        write_matrices(directory, {f"A0_{k}": A0})
+        text += f"[snapshot.{k}]\np = {p}\nE = E.mtx\nA0 = A0_{k}.mtx\n"
+    path = os.path.join(directory, "manifest.ini")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
 
 
 class TestLoadManifest:
@@ -54,17 +108,6 @@ class TestLoadManifest:
             load_manifest(tmp_path / "m" / "manifest.ini")
         assert info.value.code == "dimension-mismatch"
         assert info.value.line is not None
-
-    def test_unknown_regime_reported(self, tmp_path):
-        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
-        text = (tmp_path / "m" / "manifest.ini").read_text()
-        (tmp_path / "m" / "manifest.ini").write_text(
-            text.replace("kind = delay_param\ndelay_index = 0\n\n[track]",
-                         "kind = mystery\ndelay_index = 0\n\n[track]")
-        )
-        with pytest.raises(ManifestError) as info:
-            load_manifest(tmp_path / "m" / "manifest.ini")
-        assert info.value.code == "unknown-regime"
 
     def test_missing_matrix_file_reported(self, tmp_path):
         shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
@@ -106,21 +149,60 @@ class TestLoadManifest:
             load_manifest(path)
         assert info.value.code == "bad-track-options"
 
-    def test_regime_delay_index_must_match_the_family(self, tmp_path):
+    def test_bundle_keeps_its_delay_index(self, tmp_path):
         model = dt.DelayedLinearModel(
             np.eye(2), -np.eye(2), [(0.5, 0.1 * np.eye(2)), (1.0, np.eye(2))]
         )
         path = write_model_bundle(model, tmp_path, (0.5, 2.0), delay_index=1)
-        assert load_manifest(path).family.delay_index == 1
-        with open(path) as fh:
-            text = fh.read()
-        old = "[regime]\nkind = delay_param\ndelay_index = 1"
-        assert old in text
-        with open(path, "w") as fh:
-            fh.write(text.replace(old, old[:-1] + "0"))
+        man = load_manifest(path)
+        assert man.family.delay_index == 1
+        assert man.track.regime == "delay_param"
+
+    def test_wams_section_sets_the_regime(self, tmp_path):
+        path = write_wams_bundle(tmp_path)
+        man = load_manifest(path)
+        assert isinstance(man.family, dt.AffineFamily)
+        assert man.track.regime == "wams"
+        assert man.track.wams == WAMS_SPEC
+
+    def test_wams_section_on_a_delay_family_rejected(self, tmp_path):
+        # the Hayes family varies its only delay, which WAMS cannot shape
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        text = path.read_text().replace("[track]",
+                                        "[wams]\ntau0 = 1.0\n\n[track]")
+        path.write_text(text)
         with pytest.raises(ManifestError) as info:
             load_manifest(path)
-        assert info.value.code == "regime-mismatch"
+        assert info.value.code == "bad-wams"
+        assert info.value.line == text.splitlines().index("[wams]") + 1
+
+    def test_format_version_1_rejected(self, tmp_path):
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        path.write_text(path.read_text().replace("format_version = 2",
+                                                 "format_version = 1"))
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "bad-version"
+
+    def test_tabulated_family_interpolates_snapshots(self, tmp_path):
+        path = write_tabulated_bundle(tmp_path, [(0.0, A0_SNAP0),
+                                                 (2.0, A0_SNAP2)])
+        man = load_manifest(path)
+        assert isinstance(man.family, dt.TabulatedFamily)
+        assert man.track.regime == "multi"
+        model = man.family.evaluate(0.5)
+        # a quarter of the way from the p = 0 snapshot to the p = 2 one
+        assert np.array_equal(model.A0.toarray(),
+                              [[-1.5, 1.0], [0.0, -3.0]])
+        assert np.array_equal(model.E.toarray(), np.eye(2))
+
+    def test_tabulated_family_needs_two_snapshots(self, tmp_path):
+        path = write_tabulated_bundle(tmp_path, [(0.0, A0_SNAP0)])
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "missing-snapshots"
 
     def test_parse_error_carries_line(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -240,15 +322,31 @@ class TestCommands:
         dists = [float(r.split(",")[-1]) for r in rows[1:]]
         assert max(dists) < 1e-6
 
-    def test_unknown_regime_exit_code(self, tmp_path):
+    def test_leftover_regime_section_exit_code(self, tmp_path):
+        # a version-1 manifest, and one that keeps its [regime] section
+        # under version 2, are both configuration errors
         shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
-        text = (tmp_path / "m" / "manifest.ini").read_text()
-        (tmp_path / "m" / "manifest.ini").write_text(
-            text.replace("kind = delay_param\ndelay_index = 0\n\n[track]",
-                         "kind = mystery\ndelay_index = 0\n\n[track]")
-        )
-        code = main(["spectrum", str(tmp_path / "m" / "manifest.ini")])
-        assert code == EXIT_CONFIG
+        path = tmp_path / "m" / "manifest.ini"
+        text = path.read_text().replace(
+            "[track]", "[regime]\nkind = delay_param\ndelay_index = 0\n\n"
+            "[track]")
+        for version in ("1", "2"):
+            path.write_text(text.replace("format_version = 2",
+                                         f"format_version = {version}"))
+            assert main(["spectrum", str(path)]) == EXIT_CONFIG
+
+    def test_spectrum_of_a_wams_manifest(self, tmp_path):
+        path = write_wams_bundle(tmp_path)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", str(path), "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().splitlines()[1:]
+        man = load_manifest(path)
+        pairs = dt.spectrum_at(man.family, man.p_init, N=12, shift=2j,
+                               count=4, wams=WAMS_SPEC)
+        assert pairs
+        assert [[float(v) for v in row.split(",")] for row in rows] == [
+            [e.s.real, e.s.imag, e.residual] for e in pairs
+        ]
 
     def test_gen_bundle_loads_and_solves(self, tmp_path, capsys):
         out_dir = tmp_path / "bundle"
@@ -280,25 +378,13 @@ class TestCommands:
 
     def test_fold_truncation_exit_code(self, tmp_path):
         # coalescing companion family: complex pair turns defective at p = 1
-        import scipy.io
-        import scipy.sparse as sp
-
         d = tmp_path / "fold"
-        d.mkdir()
-        for name, mat in (
-            ("E.mtx", np.eye(2)),
-            ("A0.mtx", [[0.0, 1.0], [-2.0, -2.0]]),
-            ("A0_slope.mtx", [[0.0, 0.0], [1.0, 0.0]]),
-        ):
-            scipy.io.mmwrite(
-                str(d / name), sp.coo_array(np.asarray(mat, dtype=float)),
-                field="real", symmetry="general",
-            )
+        write_matrices(d, {"E": np.eye(2), "A0": [[0.0, 1.0], [-2.0, -2.0]],
+                           "A0_slope": [[0.0, 0.0], [1.0, 0.0]]})
         (d / "manifest.ini").write_text(
-            "format_version = 1\n"
+            "format_version = 2\n"
             "[model]\nr = 2\nkind = affine\nE = E.mtx\nA0 = A0.mtx\n"
             "A0_slope = A0_slope.mtx\ndelays =\np_min = 0.2\np_max = 1.8\n"
-            "[regime]\nkind = multi\n"
             "[track]\np_init = 0.5\np_fin = 1.5\ndp = 0.001\n"
             "[init]\nN = 0\nshift = 0.7j\ncount = 2\n"
         )

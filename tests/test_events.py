@@ -89,15 +89,45 @@ class TestDetectFold:
         for st in traj.samples[:failures[0].index][::every]:
             assert st.residual <= opts.corrector_tol
 
+    @pytest.mark.parametrize("reinit", [False, True])
+    def test_step_into_an_overflow_is_a_fold(self, reinit):
+        # the real-branch sweep above with a zero 20 s delay term: the step
+        # past p = 1 jumps to s ~ -42, where exp(-20 s) overflows, so P
+        # cannot be evaluated at the stepped state
+        zero = np.zeros((2, 2))
+        base = dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-2.0, -2.0]],
+                                     [(20.0, zero)])
+        slopes = dt.ModelDerivatives(zero, [[0.0, 0.0], [1.0, 0.0]], [zero])
+        fam = dt.AffineFamily(base, slopes, (0.2, 1.8))
+        p0 = 1.5
+        s0 = coalescing_eigenvalue(p0).real
+        ref = dt.refine_newton(fam.split_form(p0), s0, np.array([1.0, s0]),
+                               tol=1e-12)
+        initial = dt.TrackState.from_eigenpair(p0, ref.s, ref.phi)
+        opts = dt.TrackOptions(dp=1e-3, corrector_every=10, p_fin=0.5,
+                               reinit_on_fold=reinit)
+        traj = dt.track_run(fam, initial, opts)
+        fold = traj.events[0]
+        assert fold.kind == "fold"
+        assert abs(fold.p - 1.0) <= 1e-9
+        assert traj.samples[fold.index].p == fold.p
+        assert all(np.isfinite(st.residual) and abs(st.s) < 2.0
+                   for st in traj.samples)
+        if reinit:
+            assert [ev.kind for ev in traj.events] == ["fold", "reinit"]
+            assert not traj.truncated and traj.samples[-1].p == 0.5
+        else:
+            assert traj.truncated and fold.index == len(traj.samples) - 1
+
     def test_window_too_short(self, coalescing_family):
         st = coalescing_initial(coalescing_family, 0.5)
-        assert dt.detect_fold([st], 1e-4) is None
+        assert dt.detect_fold([st]) is None
 
 
 class TestReinitialize:
     def test_non_degenerate_point_returns_same_pair(self, coalescing_family):
         st = coalescing_initial(coalescing_family, 0.5)
-        opts = dt.TrackOptions(regime="multi", init_count=4)
+        opts = dt.TrackOptions(regime="multi")
         out = dt.reinitialize_at(coalescing_family, 0.5, st, opts)
         assert abs(out.s - st.s) < 1e-9
         overlap = abs(np.vdot(
@@ -109,7 +139,7 @@ class TestReinitialize:
     def test_past_fold_returns_declared_branch(self, coalescing_family):
         # just past p = 1 both branches are real; ties break to larger Re(s)
         st = coalescing_initial(coalescing_family, 0.98)
-        opts = dt.TrackOptions(regime="multi", init_count=4)
+        opts = dt.TrackOptions(regime="multi")
         out = dt.reinitialize_at(coalescing_family, 1.05, st, opts)
         upper = coalescing_eigenvalue(1.05, upper=True)
         lower = coalescing_eigenvalue(1.05, upper=False)
@@ -117,24 +147,24 @@ class TestReinitialize:
         assert abs(out.s - lower) > 1e-3
 
     def test_orthogonal_spectrum_fails(self):
-        # candidates orthogonal to the tracked vector: no branch to resume
-        A0 = np.diag([-1.0, -2.0, -3.0])
-        base = dt.DelayedLinearModel(np.eye(3), A0)
-        slopes = dt.ModelDerivatives(np.zeros((3, 3)), np.zeros((3, 3)), [])
+        # the tracked vector spreads evenly over five eigenvectors e_k, so
+        # every candidate overlaps it by 1/sqrt(5) = 0.447: no branch
+        A0 = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0])
+        base = dt.DelayedLinearModel(np.eye(5), A0)
+        slopes = dt.ModelDerivatives(np.zeros((5, 5)), np.zeros((5, 5)), [])
         fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
         prev = dt.TrackState.from_eigenpair(
-            0.5, -1.0 + 0j, np.array([0.0, 1.0 + 0j, 0.0])
+            0.5, -1.0 + 0j, np.ones(5) / np.sqrt(5.0)
         )
-        opts = dt.TrackOptions(regime="multi", init_count=1)
-        with pytest.raises(ReinitializationError):
-            # count=1 keeps only the eigenpair at -1, aligned with e1
+        opts = dt.TrackOptions(regime="multi")
+        with pytest.raises(ReinitializationError, match="overlap 0.447"):
             dt.reinitialize_at(fam, 0.5, prev, opts)
 
     def test_track_run_resumes_after_fold(self, coalescing_family):
         initial = coalescing_initial(coalescing_family, 0.5)
         opts = dt.TrackOptions(
             dp=1e-3, corrector_every=10, regime="multi", p_fin=1.5,
-            reinit_on_fold=True, init_degree=0, init_count=4,
+            reinit_on_fold=True,
         )
         traj = dt.track_run(coalescing_family, initial, opts)
         kinds = [ev.kind for ev in traj.events]
