@@ -1,5 +1,9 @@
 """Command line front end.
 
+A manifest gives every sweep setting; the override flags of
+:data:`TRACK_FLAGS` replace the ones they name, and the defaults of
+:class:`TrackOptions` and :class:`manifest.InitSettings` fill the rest.
+
 Subcommands
 -----------
 spectrum   refined eigenvalues of the manifest's model at one p (CSV)
@@ -11,12 +15,14 @@ gen        emit a reproducible random sparse model bundle
 
 Exit codes: 0 success, 1 no result, 2 configuration or parse error,
 3 trajectory truncated by a fold or a failed correction, 4 numerical
-failure.
+failure.  A ``--p-fin`` outside the family range is a configuration error
+(exit 2) raised before the first step, so nothing is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from dataclasses import replace
@@ -30,7 +36,7 @@ from .errors import (
     ManifestError,
     RangeError,
 )
-from .manifest import load_manifest, write_model_bundle
+from .manifest import InitSettings, load_manifest, write_model_bundle
 from .track import (INTEGRATORS, TrackEvent, TrackState, Trajectory,
                     find_crossing, track_run)
 
@@ -41,6 +47,16 @@ EXIT_TRUNCATED = 3
 EXIT_NUMERICAL = 4
 
 TRAJECTORY_HEADER = ("p", "s_r", "s_i", "residual", "event")
+
+# override flag -> (the TrackOptions field it sets, its argparse keywords)
+TRACK_FLAGS = {
+    "--dp": ("dp", dict(type=float, help="step size")),
+    "--method": ("method", dict(choices=INTEGRATORS)),
+    "--corrector-every": ("corrector_every", dict(type=int)),
+    "--tol": ("corrector_tol", dict(type=float, metavar="TOL",
+                                    help="corrector tolerance")),
+    "--p-fin": ("p_fin", dict(type=float)),
+}
 
 
 def write_trajectory_csv(trajectory, fh):
@@ -80,13 +96,14 @@ def read_trajectory_csv(fh):
     return traj
 
 
-def _open_out(path):
-    return sys.stdout if path is None else open(path, "w", newline="")
-
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
+@contextlib.contextmanager
+def _output(path):
+    """The file ``path`` opened for writing, or stdout when it is None."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _initial_state(man, args):
@@ -125,24 +142,13 @@ def _initial_state(man, args):
     return TrackState.from_eigenpair(p0, ref.s, ref.phi, ref.residual)
 
 
-def _apply_flag_overrides(man, args):
-    track = man.track
-    updates = {}
-    if args.dp is not None:
-        updates["dp"] = args.dp
-    if args.method is not None:
-        updates["method"] = args.method
-    if args.corrector_every is not None:
-        updates["corrector_every"] = args.corrector_every
-    if args.tol is not None:
-        updates["corrector_tol"] = args.tol
-    if args.p_fin is not None:
-        updates["p_fin"] = args.p_fin
-    return replace(track, **updates) if updates else track
-
-
 def _run_track(man, args):
-    options = _apply_flag_overrides(man, args)
+    """Sweep from the seed of :func:`_initial_state` with the manifest's
+    options, each field named in :data:`TRACK_FLAGS` replaced by its flag
+    when given; returns (trajectory, options)."""
+    options = replace(man.track, **{
+        name: getattr(args, name) for name, _ in TRACK_FLAGS.values()
+        if getattr(args, name) is not None})
     return track_run(man.family, _initial_state(man, args), options), options
 
 
@@ -153,25 +159,19 @@ def cmd_spectrum(args):
         man.family, p, N=man.init.N, shift=man.init.shift,
         count=man.init.count, wams=man.track.wams,
     )
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["s_r", "s_i", "residual"])
         for pair in pairs:
             writer.writerow([pair.s.real, pair.s.imag, pair.residual])
-    finally:
-        _close_out(fh)
     return EXIT_OK if pairs else EXIT_NO_RESULT
 
 
 def cmd_track(args):
     man = load_manifest(args.manifest)
     traj, _ = _run_track(man, args)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_trajectory_csv(traj, fh)
-    finally:
-        _close_out(fh)
     if args.svg:
         _write_svg_plots(traj, args.svg)
     return EXIT_TRUNCATED if traj.truncated else EXIT_OK
@@ -207,12 +207,9 @@ def cmd_margin(args):
     man = load_manifest(args.manifest)
     traj, options = _run_track(man, args)
     crossings = find_crossing(man.family, traj, options)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         for p_star, s_star in crossings:
             fh.write(f"{p_star!r},{s_star.imag!r}\n")
-    finally:
-        _close_out(fh)
     return EXIT_OK if crossings else EXIT_NO_RESULT
 
 
@@ -224,8 +221,7 @@ def cmd_validate(args):
         options=options, pass_tol=args.pass_tol, N=man.init.N,
         count=man.init.count,
     )
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(
             ["p", "s_r", "s_i", "oracle_s_r", "oracle_s_i", "distance"]
@@ -235,8 +231,6 @@ def cmd_validate(args):
             row += ["", ""] if best is None else [best.real, best.imag]
             row.append(dist)
             writer.writerow(row)
-    finally:
-        _close_out(fh)
     print(
         f"max_distance={report.max_distance:.3e} "
         f"matched={report.matched_fraction:.3f}",
@@ -256,22 +250,17 @@ def cmd_gen(args):
     else:
         p_range = (0.0, 1.0)
     path = write_model_bundle(
-        model, args.out_dir, p_range, delay_index=0, N=args.N,
-        shift=complex(0.0, 1.0), count=6,
+        model, args.out_dir, p_range, delay_index=0,
+        init=InitSettings(N=args.N, shift=complex(0.0, 1.0)),
     )
     print(path)
     return EXIT_OK
 
 
 def _add_track_flags(p):
-    p.add_argument("--dp", type=float, default=None, help="step size")
-    p.add_argument("--method", choices=INTEGRATORS, default=None)
-    p.add_argument("--corrector-every", type=int, default=None,
-                   dest="corrector_every")
-    p.add_argument("--tol", type=float, default=None,
-                   help="corrector tolerance")
+    for flag, (name, keywords) in TRACK_FLAGS.items():
+        p.add_argument(flag, dest=name, default=None, **keywords)
     p.add_argument("--p-init", type=float, default=None, dest="p_init")
-    p.add_argument("--p-fin", type=float, default=None, dest="p_fin")
     p.add_argument("--init-from", default=None, dest="init_from",
                    metavar="RE,IM", help="seed eigenvalue, Newton-refined")
     p.add_argument("--out", default=None, help="output file (default stdout)")

@@ -3,7 +3,7 @@
 A manifest is a plain text file of ``key = value`` lines grouped under
 ``[section]`` headers (``#`` starts a comment).  It names the Matrix Market
 files of every matrix slot, the family kind, the optional WAMS shaping of
-the delayed term, and the sweep/initialization defaults.
+the delayed term, and the sweep and initialization settings.
 ``format_version = 2``.
 
 Sections
@@ -23,7 +23,12 @@ the tracking regime from them: ``wams`` with a [wams] section,
 
 A key the loader does not read and a section it does not know are errors
 (codes ``unknown-key`` and ``unknown-section``), so a misspelt name cannot
-silently fall back to a default.
+silently fall back to a default.  The loader passes on only the keys a
+manifest sets: the defaults live with :class:`TrackOptions`,
+:class:`InitSettings` and :class:`charfun.WamsSpec`, except that ``p_init``
+and ``p_fin`` default to the ends of ``[p_min, p_max]``.  Every value goes
+through :meth:`_Section.get`, which names the key and its line when the
+value does not convert (code ``bad-value``).
 """
 
 from __future__ import annotations
@@ -115,6 +120,17 @@ def _parse_sections(text, path):
     return sections, headers
 
 
+# converter and name of each value kind a manifest key takes
+_VALUE_KINDS = {
+    str: (str, "string"),
+    int: (int, "integer"),
+    float: (float, "real number"),
+    complex: (lambda v: complex(v.replace(" ", "")), "complex literal"),
+    list: (lambda v: [float(t) for t in v.split(",")] if v.strip() else [],
+           "comma list of reals"),
+}
+
+
 class _Section:
     """Typed accessors over one parsed section, with line anchoring."""
 
@@ -139,10 +155,13 @@ class _Section:
             return None
         return self.entries[key]
 
-    def _convert(self, key, conv, default, required, what):
+    def get(self, key, kind=str, default=None, required=False):
+        """The value of ``key`` converted to ``kind``, a key of
+        :data:`_VALUE_KINDS`; ``default`` when the section does not set it."""
         entry = self.raw(key, required=required)
         if entry is None:
             return default
+        conv, what = _VALUE_KINDS[kind]
         try:
             return conv(entry.value)
         except (TypeError, ValueError):
@@ -151,33 +170,11 @@ class _Section:
                 code="bad-value", entry=entry,
             )
 
-    def get_int(self, key, default=None, required=False):
-        return self._convert(key, int, default, required, "integer")
-
-    def get_float(self, key, default=None, required=False):
-        return self._convert(key, float, default, required, "real number")
-
-    def get_complex(self, key, default=None, required=False):
-        return self._convert(
-            key, lambda v: complex(v.replace(" ", "")), default, required,
-            "complex literal",
-        )
-
-    def get_str(self, key, default=None, required=False):
-        entry = self.raw(key, required=required)
-        return default if entry is None else entry.value
-
-    def get_floats(self, key, default=()):
-        entry = self.raw(key)
-        if entry is None or not entry.value.strip():
-            return list(default)
-        try:
-            return [float(tok) for tok in entry.value.split(",")]
-        except ValueError:
-            self._fail(
-                f"{key} = {entry.value!r} is not a comma list of reals",
-                code="bad-value", entry=entry,
-            )
+    def given(self, **kinds):
+        """{key: value} for each key of ``kinds`` that the section sets, so
+        a key left out keeps the default of the object built from it."""
+        return {key: self.get(key, kind) for key, kind in kinds.items()
+                if key in self.entries}
 
 
 def _read_matrix(section, key, r, base_dir, required=True):
@@ -244,7 +241,7 @@ def load_manifest(path):
         return opened[name]
 
     top = sec("")
-    version = top.get_int("format_version", required=True)
+    version = top.get("format_version", int, required=True)
     if version != FORMAT_VERSION:
         raise ManifestError(
             f"format_version {version} unsupported (expected "
@@ -252,21 +249,21 @@ def load_manifest(path):
         )
 
     ms = sec("model")
-    r = ms.get_int("r", required=True)
-    n_dyn = ms.get_int("n_dyn")
-    kind = ms.get_str("kind", required=True)
+    r = ms.get("r", int, required=True)
+    n_dyn = ms.get("n_dyn", int)
+    kind = ms.get("kind", required=True)
     if kind not in FAMILY_KINDS:
         ms._fail(f"unknown family kind {kind!r}", code="unknown-kind",
                  entry=ms.raw("kind"))
-    taus = ms.get_floats("delays")
-    p_min = ms.get_float("p_min", required=True)
-    p_max = ms.get_float("p_max", required=True)
+    taus = ms.get("delays", list, [])
+    p_min = ms.get("p_min", float, required=True)
+    p_max = ms.get("p_max", float, required=True)
 
     if kind == "tabulated":
         snaps = []
         for name in sorted(n for n in sections if n.startswith("snapshot.")):
             ss = sec(name)
-            p = ss.get_float("p", required=True)
+            p = ss.get("p", float, required=True)
             snaps.append((p, _model_from_section(ss, r, n_dyn, taus, base_dir)))
         if len(snaps) < 2:
             raise ManifestError(
@@ -291,7 +288,7 @@ def load_manifest(path):
             )
             family = AffineFamily(base, slopes, p_range=(p_min, p_max))
         else:
-            idx = ms.get_int("delay_index", required=True)
+            idx = ms.get("delay_index", int, required=True)
             try:
                 family = DelayParameterFamily(base, idx,
                                               p_range=(p_min, p_max))
@@ -302,13 +299,8 @@ def load_manifest(path):
     wams = None
     if "wams" in sections:
         ws = sec("wams")
-        wams = WamsSpec(
-            tau0=ws.get_float("tau0", required=True),
-            p_dr=ws.get_float("p_dr", 0.0),
-            T=ws.get_float("T", 1.0),
-            alpha=ws.get_float("alpha", 0.0),
-            b=ws.get_float("b", 0.0),
-        )
+        wams = WamsSpec(ws.get("tau0", float, required=True),
+                        **ws.given(p_dr=float, T=float, alpha=float, b=float))
         try:
             family.split_form(p_min, wams)
         except ConfigurationError as exc:
@@ -318,27 +310,17 @@ def load_manifest(path):
               else "delay_param" if kind == "delay_param" else "multi")
 
     ts = sec("track")
+    p_init = ts.get("p_init", float, p_min)
+    p_fin = ts.get("p_fin", float, p_max)
+    given = ts.given(dp=float, method=str, corrector_every=int,
+                     corrector_tol=float)
     try:
-        options = TrackOptions(
-            dp=ts.get_float("dp"),
-            method=ts.get_str("method", "euler"),
-            corrector_every=ts.get_int("corrector_every", 10),
-            corrector_tol=ts.get_float("corrector_tol", 1e-10),
-            regime=regime,
-            wams=wams,
-            p_fin=ts.get_float("p_fin", p_max),
-        )
+        options = TrackOptions(regime=regime, wams=wams, p_fin=p_fin, **given)
     except ConfigurationError as exc:
         raise ManifestError(str(exc), code="bad-track-options",
                             path=path) from exc
-    p_init = ts.get_float("p_init", p_min)
 
-    ins = sec("init")
-    init = InitSettings(
-        N=ins.get_int("N", 16),
-        shift=ins.get_complex("shift", 0j),
-        count=ins.get_int("count", 6),
-    )
+    init = InitSettings(**sec("init").given(N=int, shift=complex, count=int))
 
     for name, entries in sections.items():
         if name not in opened:
@@ -362,14 +344,16 @@ def _write_mm(path, mat):
     )
 
 
-def write_model_bundle(model, out_dir, p_range, delay_index=0,
-                       dp=None, N=16, shift=0j, count=6):
+def write_model_bundle(model, out_dir, p_range, delay_index=0, dp=None,
+                       init=None):
     """Write a model as a loadable bundle: manifest.ini plus .mtx files.
 
     The bundle is set up as a delay-parameter family over
     ``delay_index`` when the model has delays, otherwise as a constant
-    affine family.
+    affine family.  Its [init] section holds ``init`` (an
+    :class:`InitSettings`, default ``InitSettings()``).
     """
+    init = init or InitSettings()
     os.makedirs(out_dir, exist_ok=True)
     _write_mm(os.path.join(out_dir, "E.mtx"), model.E)
     _write_mm(os.path.join(out_dir, "A0.mtx"), model.A0)
@@ -399,9 +383,9 @@ def write_model_bundle(model, out_dir, p_range, delay_index=0,
         lines.append(f"dp = {dp!r}")
     lines.append("")
     lines.append("[init]")
-    lines.append(f"N = {N}")
-    lines.append(f"shift = {shift!r}".replace("(", "").replace(")", ""))
-    lines.append(f"count = {count}")
+    lines.append(f"N = {init.N}")
+    lines.append(f"shift = {init.shift!r}".replace("(", "").replace(")", ""))
+    lines.append(f"count = {init.count}")
     manifest_path = os.path.join(out_dir, "manifest.ini")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -141,7 +141,7 @@ class ModelFamily:
             raise ConfigurationError(f"empty parameter range [{lo}, {hi}]")
         self.p_range = (lo, hi)
 
-    def _check_range(self, p, slack=False):
+    def check_range(self, p, slack=False):
         """Reject p outside the range; ``slack`` admits 1e-6 max(1, |p|)
         past its ends."""
         lo, hi = self.p_range
@@ -181,7 +181,7 @@ class AffineFamily(ModelFamily):
         self._slots = slot_matrices(base, slopes)
 
     def evaluate(self, p):
-        self._check_range(p, slack=True)
+        self.check_range(p, slack=True)
         E = self.base.E + p * self.slopes.dE
         A0 = self.base.A0 + p * self.slopes.dA0
         terms = [
@@ -191,12 +191,12 @@ class AffineFamily(ModelFamily):
         return DelayedLinearModel(E, A0, terms, n_dyn=self.base.n_dyn)
 
     def derivative(self, p):
-        self._check_range(p)
+        self.check_range(p)
         return self.slopes
 
     def split_form(self, p, wams=None):
         """Blocks (base, slopes) with weights (1, p)."""
-        self._check_range(p, slack=True)
+        self.check_range(p, slack=True)
         return SplitForm(self._slots, (1.0, float(p)), (0.0, 1.0),
                          self.base.taus, wams=wams)
 
@@ -207,42 +207,38 @@ class TabulatedFamily(ModelFamily):
     Interpolation is piecewise-linear between bracketing snapshots, and the
     derivative is the exact slope of the interpolant segment.  Delay
     magnitudes must be identical across snapshots: a varying delay belongs
-    to :class:`DelayParameterFamily` instead.
+    to :class:`DelayParameterFamily` instead.  The table needs at least
+    two snapshots; ``p_range`` defaults to the span of their p.
     """
 
     def __init__(self, snapshots, p_range=None):
         snaps = sorted(((float(p), m) for p, m in snapshots), key=lambda t: t[0])
-        if p_range is None:
-            if len(snaps) >= 2:
-                p_range = (snaps[0][0], snaps[-1][0])
-            else:
-                p_range = (0.0, 1.0)  # placeholder; evaluation rejects anyway
-        super().__init__(p_range)
+        if len(snaps) < 2:
+            raise ConfigurationError(
+                "tabulated family needs at least 2 snapshots"
+            )
+        super().__init__(p_range if p_range is not None
+                         else (snaps[0][0], snaps[-1][0]))
         self.snapshots = snaps
         self._ps = np.array([q for q, _ in snaps])
         self._cached = (None, None)  # (segment index, its slots)
-        if len(snaps) >= 2:
-            ref = snaps[0][1]
-            for p, m in snaps[1:]:
-                if m.r != ref.r or m.mu != ref.mu:
-                    raise ConfigurationError(
-                        f"snapshot at p={p} changes dimensions or delay count"
-                    )
-                if not np.allclose(m.taus, ref.taus, rtol=0, atol=0):
-                    raise ConfigurationError(
-                        "delay magnitudes differ across snapshots; use a "
-                        "delay-parameter family to vary a delay"
-                    )
+        ref = snaps[0][1]
+        for p, m in snaps[1:]:
+            if m.r != ref.r or m.mu != ref.mu:
+                raise ConfigurationError(
+                    f"snapshot at p={p} changes dimensions or delay count"
+                )
+            if not np.allclose(m.taus, ref.taus, rtol=0, atol=0):
+                raise ConfigurationError(
+                    "delay magnitudes differ across snapshots; use a "
+                    "delay-parameter family to vary a delay"
+                )
 
     def _segment(self, p, slack=False):
         """Range-checked p: index k and snapshots (p0, m0), (p1, m1) of the
         segment [p_k, p_k+1) that contains p; the first or the last segment
         outside the table."""
-        if len(self.snapshots) < 2:
-            raise ConfigurationError(
-                "tabulated family needs at least 2 snapshots"
-            )
-        self._check_range(p, slack)
+        self.check_range(p, slack)
         k = int(np.searchsorted(self._ps, p, side="right")) - 1
         k = min(max(k, 0), len(self._ps) - 2)
         return k, self.snapshots[k], self.snapshots[k + 1]
@@ -312,16 +308,16 @@ class DelayParameterFamily(ModelFamily):
         self._slots = slot_matrices(model)
 
     def evaluate(self, p):
-        self._check_range(p, slack=True)
+        self.check_range(p, slack=True)
         return self.model.with_delay(self.delay_index, p)
 
     def derivative(self, p):
-        self._check_range(p)
+        self.check_range(p)
         return self._zero
 
     def split_form(self, p, wams=None):
         """The model's slots, delay ``delay_index`` set to p."""
-        self._check_range(p, slack=True)
+        self.check_range(p, slack=True)
         taus = list(self.model.taus)
         taus[self.delay_index] = float(p)
         return SplitForm(self._slots, (1.0,), (0.0,), tuple(taus),

@@ -46,7 +46,6 @@ from .errors import (
     ConfigurationError,
     DefectiveEigenvalueError,
     NonConvergenceError,
-    RangeError,
     ReinitializationError,
     SingularityError,
     SingularSystemError,
@@ -62,7 +61,6 @@ _SCHEMES = {
     "rk4": ((0.5, 0.5, 1), (1, 2, 2, 1), 6),
 }
 INTEGRATORS = tuple(_SCHEMES)
-EVENT_KINDS = ("fold", "axis_crossing", "reinit", "corrector_fail")
 
 # candidates within this overlap margin of the best are tie-broken on Re(s)
 _OVERLAP_TIE = 0.02
@@ -316,12 +314,6 @@ def reinitialize_at(family, p, prev_state, options):
     return TrackState.from_eigenpair(p, chosen.s, chosen.phi, chosen.residual)
 
 
-def _refine_state(form, state, options, held):
-    ref = spectral.refine_newton(form, state.s, state.phi,
-                                 tol=options.corrector_tol, held=held)
-    return TrackState.from_eigenpair(state.p, ref.s, ref.phi, ref.residual)
-
-
 def _with_residual(form, state):
     res = spectral.eigenpair_residual(form, state.s, state.phi)
     return replace(state, residual=res)
@@ -332,7 +324,9 @@ def track_run(family, initial, options):
 
     Starts from ``initial`` (already refined at its p) and integrates to
     ``options.p_fin`` (default: the upper end of the family range) in steps
-    of ``options.dp`` (default: 1/1000 of the span), applying the Newton
+    of ``options.dp`` (default: 1/1000 of the span).  A ``p_fin`` outside
+    the family range (past the slack of :meth:`ModelFamily.check_range`)
+    raises :class:`RangeError` before the first step.  It applies the Newton
     corrector at fixed p every ``corrector_every`` steps and at the final
     point.  Axis crossings are recorded as events.  A failed step ends the
     run (``truncated``) unless ``options.reinit_on_fold`` restarts it on
@@ -357,6 +351,7 @@ def track_run(family, initial, options):
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
         raise ConfigurationError("p_fin equals the initial parameter")
+    family.check_range(p_fin, slack=True)
     span = p_fin - p_init
     dp = abs(options.dp) if options.dp else abs(span) / 1000.0
     dp = math.copysign(dp, span)
@@ -415,13 +410,13 @@ def track_run(family, initial, options):
                 new_state = replace(new_state, p=p_fin)
             form_new = family.split_form(new_state.p, wams)
             if correct:
-                new_state = _refine_state(form_new, new_state, options,
-                                          held)
+                ref = spectral.refine_newton(
+                    form_new, new_state.s, new_state.phi,
+                    tol=options.corrector_tol, held=held)
+                new_state = TrackState.from_eigenpair(
+                    new_state.p, ref.s, ref.phi, ref.residual)
             else:
                 new_state = settle(form_new, new_state)
-        except RangeError:
-            traj.truncated = True
-            break
         except (SingularSystemError, SingularityError,
                 DefectiveEigenvalueError, NonConvergenceError) as exc:
             # a failed step: a singular bordered system, a P that cannot be
@@ -449,25 +444,24 @@ def track_run(family, initial, options):
         if failure is not None:
             failure.index = len(traj.samples) - 1
             traj.events.append(failure)
-            if not _handle_fold(family, traj, options):
+            if not _handle_fold(family, traj, options, dp, p_fin):
                 break
         state = traj.samples[-1]
     return traj
 
 
-def _handle_fold(family, traj, options):
+def _handle_fold(family, traj, options, dp, p_fin):
     """Reinitialize past a failed step when enabled; otherwise truncate the
     run.
 
-    Resumes one step beyond the last sample: at a fold the eigenvalue is
-    defective and the bordered matrix singular, so stepping from it is
-    hopeless.  Returns True when tracking may continue."""
+    Resumes one signed step ``dp`` beyond the last sample, but not past
+    ``p_fin``: at a fold the eigenvalue is defective and the bordered
+    matrix singular, so stepping from it is hopeless.  Returns True when
+    tracking may continue."""
     if not options.reinit_on_fold:
         traj.truncated = True
         return False
     at = traj.samples[-1]
-    dp = traj.settings["dp"]
-    p_fin = traj.settings["p_fin"]
     p_resume = at.p + dp
     if (p_fin - p_resume) * math.copysign(1.0, dp) < 0.0:
         p_resume = p_fin
@@ -490,21 +484,16 @@ def _handle_fold(family, traj, options):
     return True
 
 
-def _real_to_roundoff(state):
-    return (
-        abs(state.s_i) <= 1e-12 * max(1.0, abs(state.s))
-        and np.linalg.norm(state.phi.imag) <= 1e-12 * np.linalg.norm(state.phi)
-    )
-
-
 def _real_if_roundoff(state):
     """``state`` with its imaginary parts set to exactly 0 when it is real
     to roundoff.  P(s) is real for real s, so every step and correction
     from there stays exactly real, where roundoff-sized imaginary parts
     would shrink geometrically into subnormal arithmetic."""
-    if not _real_to_roundoff(state):
+    phi = state.phi
+    if not (abs(state.s_i) <= 1e-12 * max(1.0, abs(state.s))
+            and np.linalg.norm(phi.imag) <= 1e-12 * np.linalg.norm(phi)):
         return state
-    return replace(state, s=state.s.real, phi=state.phi.real)
+    return replace(state, s=state.s.real, phi=phi.real)
 
 
 def find_crossing(family, trajectory, options):

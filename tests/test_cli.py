@@ -10,6 +10,7 @@ import scipy.io
 import scipy.sparse as sp
 
 import delaytrack as dt
+from delaytrack import cli
 from delaytrack.cli import (
     EXIT_CONFIG,
     EXIT_NO_RESULT,
@@ -19,7 +20,7 @@ from delaytrack.cli import (
     write_trajectory_csv,
 )
 from delaytrack.errors import ManifestError
-from delaytrack.manifest import load_manifest, write_model_bundle
+from delaytrack.manifest import InitSettings, load_manifest, write_model_bundle
 
 from conftest import FIXTURES, HAYES_PRINCIPAL
 
@@ -204,6 +205,51 @@ class TestLoadManifest:
             load_manifest(path)
         assert info.value.code == "missing-snapshots"
 
+    @pytest.mark.parametrize("old, new, code, anchored", [
+        ("n_dyn = 1", "n_dyn = 1\ngarbage", "parse", True),
+        ("n_dyn = 1", "n_dyn = 1\nr = 1", "parse", True),
+        ("r = 1\n", "", "missing-key", False),
+        ("r = 1", "r = two", "bad-value", True),
+        ("delays = 1.0", "delays = 0.1, x", "bad-value", True),
+        ("kind = delay_param", "kind = quadratic", "unknown-kind", True),
+        ("delay_index = 0", "delay_index = 3", "bad-delay-index", False),
+        ("corrector_every = 10", "corrector_every = ten", "bad-value", True),
+        ("shift = 1.3j", "shift = 1+", "bad-value", True),
+    ], ids=["no-equals", "duplicate-key", "no-r", "r-not-int",
+            "delays-not-reals", "unknown-kind", "delay-index-range",
+            "corrector_every-not-int", "shift-not-complex"])
+    def test_rejected_manifest(self, tmp_path, old, new, code, anchored):
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith(old))
+        lines[at] = lines[at].replace(old, new)
+        path.write_text("".join(lines))
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == code
+        # the last line the edit wrote is the one the error names
+        bad = at + 1 + new.count("\n")
+        assert info.value.line == (bad if anchored else None)
+
+    def test_missing_manifest_reported(self, tmp_path):
+        with pytest.raises(ManifestError) as info:
+            load_manifest(tmp_path / "absent.ini")
+        assert info.value.code == "missing-file"
+        assert info.value.line is None
+
+    def test_absent_keys_keep_the_option_defaults(self, tmp_path):
+        # a manifest without [track] and [init] settings gets the defaults
+        # of TrackOptions and InitSettings; p_init and p_fin span the range
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        text = path.read_text()
+        path.write_text(text[:text.index("[track]")])
+        man = load_manifest(path)
+        assert man.track == dt.TrackOptions(regime="delay_param", p_fin=2.5)
+        assert man.init == InitSettings()
+        assert man.p_init == 0.5
+
     def test_parse_error_carries_line(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("format_version = 1\n[model\n")
@@ -376,6 +422,13 @@ class TestCommands:
             assert (tmp_path / "x" / fname).read_bytes() == \
                 (tmp_path / "y" / fname).read_bytes()
 
+    def test_p_fin_outside_the_range_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["track", HAYES, "--p-fin", "99", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "outside family range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fold_truncation_exit_code(self, tmp_path):
         # coalescing companion family: complex pair turns defective at p = 1
         d = tmp_path / "fold"
@@ -414,3 +467,53 @@ class TestCommands:
         assert complex(float(first[1]), float(first[2])) == pytest.approx(
             HAYES_PRINCIPAL, abs=1e-9
         )
+
+
+class TestTrackFlags:
+    """The override flags replace the manifest's sweep settings one field
+    each; a flag left out keeps the manifest's value."""
+
+    MANIFEST_TRACK = {"dp": 0.01, "method": "heun", "corrector_every": 7,
+                      "corrector_tol": 1e-11, "p_fin": 1.5}
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        text = path.read_text()
+        text = text[:text.index("[track]")] + "[track]\n" + "".join(
+            f"{key} = {value}\n" for key, value in self.MANIFEST_TRACK.items()
+        )
+        path.write_text(text)
+        return path
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """The TrackOptions that reach track_run, one per call."""
+        seen = []
+
+        def capture(family, initial, options):
+            seen.append(options)
+            return dt.Trajectory(samples=[initial])
+
+        monkeypatch.setattr(cli, "track_run", capture)
+        return seen
+
+    @pytest.mark.parametrize("flags, field, value", [
+        ([], None, None),
+        (["--dp", "0.02"], "dp", 0.02),
+        (["--method", "rk4"], "method", "rk4"),
+        (["--corrector-every", "5"], "corrector_every", 5),
+        (["--tol", "1e-9"], "corrector_tol", 1e-9),
+        (["--p-fin", "2.0"], "p_fin", 2.0),
+    ], ids=["none", "dp", "method", "corrector-every", "tol", "p-fin"])
+    def test_flag_sets_its_field(self, manifest, received, tmp_path, flags,
+                                 field, value):
+        argv = ["track", str(manifest), "--out", str(tmp_path / "t.csv")]
+        assert main(argv + flags) == EXIT_OK
+        (options,) = received
+        expected = dict(self.MANIFEST_TRACK)
+        if field is not None:
+            expected[field] = value
+        assert {name: getattr(options, name) for name in expected} == expected
+        assert options.regime == "delay_param"

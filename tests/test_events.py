@@ -160,6 +160,23 @@ class TestReinitialize:
         with pytest.raises(ReinitializationError, match="overlap 0.447"):
             dt.reinitialize_at(fam, 0.5, prev, opts)
 
+    def test_failed_reinitialization_truncates(self):
+        # the tracked vector is orthogonal to the eigenvector e_1 of s = -1,
+        # so the bordered system of the first step is singular (a fold);
+        # it spreads evenly over e_2..e_6, so every candidate of the
+        # reinitialization overlaps it by 1/sqrt(5) = 0.447: no branch
+        A0 = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+        base = dt.DelayedLinearModel(np.eye(6), A0)
+        slopes = dt.ModelDerivatives(np.zeros((6, 6)), np.zeros((6, 6)), [])
+        fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
+        phi = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0]) / np.sqrt(5.0)
+        initial = dt.TrackState.from_eigenpair(0.5, -1.0 + 0j, phi)
+        opts = dt.TrackOptions(dp=1e-3, p_fin=1.0, reinit_on_fold=True)
+        traj = dt.track_run(fam, initial, opts)
+        assert traj.truncated
+        assert [(ev.kind, ev.index) for ev in traj.events] == [("fold", 0)]
+        assert [st.p for st in traj.samples] == [0.5]
+
     def test_track_run_resumes_after_fold(self, coalescing_family):
         initial = coalescing_initial(coalescing_family, 0.5)
         opts = dt.TrackOptions(

@@ -44,9 +44,8 @@ class TestEvaluate:
 
     def test_tabulated_needs_two_snapshots(self):
         m = dt.DelayedLinearModel([[1.0]], [[0.0]])
-        fam = dt.TabulatedFamily([(0.0, m)], p_range=(0.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            fam.evaluate(0.0)
+        with pytest.raises(ConfigurationError, match="at least 2 snapshots"):
+            dt.TabulatedFamily([(0.0, m)], p_range=(0.0, 1.0))
 
     def test_deterministic_reevaluation(self):
         fam = scalar_affine()

@@ -4,9 +4,9 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import delaytrack as dt
-from delaytrack import spectral
+from delaytrack import spectral, track
 from delaytrack.charfun import DENSE_MAX_DIM
-from delaytrack.errors import ConfigurationError
+from delaytrack.errors import ConfigurationError, RangeError
 
 from conftest import (
     quadratic_eigenvalue,
@@ -474,3 +474,25 @@ def test_real_branch_stays_exactly_real(method):
     assert traj.samples[-1].s.imag == 0.0
     assert all(not st.phi.imag.any() for st in traj.samples)
     assert traj.samples[-1].residual <= opts.corrector_tol
+
+
+def test_p_fin_outside_the_range_fails_before_any_step(hayes_family,
+                                                       monkeypatch):
+    initial = hayes_initial(hayes_family)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(track, "assemble", unexpected)
+    monkeypatch.setattr(spectral, "bordered_solve", unexpected)
+    opts = dt.TrackOptions(regime="delay_param",
+                           p_fin=hayes_family.p_range[1] + 1.0)
+    with pytest.raises(RangeError, match="outside family range"):
+        dt.track_run(hayes_family, initial, opts)
+
+
+def test_p_fin_within_the_range_slack_is_reached(hayes_family):
+    p_fin = hayes_family.p_range[1] * (1.0 + 5e-7)
+    opts = dt.TrackOptions(dp=0.05, regime="delay_param", p_fin=p_fin)
+    traj = dt.track_run(hayes_family, hayes_initial(hayes_family), opts)
+    assert not traj.truncated and traj.samples[-1].p == p_fin
