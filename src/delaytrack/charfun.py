@@ -12,10 +12,10 @@ over blocks j of slots M_j = (E, A0, A_1, ..., A_mu) taken from anchor
 models: only the scalar weights w_j and coefficients c_k depend on s and p,
 so the sparsity pattern of the inputs is preserved and no matrix is built
 per parameter value.
-The coefficient of a delayed slot is minus one of three kernels:
+The coefficient of a delayed slot is minus one of two kernels:
 
-- exp(-s tau_j) for a constant delay;
-- exp(-s p) for the delay whose magnitude is the parameter p;
+- exp(-s tau_j(p)) for a delay at tau_j(p), which moves with the slope
+  dtau_j/dp (zero for a constant delay);
 - h_p(s) h_s(s) exp(-s tau0) for wide-area measurement (WAMS) latency with
   packet dropouts and Gamma-distributed noise, where the scalar transfer
   functions h_p and h_s shape the single delayed term.
@@ -223,25 +223,27 @@ class SplitForm:
 
         P(s, p) = sum_j weights[j] sum_k c_k(s) M_{j,k}.
 
-    ``taus`` are the delays at this p; ``delay_index`` (the delay that is
-    p) and ``wams`` (the WAMS shaping of the single delayed term) select
-    the kernel of :func:`coefficients`.
+    ``taus`` are the delays at this p and ``dtaus`` their slopes
+    dtau_j/dp, one per delay (empty: none moves); ``wams`` shapes the
+    single delayed term, whose delay must then be fixed.
     """
 
     slots: np.ndarray | tuple
     weights: tuple
     dweights: tuple
     taus: tuple
-    delay_index: int | None = None
+    dtaus: tuple = ()
     wams: WamsSpec | None = None
 
     def __post_init__(self):
-        if self.wams is not None and (self.mu != 1
-                                      or self.delay_index is not None):
+        if self.dtaus and len(self.dtaus) != self.mu:
             raise ConfigurationError(
-                f"WAMS shaping needs exactly one delay term, which is not "
-                f"the parameter; got mu={self.mu}, delay_index="
-                f"{self.delay_index}"
+                f"{len(self.dtaus)} delay slopes for {self.mu} delays"
+            )
+        if self.wams is not None and (self.mu != 1 or any(self.dtaus)):
+            raise ConfigurationError(
+                f"WAMS shaping needs exactly one delay term, which is "
+                f"fixed; got mu={self.mu}, dtaus={self.dtaus}"
             )
 
     @property
@@ -253,15 +255,17 @@ class SplitForm:
         return self.slots[0].shape[0]
 
 
-def split_form(model, derivatives=None, delay_index=None, wams=None):
+def split_form(model, derivatives=None, wams=None):
     """The :class:`SplitForm` of one model with weight 1, followed by the
-    block of its ``derivatives``, which enters dP/dp alone."""
+    block of its ``derivatives``, which enters dP/dp alone together with
+    their delay slopes."""
     pair = derivatives is not None
     return SplitForm(
         slots=slot_matrices(model, derivatives),
         weights=(1.0, 0.0) if pair else (1.0,),
         dweights=(0.0, 1.0) if pair else (0.0,),
-        taus=model.taus, delay_index=delay_index, wams=wams,
+        taus=model.taus, dtaus=derivatives.dtaus if pair else (),
+        wams=wams,
     )
 
 
@@ -270,13 +274,11 @@ def coefficients(form, s):
 
     Over ``form.slots``, P(s) = sum_k c[k] M_k, dP/ds = sum_k c_s[k] M_k
     and dP/dp = sum_k c_p[k] M_k.  Within a block the delayed slots take
-    the constant-delay kernel exp(-s tau_j), unless ``form.wams`` shapes
-    the single delayed term or ``form.delay_index`` names the delay whose
-    magnitude is p, which adds -d/dp exp(-s p) to dP/dp.  The delayed
-    matrices of such a family do not depend on p, so the weight slopes
-    ``form.dweights`` carry only E and A0.  Raises
-    :class:`SingularityError` when a kernel overflows or hits a pole of the
-    transfer functions.
+    the kernel exp(-s tau_j), unless ``form.wams`` shapes the single
+    delayed term; a delay that moves adds -d/dp exp(-s tau_j(p)) =
+    s exp(-s tau_j) dtau_j/dp to dP/dp, and the weight slopes
+    ``form.dweights`` carry every slot.  Raises :class:`SingularityError`
+    when a kernel overflows or hits a pole of the transfer functions.
     """
     s = complex(s)
     if form.wams is None:
@@ -287,15 +289,12 @@ def coefficients(form, s):
         kernels, slopes = [g], [g_s - form.wams.tau0 * g]
     c = [s, -1.0] + [-e for e in kernels]
     c_s = [1.0, 0.0] + [-d for d in slopes]
-    c_p = [0.0] * len(c)
-    dc = c
-    if form.delay_index is not None:
-        c_p[2 + form.delay_index] = s * kernels[form.delay_index]
-        dc = [s, -1.0] + [0.0] * form.mu
+    dtaus = form.dtaus or (0.0,) * form.mu
+    c_p = [0.0, 0.0] + [s * e * dtau for e, dtau in zip(kernels, dtaus)]
     blocks = list(zip(form.weights, form.dweights))
     return ([w * x for w, _ in blocks for x in c],
             [w * x for w, _ in blocks for x in c_s],
-            [w * x + dw * y for w, dw in blocks for x, y in zip(c_p, dc)])
+            [w * x + dw * y for w, dw in blocks for x, y in zip(c_p, c)])
 
 
 def eval_P(mats, c):

@@ -293,8 +293,8 @@ def load_manifest(path):
                 family = DelayParameterFamily(base, idx,
                                               p_range=(p_min, p_max))
             except ConfigurationError as exc:
-                raise ManifestError(str(exc), code="bad-delay-index",
-                                    path=path) from exc
+                ms._fail(str(exc), code="bad-delay-index",
+                         entry=ms.raw("delay_index"))
 
     wams = None
     if "wams" in sections:
@@ -317,8 +317,9 @@ def load_manifest(path):
     try:
         options = TrackOptions(regime=regime, wams=wams, p_fin=p_fin, **given)
     except ConfigurationError as exc:
-        raise ManifestError(str(exc), code="bad-track-options",
-                            path=path) from exc
+        # the method is the one [track] value TrackOptions can reject
+        ts._fail(str(exc), code="bad-track-options",
+                 entry=ts.raw("method"))
 
     init = InitSettings(**sec("init").given(N=int, shift=complex, count=int))
 

@@ -5,9 +5,10 @@ A model is the sparse matrix tuple (E, A0, {(tau_j, A_j)}) of the linear DDAE
     E x'(t) = A0 x(t) + sum_j A_j x(t - tau_j)
 
 where E may be singular (algebraic equations occupy its zero columns).  A
-family maps a scalar parameter p to such a model and also supplies the
-entrywise derivative of every matrix with respect to p, and as the
-:class:`charfun.SplitForm` of P(s, p) over slots it builds once.
+family maps a scalar parameter p to such a model and also supplies its
+derivative with respect to p (the entrywise slope of every matrix and the
+slope of every delay), and the :class:`charfun.SplitForm` of P(s, p) over
+slots it builds once.
 """
 
 from __future__ import annotations
@@ -68,11 +69,8 @@ class DelayedLinearModel:
                 f"delay index {index} out of range for {self.mu} delay terms"
             )
         terms = list(self.delay_terms)
-        terms[index] = (float(tau), terms[index][1])
-        out = DelayedLinearModel.__new__(DelayedLinearModel)
-        out.E, out.A0, out.n_dyn, out.r = self.E, self.A0, self.n_dyn, self.r
-        out.delay_terms = tuple(terms)
-        return out
+        terms[index] = (tau, terms[index][1])
+        return DelayedLinearModel(self.E, self.A0, terms, n_dyn=self.n_dyn)
 
     def __repr__(self):
         return (
@@ -82,17 +80,24 @@ class DelayedLinearModel:
 
 
 class ModelDerivatives:
-    """Entrywise parameter derivatives of a model's matrices."""
+    """Parameter derivatives of a model's matrices (entrywise) and of its
+    delays, ``dtaus`` = dtau_j/dp (one per delay, all zero by default)."""
 
-    def __init__(self, dE, dA0, dA_terms=()):
+    def __init__(self, dE, dA0, dA_terms=(), dtaus=()):
         self.dE = _as_csr(dE)
         self.dA0 = _as_csr(dA0)
         self.dA_terms = tuple(_as_csr(dA) for dA in dA_terms)
+        self.dtaus = tuple(map(float, dtaus)) or (0.0,) * len(self.dA_terms)
+        if len(self.dtaus) != len(self.dA_terms):
+            raise ConfigurationError(
+                f"{len(self.dtaus)} delay slopes for "
+                f"{len(self.dA_terms)} delay matrices"
+            )
 
     @classmethod
-    def zero(cls, model):
+    def zero(cls, model, dtaus=()):
         z = sparse.csr_array((model.r, model.r))
-        return cls(z, z, (z,) * model.mu)
+        return cls(z, z, (z,) * model.mu, dtaus)
 
 
 def validate_model(model):
@@ -164,11 +169,11 @@ class ModelFamily:
 
 
 class AffineFamily(ModelFamily):
-    """Family whose matrices depend affinely on p: M(p) = M_base + p * M_slope.
+    """Family that depends affinely on p: M(p) = M_base + p * M_slope for
+    every matrix and tau_j(p) = tau_j + p * dtau_j for every delay.
 
-    Delay magnitudes stay fixed; ``slopes`` is a :class:`ModelDerivatives`
-    holding the (constant) parameter derivative of each matrix slot.
-    """
+    ``slopes`` is a :class:`ModelDerivatives` of the (constant) slopes; a
+    moving delay must be positive at both ends of ``p_range``."""
 
     def __init__(self, base, slopes, p_range):
         super().__init__(p_range)
@@ -178,7 +183,20 @@ class AffineFamily(ModelFamily):
             )
         self.base = base
         self.slopes = slopes
-        self._slots = slot_matrices(base, slopes)
+        self._delays = tuple(zip(base.taus, slopes.dtaus))
+        if any(dtau and not tau + p * dtau > 0.0 for p in self.p_range
+               for tau, dtau in self._delays):
+            raise ConfigurationError(
+                f"a moving delay must stay positive over {self.p_range}"
+            )
+        # no slope block when no matrix moves: P has one block, weight 1
+        moving = any(M.nnz for M in (slopes.dE, slopes.dA0,
+                                     *slopes.dA_terms))
+        self._slots = slot_matrices(base, slopes if moving else None)
+        self._dweights = (0.0, 1.0) if moving else (0.0,)
+
+    def _taus(self, p):
+        return tuple([tau + p * dtau for tau, dtau in self._delays])
 
     def evaluate(self, p):
         self.check_range(p, slack=True)
@@ -186,7 +204,8 @@ class AffineFamily(ModelFamily):
         A0 = self.base.A0 + p * self.slopes.dA0
         terms = [
             (tau, A + p * dA)
-            for (tau, A), dA in zip(self.base.delay_terms, self.slopes.dA_terms)
+            for tau, (_, A), dA in zip(self._taus(p), self.base.delay_terms,
+                                       self.slopes.dA_terms)
         ]
         return DelayedLinearModel(E, A0, terms, n_dyn=self.base.n_dyn)
 
@@ -195,10 +214,12 @@ class AffineFamily(ModelFamily):
         return self.slopes
 
     def split_form(self, p, wams=None):
-        """Blocks (base, slopes) with weights (1, p)."""
+        """Blocks (base, slopes) with weights (1, p), or the base alone
+        when no matrix moves, and the delays at tau_j + p * dtau_j."""
         self.check_range(p, slack=True)
-        return SplitForm(self._slots, (1.0, float(p)), (0.0, 1.0),
-                         self.base.taus, wams=wams)
+        weights = (1.0, float(p))[:len(self._dweights)]
+        return SplitForm(self._slots, weights, self._dweights,
+                         self._taus(p), self.slopes.dtaus, wams=wams)
 
 
 class TabulatedFamily(ModelFamily):
@@ -207,8 +228,8 @@ class TabulatedFamily(ModelFamily):
     Interpolation is piecewise-linear between bracketing snapshots, and the
     derivative is the exact slope of the interpolant segment.  Delay
     magnitudes must be identical across snapshots: a varying delay belongs
-    to :class:`DelayParameterFamily` instead.  The table needs at least
-    two snapshots; ``p_range`` defaults to the span of their p.
+    to an :class:`AffineFamily` with delay slopes instead.  The table needs
+    at least two snapshots; ``p_range`` defaults to the span of their p.
     """
 
     def __init__(self, snapshots, p_range=None):
@@ -285,41 +306,14 @@ class TabulatedFamily(ModelFamily):
                          wams=wams)
 
 
-class DelayParameterFamily(ModelFamily):
-    """Family in which p is the magnitude of one delay term.
-
-    All matrices are constant; only ``tau[delay_index]`` varies with p, so
-    every matrix derivative is identically zero.
-    """
+class DelayParameterFamily(AffineFamily):
+    """Family in which p is the magnitude of delay ``delay_index`` of
+    ``model``: the affine family over the model with that delay at zero,
+    whose only slope is dtau/dp = 1 for that delay."""
 
     def __init__(self, model, delay_index, p_range):
-        super().__init__(p_range)
-        if not 0 <= delay_index < model.mu:
-            raise ConfigurationError(
-                f"delay index {delay_index} out of range for mu={model.mu}"
-            )
-        if self.p_range[0] <= 0.0:
-            raise ConfigurationError(
-                "delay-parameter range must be strictly positive"
-            )
+        base = model.with_delay(delay_index, 0.0)
+        dtaus = np.eye(model.mu)[delay_index]
+        super().__init__(base, ModelDerivatives.zero(model, dtaus), p_range)
         self.model = model
         self.delay_index = int(delay_index)
-        self._zero = ModelDerivatives.zero(model)
-        self._slots = slot_matrices(model)
-
-    def evaluate(self, p):
-        self.check_range(p, slack=True)
-        return self.model.with_delay(self.delay_index, p)
-
-    def derivative(self, p):
-        self.check_range(p)
-        return self._zero
-
-    def split_form(self, p, wams=None):
-        """The model's slots, delay ``delay_index`` set to p."""
-        self.check_range(p, slack=True)
-        taus = list(self.model.taus)
-        taus[self.delay_index] = float(p)
-        return SplitForm(self._slots, (1.0,), (0.0,), tuple(taus),
-                         delay_index=self.delay_index, wams=wams)
-

@@ -194,15 +194,12 @@ class TrackOptions:
 
     def check_regime(self, form):
         """Reject a regime that disagrees with the split form ``form``,
-        which alone defines P(s, p): ``delay_param`` goes with a varying
+        which alone defines P(s, p): ``delay_param`` goes with a moving
         delay and only with it, ``single`` needs one delay."""
-        varies = form.delay_index is not None
-        if (self.regime == "delay_param") != varies:
+        if (self.regime == "delay_param") != any(form.dtaus):
             raise ConfigurationError(
-                f"regime={self.regime!r} does not match the family: "
-                + (f"it varies delay {form.delay_index}, which needs "
-                   "regime='delay_param'" if varies
-                   else "its delays are fixed")
+                f"regime={self.regime!r} does not match the family's delay "
+                f"slopes {form.dtaus}: 'delay_param' goes with a moving delay"
             )
         if self.regime == "single" and form.mu != 1:
             raise ConfigurationError(

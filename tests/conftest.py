@@ -92,6 +92,14 @@ def random_model_with_derivatives(r, mu, seed, density=0.6):
     return model, derivs
 
 
+def moving_delay(derivs, index):
+    """``derivs`` with delay ``index`` moving at dtau/dp = 1: the delay
+    is the parameter."""
+    dtaus = [0.0] * len(derivs.dA_terms)
+    dtaus[index] = 1.0
+    return dt.ModelDerivatives(derivs.dE, derivs.dA0, derivs.dA_terms, dtaus)
+
+
 def random_state(r, seed, p=0.4):
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal(r) + 1j * rng.standard_normal(r)
@@ -133,13 +141,14 @@ def oracle_dhs_ds(spec, s):
     return -spec.b * c * (1.0 + c * s) ** (-spec.b - 1.0)
 
 
-def complex_split_oracle(model, derivs, state, regime, delay_index=None,
-                         wams=None):
+def complex_split_oracle(model, derivs, state, wams=None):
     """(M, h) from the complex continuation equation, split independently.
 
     Builds P, the dsdp coefficient W = dP/ds, and the parameter forcing
     G = -dP/dp (explicit part) with dense complex arithmetic, then encodes
-    the real form [[M1, M2], [M3, 0]] y' = h directly.
+    the real form [[M1, M2], [M3, 0]] y' = h directly.  A delayed term
+    A_j exp(-s tau_j) whose delay moves with slope dtau_j (``derivs.dtaus``)
+    enters G by the chain rule, (dA_j - s dtau_j A_j) exp(-s tau_j).
     """
     r = model.r
     s = state.s
@@ -150,31 +159,17 @@ def complex_split_oracle(model, derivs, state, regime, delay_index=None,
     dA0 = derivs.dA0.toarray().astype(complex)
     As = [A.toarray().astype(complex) for _, A in model.delay_terms]
     dAs = [dA.toarray().astype(complex) for dA in derivs.dA_terms]
-    taus = list(model.taus)
 
-    if regime in ("single", "multi"):
-        P = s * E - A0
-        W = E.copy()
-        G = -(s * dE - dA0)
-        for tau, A, dA in zip(taus, As, dAs):
+    P = s * E - A0
+    W = E.copy()
+    G = -(s * dE - dA0)
+    if wams is None:
+        for tau, dtau, A, dA in zip(model.taus, derivs.dtaus, As, dAs):
             e = cmath.exp(-s * tau)
             P -= A * e
             W += tau * A * e
-            G += dA * e
-    elif regime == "delay_param":
-        p = state.p
-        Al = As[delay_index]
-        el = cmath.exp(-s * p)
-        P = s * E - A0 - Al * el
-        W = E + p * Al * el
-        G = -(s * dE - dA0 + Al * el * s)
-        for j, (tau, A) in enumerate(zip(taus, As)):
-            if j == delay_index:
-                continue
-            e = cmath.exp(-s * tau)
-            P -= A * e
-            W += tau * A * e
-    elif regime == "wams":
+            G += dA * e - s * dtau * A * e
+    else:
         A1, dA1 = As[0], dAs[0]
         if wams.constant_limit:
             hp = hs = 1.0 + 0.0j
@@ -185,11 +180,9 @@ def complex_split_oracle(model, derivs, state, regime, delay_index=None,
         e0 = cmath.exp(-s * wams.tau0)
         g = hp * hs * e0
         dg = (dhp * hs + hp * dhs) * e0 - wams.tau0 * g
-        P = s * E - A0 - g * A1
-        W = E - dg * A1
-        G = -(s * dE - dA0 - g * dA1)
-    else:
-        raise ValueError(regime)
+        P -= g * A1
+        W -= dg * A1
+        G += g * dA1
 
     w = W @ phi
     gvec = G @ phi

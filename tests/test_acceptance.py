@@ -14,6 +14,7 @@ import delaytrack as dt
 
 from conftest import (
     complex_split_oracle,
+    moving_delay,
     random_model_with_derivatives,
     random_state,
     real_slope,
@@ -123,12 +124,10 @@ def test_criterion_03_two_crossing_recovery():
            f"dense-root truth, gaps {[f'{g:.2e}' for g in gaps]} (tol 1e-6)")
 
 
-def _encoding_case(regime, model, derivs, st, **kw):
-    if regime == "delay_param":  # the varying delay has magnitude st.p
-        model = model.with_delay(kw["delay_index"], st.p)
+def _encoding_case(model, derivs, st, **kw):
     sys_ = dt.assemble(dt.split_form(model, derivs, **kw), st)
     M, h = system_as_dense(sys_)
-    Mo, ho = complex_split_oracle(model, derivs, st, regime, **kw)
+    Mo, ho = complex_split_oracle(model, derivs, st, **kw)
     scale = max(1.0, np.abs(Mo).max())
     return (np.abs(M - Mo).max() / scale,
             np.abs(h - ho).max() / max(1.0, np.abs(ho).max()))
@@ -145,13 +144,15 @@ def test_criterion_04_encoding_equivalence_suite():
         model, derivs = random_model_with_derivatives(5, mu, seed=2000 + mu)
         cases += [("multi", model, derivs, {})] * n
     model, derivs = random_model_with_derivatives(4, 3, seed=3000)
-    cases += [("delay_param", model, derivs, {"delay_index": 1})] * 100
+    # delay 1 is p, and the delayed matrices move too
+    cases += [("delay_param", model.with_delay(1, 0.8),
+               moving_delay(derivs, 1), {})] * 100
     model, derivs = random_model_with_derivatives(4, 1, seed=4000)
     cases += [("wams", model, derivs, {"wams": wams})] * 100
     for k, (regime, model, derivs, kw) in enumerate(cases):
         st = random_state(model.r, seed=5000 + k,
                           p=0.8 if regime == "delay_param" else 0.4)
-        em, eh = _encoding_case(regime, model, derivs, st, **kw)
+        em, eh = _encoding_case(model, derivs, st, **kw)
         worst = max(worst, em, eh)
         count += 1
     ok = worst <= 1e-13
@@ -208,12 +209,10 @@ def test_criterion_05_reduction_lattice():
            f"merge) on random 5x5: worst gap {worst:.2e} (tol 1e-13)")
 
 
-def _sensitivity_case(fam, ref, p, delay_index=None, wams=None):
+def _sensitivity_case(fam, ref, p, wams=None):
     model, derivs = fam.evaluate(p), fam.derivative(p)
     st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-    sys_ = dt.assemble(
-        dt.split_form(model, derivs, delay_index=delay_index, wams=wams), st
-    )
+    sys_ = dt.assemble(dt.split_form(model, derivs, wams=wams), st)
     dy = real_slope(sys_)
     slope = complex(dy[2 * model.r], dy[2 * model.r + 1])
     d = 1e-5
@@ -254,7 +253,7 @@ def test_criterion_06_sensitivity_oracle():
     fam = hayes_family()
     ref = dt.refine_newton(fam.split_form(1.0), -0.3 + 1.3j,
                            np.array([1.0 + 0j]))
-    gaps["delay_param"] = _sensitivity_case(fam, ref, 1.0, delay_index=0)
+    gaps["delay_param"] = _sensitivity_case(fam, ref, 1.0)
 
     # wams: 3x3 with shaped delay
     rng = np.random.default_rng(62)

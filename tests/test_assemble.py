@@ -8,6 +8,7 @@ from delaytrack import charfun
 
 from conftest import (
     complex_split_oracle,
+    moving_delay,
     random_model_with_derivatives,
     random_state,
     real_slope,
@@ -15,10 +16,9 @@ from conftest import (
 )
 
 
-def assert_matches_oracle(system, model, derivs, state, regime, tol=1e-13,
-                          **kw):
+def assert_matches_oracle(system, model, derivs, state, tol=1e-13, **kw):
     M, h = system_as_dense(system)
-    Mo, ho = complex_split_oracle(model, derivs, state, regime, **kw)
+    Mo, ho = complex_split_oracle(model, derivs, state, **kw)
     scale = max(1.0, np.abs(Mo).max())
     assert np.abs(M - Mo).max() <= tol * scale
     assert np.abs(h - ho).max() <= tol * max(1.0, np.abs(ho).max())
@@ -32,7 +32,7 @@ class TestEncodingEquivalence:
         for k in range(25):
             st = random_state(4, seed=100 + k)
             sys_ = dt.assemble(dt.split_form(model, derivs), st)
-            assert_matches_oracle(sys_, model, derivs, st, "single")
+            assert_matches_oracle(sys_, model, derivs, st)
 
     @pytest.mark.parametrize("mu", [2, 3, 5])
     def test_multi_random_states(self, mu):
@@ -40,18 +40,16 @@ class TestEncodingEquivalence:
         for k in range(25):
             st = random_state(5, seed=200 + k)
             sys_ = dt.assemble(dt.split_form(model, derivs), st)
-            assert_matches_oracle(sys_, model, derivs, st, "multi")
+            assert_matches_oracle(sys_, model, derivs, st)
 
     def test_delay_param_random_states(self):
         model, derivs = random_model_with_derivatives(4, 3, seed=31)
+        # delay 1 is p
+        model, derivs = model.with_delay(1, 0.8), moving_delay(derivs, 1)
         for k in range(25):
             st = random_state(4, seed=300 + k, p=0.8)
-            form = dt.split_form(model.with_delay(1, st.p), derivs,
-                                 delay_index=1)
-            sys_ = dt.assemble(form, st)
-            assert_matches_oracle(
-                sys_, model, derivs, st, "delay_param", delay_index=1
-            )
+            sys_ = dt.assemble(dt.split_form(model, derivs), st)
+            assert_matches_oracle(sys_, model, derivs, st)
 
     def test_wams_random_states(self):
         model, derivs = random_model_with_derivatives(4, 1, seed=41)
@@ -59,9 +57,7 @@ class TestEncodingEquivalence:
         for k in range(25):
             st = random_state(4, seed=400 + k)
             sys_ = dt.assemble(dt.split_form(model, derivs, wams=wams), st)
-            assert_matches_oracle(
-                sys_, model, derivs, st, "wams", wams=wams
-            )
+            assert_matches_oracle(sys_, model, derivs, st, wams=wams)
 
     def test_scalar_hayes_state_both_backends(self, hayes_model,
                                               monkeypatch):
@@ -72,7 +68,7 @@ class TestEncodingEquivalence:
         for dense in (True, False):
             monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 2 if dense else 0)
             sys_ = dt.assemble(dt.split_form(hayes_model, derivs), st)
-            assert_matches_oracle(sys_, hayes_model, derivs, st, "single")
+            assert_matches_oracle(sys_, hayes_model, derivs, st)
 
 
 class TestStructure:
@@ -169,14 +165,14 @@ class TestReductionLattice:
         padded = dt.DelayedLinearModel(
             E, A0, [(0.9, Al), (0.3, np.zeros((r, r)))]
         )
-        d_plain = dt.ModelDerivatives.zero(plain)
-        d_padded = dt.ModelDerivatives.zero(padded)
+        d_plain = dt.ModelDerivatives.zero(plain, [1.0])
+        d_padded = dt.ModelDerivatives.zero(padded, [1.0, 0.0])
         st = random_state(r, seed=530, p=0.9)
         a, ha = system_as_dense(
-            dt.assemble(dt.split_form(plain, d_plain, delay_index=0), st)
+            dt.assemble(dt.split_form(plain, d_plain), st)
         )
         b, hb = system_as_dense(
-            dt.assemble(dt.split_form(padded, d_padded, delay_index=0), st)
+            dt.assemble(dt.split_form(padded, d_padded), st)
         )
         assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(a).max())
         assert np.abs(ha - hb).max() <= 1e-14
@@ -195,8 +191,7 @@ class TestReductionLattice:
         ref = dt.refine_newton(fam.split_form(0.7), w[i], V[:, i])
         st = dt.TrackState.from_eigenpair(0.7, ref.s, ref.phi)
         sys_ = dt.assemble(dt.split_form(fam.evaluate(0.7),
-                                         fam.derivative(0.7), delay_index=0),
-                           st)
+                                         fam.derivative(0.7)), st)
         dy = real_slope(sys_)
         assert abs(complex(dy[2 * r], dy[2 * r + 1])) < 1e-12
 
@@ -259,7 +254,7 @@ class TestSensitivity:
         ref = dt.refine_newton(dt.split_form(model), -0.3 + 1.3j,
                                np.array([1.0 + 0j]))
         st = dt.TrackState.from_eigenpair(p, ref.s, ref.phi)
-        form = dt.split_form(model, hayes_family.derivative(p), delay_index=0)
+        form = dt.split_form(model, hayes_family.derivative(p))
         sys_ = dt.assemble(form, st)
         slope = self.solved_slope(sys_, 1)
         assert abs(slope - self.fd_slope(hayes_family, ref, p)) < 1e-5

@@ -27,6 +27,7 @@ from delaytrack.spectral import _factor, bordered_solve, refined_eigenpairs
 
 from conftest import (
     complex_split_oracle,
+    moving_delay,
     random_model_with_derivatives,
     random_state,
     real_slope,
@@ -295,16 +296,10 @@ def eigenpair_state(model, p=0.4):
 REGIMES = {
     "single": dict(mu=1, kw={}),
     "multi": dict(mu=3, kw={}),
-    "delay_param": dict(mu=3, kw={"delay_index": 1}),
+    "delay_param": dict(mu=3, kw={}),
     "wams": dict(mu=1, kw={"wams": dt.WamsSpec(tau0=0.02, p_dr=0.1, T=0.02,
                                                 alpha=1e-3, b=2.0)}),
 }
-
-
-def assemble(regime, model, derivs, st, kw):
-    if regime == "delay_param":  # the varying delay has magnitude st.p
-        model = model.with_delay(kw["delay_index"], st.p)
-    return dt.assemble(dt.split_form(model, derivs, **kw), st)
 
 
 class TestSparseSlope:
@@ -320,15 +315,17 @@ class TestSparseSlope:
             r, mu, seed=70 + mu, density=0.02
         )
         p = 0.8 if regime == "delay_param" else 0.4
+        if regime == "delay_param":  # delay 1 is p
+            model, derivs = model.with_delay(1, p), moving_delay(derivs, 1)
         states = [random_state(r, seed=700 + k, p=p) for k in range(3)]
         if regime == "multi":
             states.append(eigenpair_state(model, p))
         for st in states:
-            sys_ = assemble(regime, model, derivs, st, kw)
+            sys_ = dt.assemble(dt.split_form(model, derivs, **kw), st)
             assert sparse.issparse(sys_.P)
             dy = real_slope(sys_)
             split = splu(sys_.M.tocsc()).solve(sys_.h)
             assert np.abs(dy - split).max() <= 1e-12 * np.abs(split).max()
-            M, h = complex_split_oracle(model, derivs, st, regime, **kw)
+            M, h = complex_split_oracle(model, derivs, st, **kw)
             oracle = np.linalg.solve(M, h)
             assert np.abs(dy - oracle).max() <= 1e-12 * np.abs(oracle).max()

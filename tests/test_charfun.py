@@ -231,6 +231,11 @@ class TestShapedDelayTerm:
         with pytest.raises(ConfigurationError):
             dt.split_form(m, wams=dt.WamsSpec(tau0=0.1))
 
+    def test_rejects_a_moving_delay(self):
+        derivs = dt.ModelDerivatives.zero(self.model, [1.0])
+        with pytest.raises(ConfigurationError):
+            dt.split_form(self.model, derivs, wams=dt.WamsSpec(tau0=0.1))
+
     def test_dst_ds_matches_central_difference(self):
         spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.03, alpha=1e-3, b=2.0)
         s = 0.4 + 2.0j

@@ -143,12 +143,13 @@ class TestLoadManifest:
     def test_unknown_method_reported(self, tmp_path):
         shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
         path = tmp_path / "m" / "manifest.ini"
-        path.write_text(
-            path.read_text().replace("method = euler", "method = midpoint")
-        )
+        text = path.read_text()
+        path.write_text(text.replace("method = euler", "method = midpoint"))
         with pytest.raises(ManifestError) as info:
             load_manifest(path)
         assert info.value.code == "bad-track-options"
+        method_line = 1 + text.splitlines().index("method = euler")
+        assert info.value.line == method_line
 
     def test_bundle_keeps_its_delay_index(self, tmp_path):
         model = dt.DelayedLinearModel(
@@ -212,7 +213,7 @@ class TestLoadManifest:
         ("r = 1", "r = two", "bad-value", True),
         ("delays = 1.0", "delays = 0.1, x", "bad-value", True),
         ("kind = delay_param", "kind = quadratic", "unknown-kind", True),
-        ("delay_index = 0", "delay_index = 3", "bad-delay-index", False),
+        ("delay_index = 0", "delay_index = 3", "bad-delay-index", True),
         ("corrector_every = 10", "corrector_every = ten", "bad-value", True),
         ("shift = 1.3j", "shift = 1+", "bad-value", True),
     ], ids=["no-equals", "duplicate-key", "no-r", "r-not-int",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaytrack as dt
+from delaytrack.charfun import slot_matrices
 from delaytrack.errors import ConfigurationError, RangeError
 
 
@@ -113,6 +114,51 @@ class TestDerivative:
         d = fam.derivative(p)
         gap = (m1.A0 - m0.A0 - delta * d.dA0).toarray()
         assert np.abs(gap).max() <= 1e-14
+
+
+class TestMovingDelays:
+    """The slopes dtau_j/dp of the delays, checked where they enter."""
+
+    def test_derivatives_need_one_slope_per_delay(self):
+        with pytest.raises(ConfigurationError, match="2 delay slopes"):
+            dt.ModelDerivatives([[0.0]], [[0.0]], [[[0.0]]], [1.0, 0.0])
+
+    def test_split_form_needs_one_slope_per_delay(self):
+        m = dt.DelayedLinearModel(
+            [[1.0]], [[0.0]], [(1.0, [[-1.0]]), (2.0, [[0.5]])]
+        )
+        with pytest.raises(ConfigurationError, match="1 delay slopes"):
+            dt.SplitForm(slot_matrices(m), (1.0,), (0.0,), m.taus, (1.0,))
+
+    @pytest.mark.parametrize("dtau, p_range, ok", [
+        (-1.0, (0.0, 0.4), True),
+        (-1.0, (0.0, 0.5), False),   # reaches zero at the upper end
+        (1.0, (-0.7, 1.0), False),   # negative at the lower end
+        (0.0, (-5.0, 5.0), True),    # a fixed delay does not move
+    ], ids=["positive", "zero-at-upper", "negative-at-lower", "fixed"])
+    def test_moving_delay_must_stay_positive(self, dtau, p_range, ok):
+        base = dt.DelayedLinearModel([[1.0]], [[0.0]], [(0.5, [[-1.0]])])
+        slopes = dt.ModelDerivatives.zero(base, [dtau])
+        if ok:
+            dt.AffineFamily(base, slopes, p_range)
+        else:
+            with pytest.raises(ConfigurationError, match="positive"):
+                dt.AffineFamily(base, slopes, p_range)
+
+    def test_delay_parameter_range_must_be_positive(self):
+        m = dt.DelayedLinearModel([[1.0]], [[0.0]], [(1.0, [[-1.0]])])
+        with pytest.raises(ConfigurationError, match="positive"):
+            dt.DelayParameterFamily(m, 0, (0.0, 2.0))
+
+    def test_delay_parameter_family_is_an_affine_slope(self):
+        m = dt.DelayedLinearModel(
+            [[1.0]], [[0.0]], [(1.0, [[-1.0]]), (2.0, [[0.5]])]
+        )
+        fam = dt.DelayParameterFamily(m, 1, (0.1, 2.0))
+        assert isinstance(fam, dt.AffineFamily)
+        assert fam.model is m and fam.delay_index == 1
+        assert fam.derivative(1.0).dtaus == (0.0, 1.0)
+        assert fam.split_form(1.3).taus == (1.0, 1.3)
 
 
 class TestValidate:

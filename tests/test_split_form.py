@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sparse
 
 import delaytrack as dt
+from delaytrack import charfun
 
 from conftest import random_state
 
@@ -34,6 +35,32 @@ def hayes_family():
     return dt.DelayParameterFamily(model, 0, (0.5, 2.5))
 
 
+def split_hayes_family():
+    # Hayes with its delayed term split in two, both delays equal to p:
+    # x' = -0.3 x(t - p) - 0.7 x(t - p), margin pi/2
+    base = dt.DelayedLinearModel([[1.0]], [[0.0]],
+                                 [(0.0, [[-0.3]]), (0.0, [[-0.7]])])
+    return dt.AffineFamily(base, dt.ModelDerivatives.zero(base, [1.0, 1.0]),
+                           (0.5, 2.5))
+
+
+def two_moving_delays_family():
+    # every matrix moves and so do both delays, one up, one down
+    rng = np.random.default_rng(81)
+    r = 3
+
+    def mat(scale=1.0):
+        return scale * rng.standard_normal((r, r))
+
+    base = dt.DelayedLinearModel(
+        np.eye(r) + mat(0.1), mat() - 2.0 * np.eye(r),
+        [(0.4, mat(0.5)), (0.9, mat(0.5))],
+    )
+    slopes = dt.ModelDerivatives(mat(0.1), mat(), [mat(), mat()],
+                                 dtaus=[0.5, -0.3])
+    return dt.AffineFamily(base, slopes, (0.0, 1.0))
+
+
 def sweep_case(kind):
     """(family, initial state, options, true crossings) of one sweep."""
     if kind == "affine":
@@ -52,7 +79,7 @@ def sweep_case(kind):
         opts = dt.TrackOptions(dp=1e-2, corrector_every=10, p_fin=4.0)
         return fam, dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi), \
             opts, [1.0, 3.0]
-    fam = hayes_family()
+    fam = hayes_family() if kind == "delay_param" else split_hayes_family()
     ref = dt.refine_newton(fam.split_form(1.0), -0.3 + 1.3j, np.ones(1),
                            tol=1e-12)
     opts = dt.TrackOptions(dp=1e-2, corrector_every=10,
@@ -61,7 +88,8 @@ def sweep_case(kind):
         [np.pi / 2]
 
 
-@pytest.mark.parametrize("kind", ["affine", "tabulated", "delay_param"])
+@pytest.mark.parametrize("kind", ["affine", "tabulated", "delay_param",
+                                  "split_hayes"])
 def test_sweep_never_evaluates_the_family(kind, monkeypatch):
     fam, initial, opts, truth = sweep_case(kind)
 
@@ -108,10 +136,12 @@ WAMS = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
 
 
 @pytest.mark.parametrize("kind", ["multi", "tabulated", "delay_param",
-                                  "wams"])
+                                  "wams", "two_moving_delays"])
 def test_family_form_matches_evaluated_model(kind):
     if kind == "multi":
         fam, wams, p = scalar_affine_family(), None, 0.73
+    elif kind == "two_moving_delays":
+        fam, wams, p = two_moving_delays_family(), None, 0.58
     elif kind == "tabulated":
         fam, wams, p = two_crossing_family(), None, 1.234
     elif kind == "delay_param":
@@ -125,14 +155,31 @@ def test_family_form_matches_evaluated_model(kind):
                                                         [0.3, -0.2]],
                                      [0.5 * A1])
         fam, wams, p = dt.AffineFamily(base, slopes, (0.0, 1.0)), WAMS, 0.61
-    index = getattr(fam, "delay_index", None)
     r = fam.split_form(p).r
     for k in range(5):
         st = random_state(r, seed=900 + k, p=p)
         got = system_arrays(dt.assemble(fam.split_form(p, wams), st))
         ref = system_arrays(dt.assemble(
-            dt.split_form(fam.evaluate(p), fam.derivative(p),
-                          delay_index=index, wams=wams), st,
+            dt.split_form(fam.evaluate(p), fam.derivative(p), wams=wams),
+            st,
         ))
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_moving_delays_dP_dp_matches_central_difference(dense, monkeypatch):
+    # one rule for every delay: dP/dp of the coefficients against a
+    # central difference of P(s, p) in p
+    monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 128 if dense else 0)
+    fam = two_moving_delays_family()
+    s, p, h = 0.3 + 1.1j, 0.6, 1e-6
+
+    def matrix(p, which):
+        form = fam.split_form(p)
+        P = charfun.eval_P(form.slots, charfun.coefficients(form, s)[which])
+        return P.toarray() if sparse.issparse(P) else P
+
+    dP = matrix(p, 2)
+    fd = (matrix(p + h, 0) - matrix(p - h, 0)) / (2.0 * h)
+    assert np.abs(dP - fd).max() <= 1e-7 * max(1.0, np.abs(dP).max())

@@ -355,6 +355,24 @@ class TestRegimeFamilyMismatch:
             dt.track_run(fam, initial, opts)
 
 
+    @pytest.mark.parametrize("regime", ["multi", "delay_param"])
+    def test_moving_delay_needs_delay_param_regime(self, hayes_model,
+                                                   regime):
+        # the Hayes delay as the affine slope dtau/dp = 1 of a zero delay
+        base = hayes_model.with_delay(0, 0.0)
+        fam = dt.AffineFamily(base, dt.ModelDerivatives.zero(base, [1.0]),
+                              (0.5, 2.5))
+        initial = hayes_initial(fam)
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=10, regime=regime,
+                               p_fin=1.5)
+        if regime == "multi":
+            with pytest.raises(ConfigurationError):
+                dt.track_run(fam, initial, opts)
+        else:
+            traj = dt.track_run(fam, initial, opts)
+            assert not traj.truncated and traj.samples[-1].p == 1.5
+
+
 @pytest.fixture(scope="module")
 def sparse_sweep():
     """A 12-step sweep of a complex pair at r = 300, where P is csr."""
