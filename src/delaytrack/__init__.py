@@ -45,21 +45,20 @@ from .oracle import (
     spectrum_at,
 )
 from .spectral import (
+    ContinuationSystem,
     DiscretizedPencil,
     Eigenpair,
     HeldFactor,
+    assemble,
     discretize,
-    lift_eigenvector,
     refine_newton,
     solve_discretized,
 )
 from .track import (
-    ContinuationSystem,
     TrackEvent,
     TrackOptions,
     TrackState,
     Trajectory,
-    assemble,
     detect_fold,
     find_crossing,
     integrate_step,
@@ -106,7 +105,6 @@ __all__ = [
     "find_crossing",
     "hayes_roots",
     "integrate_step",
-    "lift_eigenvector",
     "rand_ddae",
     "refine_newton",
     "reinitialize_at",

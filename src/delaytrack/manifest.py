@@ -314,12 +314,12 @@ def load_manifest(path):
     p_fin = ts.get("p_fin", float, p_max)
     given = ts.given(dp=float, method=str, corrector_every=int,
                      corrector_tol=float)
-    try:
-        options = TrackOptions(regime=regime, wams=wams, p_fin=p_fin, **given)
-    except ConfigurationError as exc:
-        # the method is the one [track] value TrackOptions can reject
-        ts._fail(str(exc), code="bad-track-options",
-                 entry=ts.raw("method"))
+    for key, value in given.items():  # alone, so an error names its line
+        try:
+            TrackOptions(**{key: value})
+        except ConfigurationError as exc:
+            ts._fail(str(exc), code="bad-track-options", entry=ts.raw(key))
+    options = TrackOptions(regime=regime, wams=wams, p_fin=p_fin, **given)
 
     init = InitSettings(**sec("init").given(N=int, shift=complex, count=int))
 

@@ -1,5 +1,10 @@
-"""Initial eigenpairs: Chebyshev collocation plus Newton refinement.
+"""The bordered system, and initial eigenpairs by Chebyshev collocation
+plus Newton refinement.
 
+:func:`assemble` is the one build of the bordered system
+[[P(s), P'(s) phi], [phi^T, 0]] at an eigenpair, and
+:func:`bordered_solve` its solve: the Newton corrector, the continuation
+predictor of :mod:`track` and every residual read it.
 The transcendental eigenproblem P(s) phi = 0 is seeded by collocating the
 delay interval [-tau_max, 0] at Chebyshev-Gauss-Lobatto nodes.  Values of
 the solution segment at the nodes satisfy a generalized linear eigenproblem
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -77,9 +82,9 @@ class DiscretizedPencil:
     (Dt[1:, :] - s [0 I]) kron I_r, with ``Dt`` the scaled differentiation
     matrix, and its endpoint block row is A0 - s E + sum_j A_j (l_j kron I),
     over the form's weighted ``slots`` (E, A0, A_1, ..., A_mu), csr, with
-    ``delay_rows[j]`` = l_j the barycentric row of delay j.  The matrices
-    ``SigmaA``/``SigmaE`` are assembled on access only; the shift-invert
-    solve and the residual never form them.
+    ``delay_rows[j]`` = l_j the barycentric row of delay j.  Only dense
+    QZ assembles the pair (:func:`_dense_pair`); the shift-invert solve and
+    the residual work on the blocks.
     """
 
     slots: tuple
@@ -95,25 +100,6 @@ class DiscretizedPencil:
     @property
     def dim(self):
         return (self.N + 1) * self.r
-
-    @property
-    def SigmaA(self):
-        # Dt[1:] kron I below, and e_0 (e_0 kron A0 + sum_j l_j kron A_j)
-        # on top, each added as one Kronecker product
-        rows = np.zeros((len(self.slots) - 1, self.N + 1, self.N + 1))
-        rows[0, 0, 0] = 1.0
-        rows[1:, 0, :] = self.delay_rows
-        interior = self.Dt.copy()
-        interior[0] = 0.0
-        out = sparse.kron(interior, sparse.eye_array(self.r))
-        for row, A in zip(rows, self.slots[1:]):
-            out = out + sparse.kron(row, A)
-        return sparse.csr_array(out)
-
-    @property
-    def SigmaE(self):
-        identity = sparse.eye_array(self.N * self.r)
-        return sparse.csr_array(sparse.block_diag([self.slots[0], identity]))
 
 
 @dataclass
@@ -185,9 +171,8 @@ def discretize(form, N):
 
 
 def _dense_pair(pencil):
-    """(SigmaA, SigmaE) as ndarrays, each block row written by np.kron in
-    the order of the sparse sums of :attr:`DiscretizedPencil.SigmaA`, so
-    the entries are the same."""
+    """(SigmaA, SigmaE) as ndarrays: the interior rows Dt[1:] kron I, then
+    A0 and each l_j kron A_j added to the endpoint block row."""
     r = pencil.r
     E, A0, *delayed = (M.toarray() for M in pencil.slots)
     interior = pencil.Dt.copy()
@@ -307,19 +292,6 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
         ) from exc
     small = np.abs(mu) < 1.0 / INFINITE_EIGENVALUE_THRESHOLD
     return np.where(small, np.inf, sigma + 1.0 / np.where(small, 1.0, mu)), V
-
-
-def lift_eigenvector(pencil, v):
-    """Endpoint block of a discretized eigenvector, approximating phi."""
-    return np.asarray(v, dtype=complex)[: pencil.r].copy()
-
-
-def eigenpair_residual(form, s, phi):
-    """Relative residual ||P(s) phi|| / ||phi|| on the nonlinear problem of
-    the split form ``form``, by matrix-vector products with its slots."""
-    c, _, _ = charfun.coefficients(form, s)
-    v = charfun.matvec(form.slots, c, phi)
-    return float(np.linalg.norm(v) / np.linalg.norm(phi))
 
 
 def _factor(P):
@@ -493,6 +465,48 @@ def bordered_solve(P, w, phi, f, t, held=None):
     return x, complex(ds)
 
 
+@dataclass
+class ContinuationSystem:
+    """The bordered system [[P(s), P'(s) phi], [phi^T, 0]] at one eigenpair
+    (s, phi), with its right-hand sides.
+
+    ``top`` = P(s) phi, ``w`` = P'(s) phi (the border column) and ``g`` =
+    -(dP/dp) phi (the parameter forcing) come from one set of slot
+    products; ``residual`` is ||P(s) phi|| / ||phi||.  ``P`` = P(s), dense
+    or sparse as the ``slots`` are, is formed from the coefficients ``c``
+    on first access and kept, so a system read only for its residual or
+    its defect costs no matrix.
+    """
+
+    slots: object
+    c: list
+    phi: np.ndarray
+    top: np.ndarray
+    w: np.ndarray
+    g: np.ndarray
+    residual: float
+    _P: object = field(default=None, repr=False)
+
+    @property
+    def P(self):
+        if self._P is None:
+            self._P = charfun.eval_P(self.slots, self.c)
+        return self._P
+
+
+def assemble(form, pair):
+    """The :class:`ContinuationSystem` of the split form ``form`` at
+    ``pair`` (anything with ``s`` and ``phi``): the coefficients of
+    :func:`charfun.coefficients` over one set of slot products M_k phi."""
+    c, c_s, c_p = charfun.coefficients(form, pair.s)
+    phi = pair.phi
+    top, w, dpphi = charfun.matvec(form.slots, [c, c_s, c_p], phi)
+    return ContinuationSystem(
+        slots=form.slots, c=c, phi=phi, top=top, w=w, g=-dpphi,
+        residual=float(np.linalg.norm(top) / np.linalg.norm(phi)),
+    )
+
+
 def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     """Polish an eigenpair on the exact characteristic function of the
     split form ``form``.
@@ -505,9 +519,9 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     :func:`bordered_solve`, which reuses the factor in ``held`` (a
     :class:`HeldFactor`) when one is given.  The transpose (not conjugate)
     border keeps F holomorphic, so plain complex Newton converges
-    quadratically.  Each iteration reads P(s) phi and P'(s) phi from one
-    set of slot products and forms P(s) only to take a Newton step, so a
-    pair that already converged costs no matrix.  Returns an
+    quadratically.  Each iteration reads the system of :func:`assemble`,
+    which forms P(s) only for a Newton step, so a pair that already
+    converged costs no matrix.  Returns an
     :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
     |phi^T phi - 1| <= tol.
 
@@ -535,12 +549,9 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
 
     residual = np.inf
     for _ in range(max_iter):
-        c, c_s, _ = charfun.coefficients(form, s)
-        # P(s) phi and P'(s) phi from one set of slot products; P(s) itself
-        # is formed only for a Newton step
-        top, w = charfun.matvec(form.slots, [c, c_s], phi)
+        system = assemble(form, Eigenpair(s, phi, math.nan))
+        residual = system.residual
         nrm = np.linalg.norm(phi)
-        residual = float(np.linalg.norm(top) / nrm)
         quad = phi @ phi
         defect = (quad - 1.0) / 2.0
         if residual <= tol:
@@ -556,7 +567,7 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
 
         try:
             dphi, ds = bordered_solve(
-                charfun.eval_P(form.slots, c), w, phi, -top, -defect, held
+                system.P, system.w, phi, -system.top, -defect, held
             )
         except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):
@@ -584,17 +595,17 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
     Discretizes the form at degree ``N`` (the pair (A0, E) for a delay-free
     form), takes the ``count`` pencil eigenpairs nearest to ``shift``
     (shift-invert Arnoldi stops at ``tol`` too, since the polish meets it
-    anyway), lifts each and polishes it by :func:`refine_newton` on the
-    form itself, so a WAMS shaping enters only the polish.  A candidate
-    whose lifted endpoint block vanishes (relative to its pencil vector) or
-    whose refinement raises a :class:`DelayTrackError` is skipped, as is
-    one within 1e-9 of an eigenvalue already kept.  Sorted by descending
-    real part.
+    anyway) and polishes the endpoint block of each, which approximates
+    phi, by :func:`refine_newton` on the form itself, so a WAMS shaping
+    enters only the polish.  A candidate whose endpoint block vanishes
+    (relative to its pencil vector) or whose refinement raises a
+    :class:`DelayTrackError` is skipped, as is one within 1e-9 of an
+    eigenvalue already kept.  Sorted by descending real part.
     """
     pencil = discretize(form, N if form.mu else 0)
     refined = []
     for pair in solve_discretized(pencil, shift, count, tol):
-        phi0 = lift_eigenvector(pencil, pair.phi)
+        phi0 = pair.phi[: pencil.r]
         if np.linalg.norm(phi0) < 1e-12 * np.linalg.norm(pair.phi):
             continue
         try:

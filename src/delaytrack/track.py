@@ -6,17 +6,16 @@ eigenvector normalization phi^T phi = 1 yields the complex bordered system
     [[P(s), P'(s) phi], [phi^T, 0]] [dphi/dp; ds/dp] = [-(dP/dp) phi; 0],
 
 an ODE in the complex eigenpair (phi, s) itself, which is the continuation
-state.  Its real split M(y) dy/dp = h(y) in y = (phi_r, phi_i, s_r, s_i),
-the form the paper writes, is kept as :attr:`ContinuationSystem.M` and
-:attr:`ContinuationSystem.h` for checking; the sweep never builds it.
-One assembly, :func:`assemble`, builds the complex pieces P(s), P'(s) phi
-and -(dP/dp) phi, and the residual ||P(s) phi|| / ||phi||, from a
-:class:`charfun.SplitForm` and one set of slot products, for constant
-delays, a delay magnitude acting as the parameter and a WAMS-shaped delay
-alike.  The run takes each form from ``family.split_form(p, options.wams)``,
-so no model is rebuilt per step.  A sample that is not corrected is
-assembled once: that system gives its residual and is the first stage of
-the step from it.
+state; the sweep never builds its real split in (phi_r, phi_i, s_r, s_i),
+the form the paper writes.  One assembly, :func:`spectral.assemble`,
+builds P(s), P'(s) phi, -(dP/dp) phi and the residual ||P(s) phi|| /
+||phi|| from a :class:`charfun.SplitForm` and one set of slot products,
+for constant delays, moving delays and a WAMS-shaped delay alike; the
+predictor, the Newton corrector and every residual read it.  The run
+takes each form from ``family.split_form(p, options.wams)``, so no model
+is rebuilt per step.  A sample that is not corrected is assembled once:
+that system gives its residual and is the first stage of the step from
+it.
 Every integrator stage solves the bordered system with
 :func:`spectral.bordered_solve` -- the same solve the bordered Newton
 corrector takes: a sparse LU of the r x r complex P(s), a scalar Schur
@@ -39,7 +38,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import charfun, spectral
 from .errors import (
@@ -101,45 +99,6 @@ class TrackState:
 
 
 @dataclass
-class ContinuationSystem:
-    """Complex pieces of the bordered continuation system at one state.
-
-    ``P`` is P(s), dense or sparse as the slots of the split form are.
-    ``w`` = P'(s) phi is the border column, ``g`` = -(dP/dp) phi the
-    parameter forcing and ``phi`` the eigenvector in the border row;
-    ``residual`` is ||P(s) phi|| / ||phi||.  ``M`` and ``h`` are the real
-    split [[M1, M2], [M3, 0]] y' = h of the same system, derived (sparse)
-    on access; the solver never builds them.
-    """
-
-    P: object
-    w: np.ndarray
-    g: np.ndarray
-    phi: np.ndarray
-    residual: float = math.nan
-
-    @property
-    def M(self):
-        """M1 = [[X, -Y], [Y, X]] with P = X + iY, M2 = [[wR, -wI],
-        [wI, wR]] (columns), M3 = [[fr, -fi], [fi, fr]] (rows)."""
-        P = sparse.csr_array(self.P)
-        w, phi = self.w, self.phi
-        M1 = sparse.block_array([[P.real, -P.imag], [P.imag, P.real]])
-        M2 = np.column_stack([np.concatenate([w.real, w.imag]),
-                              np.concatenate([-w.imag, w.real])])
-        M3 = np.vstack([np.concatenate([phi.real, -phi.imag]),
-                        np.concatenate([phi.imag, phi.real])])
-        return sparse.block_array(
-            [[M1, sparse.csr_array(M2)], [sparse.csr_array(M3), None]],
-            format="csr",
-        )
-
-    @property
-    def h(self):
-        return np.concatenate([self.g.real, self.g.imag, [0.0, 0.0]])
-
-
-@dataclass
 class TrackEvent:
     kind: str
     p: float
@@ -167,10 +126,12 @@ class Trajectory:
 class TrackOptions:
     """Sweep controls.
 
-    The family and the WAMS spec ``wams`` imply the regime; ``regime``
-    declares it, ``wams`` goes with ``regime="wams"`` only, and
-    :meth:`check_regime` rejects a declaration that disagrees with the
-    family."""
+    ``dp`` is a nonzero finite step (None: 1/1000 of the span),
+    ``corrector_tol`` a positive finite tolerance and ``corrector_every``
+    at least 0 (0: correct never).  The family and the WAMS spec ``wams``
+    imply the regime; ``regime`` declares it, ``wams`` goes with
+    ``regime="wams"`` only, and :meth:`check_regime` rejects a declaration
+    that disagrees with the family."""
 
     dp: float | None = None
     method: str = "euler"
@@ -186,6 +147,17 @@ class TrackOptions:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.method not in INTEGRATORS:
             raise ConfigurationError(f"unknown integrator {self.method!r}")
+        if not (self.dp is None or 0.0 < abs(self.dp) < math.inf):
+            raise ConfigurationError(f"dp={self.dp} is not a nonzero step")
+        if not 0.0 < self.corrector_tol < math.inf:
+            raise ConfigurationError(
+                f"corrector_tol={self.corrector_tol} is not a positive "
+                f"tolerance"
+            )
+        if self.corrector_every < 0:
+            raise ConfigurationError(
+                f"corrector_every={self.corrector_every} is negative"
+            )
         if (self.regime == "wams") != (self.wams is not None):
             raise ConfigurationError(
                 f"a WamsSpec goes with regime='wams' and only with it; got "
@@ -207,20 +179,6 @@ class TrackOptions:
             )
 
 
-def assemble(form, state):
-    """Continuation system at ``state`` from the split form of P at
-    ``state.p``: the coefficients of :func:`charfun.coefficients` over the
-    form's slots give P(s), and over one set of slot products M_k phi the
-    residual P(s) phi, w = P'(s) phi and g = -(dP/dp) phi."""
-    c, c_s, c_p = charfun.coefficients(form, state.s)
-    phi = state.phi
-    top, w, dpphi = charfun.matvec(form.slots, [c, c_s, c_p], phi)
-    return ContinuationSystem(
-        P=charfun.eval_P(form.slots, c), w=w, g=-dpphi, phi=phi,
-        residual=float(np.linalg.norm(top) / np.linalg.norm(phi)),
-    )
-
-
 def _slope(system, held):
     """Slope d(phi, s)/dp of the continuation ODE, as one complex vector."""
     x, ds = spectral.bordered_solve(
@@ -235,8 +193,9 @@ def integrate_step(assemble, state, dp, method="euler", held=None):
 
     ``method`` names a scheme of :data:`INTEGRATORS` (Euler, Heun or RK4);
     an unknown name raises :class:`ConfigurationError`.  ``assemble`` maps
-    a TrackState to its ContinuationSystem and is called once per stage;
-    each stage after the first starts from the slope of the one before.
+    a TrackState to its :class:`spectral.ContinuationSystem` and is called
+    once per stage; each stage after the first starts from the slope of
+    the one before.
     Every stage solves on the factor in ``held`` (a
     :class:`spectral.HeldFactor`) when one is given.
     """
@@ -311,11 +270,6 @@ def reinitialize_at(family, p, prev_state, options):
     return TrackState.from_eigenpair(p, chosen.s, chosen.phi, chosen.residual)
 
 
-def _with_residual(form, state):
-    res = spectral.eigenpair_residual(form, state.s, state.phi)
-    return replace(state, residual=res)
-
-
 def track_run(family, initial, options):
     """Sweep the continuation parameter and record the eigenpair path.
 
@@ -325,7 +279,8 @@ def track_run(family, initial, options):
     the family range (past the slack of :meth:`ModelFamily.check_range`)
     raises :class:`RangeError` before the first step.  It applies the Newton
     corrector at fixed p every ``corrector_every`` steps and at the final
-    point.  Axis crossings are recorded as events.  A failed step ends the
+    point.  An axis crossing is an event at the first sample on the other
+    side of Re s = 0 than the last sample off it.  A failed step ends the
     run (``truncated``) unless ``options.reinit_on_fold`` restarts it on
     the overlapping branch.  A step fails when its bordered solve is
     singular, when P cannot be evaluated at the stepped state (an
@@ -336,8 +291,9 @@ def track_run(family, initial, options):
     which for a failed correction is the uncorrected one if its residual
     can be evaluated.  The sparse bordered solves of the run share one
     :class:`spectral.HeldFactor`, which goes with the run.  The residual of
-    the initial state and of every uncorrected sample is read from the
-    system assembled there, which the next step takes as its first stage.
+    the initial state, of a reinitialized one and of every uncorrected
+    sample is read from the system assembled there, which the next step
+    takes as its first stage.
     An initial or reinitialized state that is real to roundoff is tracked
     from its real parts.
     """
@@ -360,7 +316,7 @@ def track_run(family, initial, options):
 
     def settle(form, st):
         nonlocal kept
-        system = assemble(form, st)
+        system = spectral.assemble(form, st)
         st = replace(st, residual=system.residual)
         kept = (st, system)
         return st
@@ -370,7 +326,7 @@ def track_run(family, initial, options):
         hit, kept = kept, None
         if hit is not None and hit[0] is st:
             return hit[1]
-        return assemble(family.split_form(st.p, wams), st)
+        return spectral.assemble(family.split_form(st.p, wams), st)
 
     traj = Trajectory(
         settings={
@@ -386,6 +342,7 @@ def track_run(family, initial, options):
     state = settle(form, _real_if_roundoff(initial))
     traj.samples.append(state)
     held = spectral.HeldFactor()
+    side = state.s_r  # Re s of the last sample off the imaginary axis
 
     step = 0
     while (p_fin - state.p) * math.copysign(1.0, dp) > 1e-14 * max(
@@ -422,7 +379,7 @@ def track_run(family, initial, options):
             # one, tagged with the event
             if new_state is not None:
                 with contextlib.suppress(SingularityError):
-                    traj.samples.append(_with_residual(form_new, new_state))
+                    traj.samples.append(settle(form_new, new_state))
             at = traj.samples[-1]
             failure = TrackEvent(
                 kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
@@ -431,7 +388,7 @@ def track_run(family, initial, options):
             )
         else:
             traj.samples.append(new_state)
-            if state.s_r * new_state.s_r < 0.0:
+            if side * new_state.s_r < 0.0:
                 traj.events.append(
                     TrackEvent(kind="axis_crossing", p=new_state.p,
                                s=new_state.s, index=len(traj.samples) - 1)
@@ -441,44 +398,38 @@ def track_run(family, initial, options):
         if failure is not None:
             failure.index = len(traj.samples) - 1
             traj.events.append(failure)
-            if not _handle_fold(family, traj, options, dp, p_fin):
+            fresh = _resume(family, traj.samples[-1], options, dp, p_fin)
+            if fresh is None:
+                traj.truncated = True
                 break
+            traj.samples.append(settle(family.split_form(fresh.p, wams),
+                                       fresh))
+            traj.events.append(TrackEvent(kind="reinit", p=fresh.p, s=fresh.s,
+                                          index=len(traj.samples) - 1))
         state = traj.samples[-1]
+        if state.s_r != 0.0:
+            side = state.s_r
     return traj
 
 
-def _handle_fold(family, traj, options, dp, p_fin):
-    """Reinitialize past a failed step when enabled; otherwise truncate the
-    run.
-
-    Resumes one signed step ``dp`` beyond the last sample, but not past
-    ``p_fin``: at a fold the eigenvalue is defective and the bordered
-    matrix singular, so stepping from it is hopeless.  Returns True when
-    tracking may continue."""
+def _resume(family, at, options, dp, p_fin):
+    """The state reinitialized one signed step ``dp`` beyond the failed
+    sample ``at``, but not past ``p_fin``: at a fold the eigenvalue is
+    defective and the bordered matrix singular, so stepping from ``at`` is
+    hopeless.  None when the run ends there: reinitialization is off,
+    ``at`` is at ``p_fin`` or no branch overlaps."""
     if not options.reinit_on_fold:
-        traj.truncated = True
-        return False
-    at = traj.samples[-1]
+        return None
     p_resume = at.p + dp
     if (p_fin - p_resume) * math.copysign(1.0, dp) < 0.0:
         p_resume = p_fin
     if p_resume == at.p:
-        traj.truncated = True
-        return False
+        return None
     try:
         fresh = reinitialize_at(family, p_resume, at, options)
     except (ReinitializationError, NonConvergenceError):
-        traj.truncated = True
-        return False
-    fresh = _with_residual(family.split_form(p_resume, options.wams),
-                           _real_if_roundoff(fresh))
-    traj.samples.append(fresh)
-    traj.events.append(
-        TrackEvent(
-            kind="reinit", p=fresh.p, s=fresh.s, index=len(traj.samples) - 1
-        )
-    )
-    return True
+        return None
+    return _real_if_roundoff(fresh)
 
 
 def _real_if_roundoff(state):
@@ -496,24 +447,33 @@ def _real_if_roundoff(state):
 def find_crossing(family, trajectory, options):
     """Refine every real-axis crossing of the tracked eigenvalue.
 
-    Each sign change of s_r between consecutive samples is bisected in p;
-    the eigenpair is re-solved by warm-started Newton at every midpoint
-    until |Re s| < 1e-9 or the bracket narrows below 1e-9.  Each solve
-    starts from the nearer bracketing sample through
+    Each sign change of s_r between consecutive samples off the axis is
+    bisected in p; a sample exactly on the axis between them is the
+    crossing itself.  The eigenpair is re-solved by warm-started Newton at
+    every midpoint until |Re s| < 1e-9 or the bracket narrows below 1e-9.
+    A nonfinite s_r breaks the brackets around it.  Each solve starts
+    from the nearer bracketing sample through
     :func:`_real_if_roundoff`, as :func:`track_run` does, so a real branch
     keeps every iterate, and s_star, exactly real.  The Newton solves of
     the call share one :class:`spectral.HeldFactor`.  Returns a list of
     (p_star, s_star), empty when the trajectory never crosses.
     """
     crossings = []
-    samples = trajectory.samples
     held = spectral.HeldFactor()
-    for a, b in zip(samples[:-1], samples[1:]):
-        if not (np.isfinite(a.s_r) and np.isfinite(b.s_r)):
+    last = zero = None  # the last sample off the axis, the first on it
+    for b in trajectory.samples:
+        if not np.isfinite(b.s_r):
+            last = zero = None
             continue
-        if a.s_r == 0.0 or a.s_r * b.s_r >= 0.0:
+        if b.s_r == 0.0:
+            zero = zero or b
             continue
-        lo, hi = a, b
+        lo, hi, on_axis, last, zero = last, b, zero, b, None
+        if lo is None or (lo.s_r > 0.0) == (hi.s_r > 0.0):
+            continue
+        if on_axis is not None:
+            crossings.append((on_axis.p, on_axis.s))
+            continue
         pm, sm = lo.p, lo.s
         for _ in range(200):
             if abs(hi.p - lo.p) < 1e-9:

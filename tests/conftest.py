@@ -1,8 +1,11 @@
-"""Shared fixtures and the independent complex-arithmetic oracle.
+"""Shared fixtures, the independent complex-arithmetic oracle and the
+assemblies that only checks use.
 
 The oracle in this file deliberately re-derives everything with dense
-complex numpy: it never calls the package's real-split assembly, so the
-two encodings of the continuation system check each other.
+complex numpy: it never calls the package's assembly, so the complex
+bordered system and its real split check each other.  The sparse
+collocation pair of :func:`pencil_pair` is the reference for the dense
+pair that QZ reads and for shift-invert.
 """
 
 import cmath
@@ -10,6 +13,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import delaytrack as dt
 from delaytrack import spectral
@@ -184,8 +188,16 @@ def complex_split_oracle(model, derivs, state, wams=None):
         W -= dg * A1
         G += g * dA1
 
-    w = W @ phi
-    gvec = G @ phi
+    return real_split(P, W @ phi, phi, G @ phi)
+
+
+def real_split(P, w, phi, g):
+    """(M, h) of the real split [[M1, M2], [M3, 0]] y' = h, in y = (phi_r,
+    phi_i, s_r, s_i), of the complex bordered system [[P, w], [phi^T, 0]]
+    [dphi; ds] = [g; 0], dense: M1 = [[X, -Y], [Y, X]] with P = X + iY,
+    M2 = [[wR, -wI], [wI, wR]] (columns), M3 = [[fr, -fi], [fi, fr]]
+    (rows)."""
+    r = len(phi)
     M = np.zeros((2 * r + 2, 2 * r + 2))
     M[:r, :r] = P.real
     M[:r, r:2 * r] = -P.imag
@@ -199,7 +211,7 @@ def complex_split_oracle(model, derivs, state, wams=None):
     M[2 * r, r:2 * r] = -phi.imag
     M[2 * r + 1, :r] = phi.imag
     M[2 * r + 1, r:2 * r] = phi.real
-    h = np.concatenate([gvec.real, gvec.imag, [0.0, 0.0]])
+    h = np.concatenate([g.real, g.imag, [0.0, 0.0]])
     return M, h
 
 
@@ -212,5 +224,24 @@ def real_slope(system):
 
 
 def system_as_dense(system):
-    M = system.M
-    return (M.toarray() if hasattr(M, "toarray") else np.asarray(M)), system.h
+    """(M, h) of :func:`real_split` for an assembled system."""
+    P = system.P
+    P = P.toarray() if sparse.issparse(P) else np.asarray(P)
+    return real_split(P, system.w, system.phi, system.g)
+
+
+def pencil_pair(pencil):
+    """(SigmaA, SigmaE) of a :class:`DiscretizedPencil` as csr, summed as
+    Kronecker products: Dt[1:] kron I below, and e_0 kron A0 + sum_j
+    l_j kron A_j on top; SigmaE = diag(E, I)."""
+    rows = np.zeros((len(pencil.slots) - 1, pencil.N + 1, pencil.N + 1))
+    rows[0, 0, 0] = 1.0
+    rows[1:, 0, :] = pencil.delay_rows
+    interior = pencil.Dt.copy()
+    interior[0] = 0.0
+    A = sparse.kron(interior, sparse.eye_array(pencil.r))
+    for row, Aj in zip(rows, pencil.slots[1:]):
+        A = A + sparse.kron(row, Aj)
+    identity = sparse.eye_array(pencil.N * pencil.r)
+    E = sparse.block_diag([pencil.slots[0], identity])
+    return sparse.csr_array(A), sparse.csr_array(E)

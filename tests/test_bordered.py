@@ -2,8 +2,8 @@
 
 ``bordered_solve`` factors only the r x r complex P; these tests hold it to
 a dense solve of the full bordered matrix and, through
-``conftest.real_slope``, to a sparse LU of the real split M that the
-continuation ODE is written in.
+``conftest.real_slope``, to a sparse LU of the real split M
+(``conftest.real_split``) that the continuation ODE is written in.
 """
 
 import logging
@@ -31,6 +31,7 @@ from conftest import (
     random_model_with_derivatives,
     random_state,
     real_slope,
+    system_as_dense,
 )
 
 
@@ -324,7 +325,8 @@ class TestSparseSlope:
             sys_ = dt.assemble(dt.split_form(model, derivs, **kw), st)
             assert sparse.issparse(sys_.P)
             dy = real_slope(sys_)
-            split = splu(sys_.M.tocsc()).solve(sys_.h)
+            M, h = system_as_dense(sys_)
+            split = splu(sparse.csc_array(M)).solve(h)
             assert np.abs(dy - split).max() <= 1e-12 * np.abs(split).max()
             M, h = complex_split_oracle(model, derivs, st, **kw)
             oracle = np.linalg.solve(M, h)

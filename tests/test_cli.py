@@ -216,9 +216,15 @@ class TestLoadManifest:
         ("delay_index = 0", "delay_index = 3", "bad-delay-index", True),
         ("corrector_every = 10", "corrector_every = ten", "bad-value", True),
         ("shift = 1.3j", "shift = 1+", "bad-value", True),
+        ("dp = 0.001", "dp = 0", "bad-track-options", True),
+        ("corrector_tol = 1e-10", "corrector_tol = 0", "bad-track-options",
+         True),
+        ("corrector_every = 10", "corrector_every = -1",
+         "bad-track-options", True),
     ], ids=["no-equals", "duplicate-key", "no-r", "r-not-int",
             "delays-not-reals", "unknown-kind", "delay-index-range",
-            "corrector_every-not-int", "shift-not-complex"])
+            "corrector_every-not-int", "shift-not-complex", "dp-zero",
+            "corrector_tol-zero", "corrector_every-negative"])
     def test_rejected_manifest(self, tmp_path, old, new, code, anchored):
         shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
         path = tmp_path / "m" / "manifest.ini"
@@ -428,6 +434,13 @@ class TestCommands:
         code = main(["track", HAYES, "--p-fin", "99", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "outside family range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_dp_flag_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = main(["track", HAYES, "--dp", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "dp=0.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fold_truncation_exit_code(self, tmp_path):

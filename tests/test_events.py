@@ -278,3 +278,33 @@ class TestFindCrossing:
             truths.append(0.5 * (a + b))
         for (p_star, _), truth in zip(crossings, truths):
             assert abs(p_star - truth) < 1e-6
+
+    def test_sample_on_the_axis_is_the_crossing(self):
+        # A0(p) = [[p - 1]] from p = 0 in steps of 0.25: the sample at
+        # p = 1.0 is exactly s = 0, and the next one is past the axis
+        base = dt.DelayedLinearModel([[1.0]], [[-1.0]])
+        slopes = dt.ModelDerivatives([[0.0]], [[1.0]], [])
+        fam = dt.AffineFamily(base, slopes, (0.0, 2.0))
+        initial = dt.TrackState.from_eigenpair(0.0, -1.0, [1.0])
+        opts = dt.TrackOptions(dp=0.25, p_fin=2.0)
+        traj = dt.track_run(fam, initial, opts)
+        assert not traj.truncated
+        on_axis = [k for k, st in enumerate(traj.samples) if st.s == 0.0]
+        assert on_axis == [4] and traj.samples[4].p == 1.0
+        assert [(ev.kind, ev.index) for ev in traj.events] == [
+            ("axis_crossing", 5)
+        ]
+        assert dt.find_crossing(fam, traj, opts) == [(1.0, 0j)]
+
+    def test_touching_the_axis_is_no_crossing(self):
+        # A0 = -1, 0, -1 at p = 0, 1, 2: s reaches 0 at p = 1 and returns
+        snaps = [(p, dt.DelayedLinearModel([[1.0]], [[a]]))
+                 for p, a in ((0.0, -1.0), (1.0, 0.0), (2.0, -1.0))]
+        fam = dt.TabulatedFamily(snaps)
+        initial = dt.TrackState.from_eigenpair(0.0, -1.0, [1.0])
+        opts = dt.TrackOptions(dp=0.25, p_fin=2.0)
+        traj = dt.track_run(fam, initial, opts)
+        assert not traj.truncated
+        assert [st.s for st in traj.samples if st.s.real == 0.0] == [0j]
+        assert traj.events == []
+        assert dt.find_crossing(fam, traj, opts) == []

@@ -13,6 +13,8 @@ from scipy.sparse.linalg import LinearOperator
 import delaytrack as dt
 from delaytrack import charfun, spectral
 
+from conftest import pencil_pair
+
 
 @pytest.fixture
 def sparse_path(monkeypatch):
@@ -25,7 +27,8 @@ def test_matches_dense_eig_of_assembled_pencil(sparse_path):
                         8)
     shift = -1.0 + 1.0j
     pairs = dt.solve_discretized(pen, shift, 6)
-    w = la.eig(pen.SigmaA.toarray(), pen.SigmaE.toarray(), right=False)
+    A, B = pencil_pair(pen)
+    w = la.eig(A.toarray(), B.toarray(), right=False)
     w = w[np.isfinite(w)]
     assert len(pairs) == 6
     for pair in pairs:
@@ -53,12 +56,11 @@ def test_factors_only_r_by_r_matrices(monkeypatch):
         shapes.append(A.shape)
         return factor(A, *args, **kwargs)
 
-    def assembled(self):
+    def assembled(pencil):
         raise AssertionError("the collocation pencil was assembled")
 
     monkeypatch.setattr(spectral, "splu", recording)
-    monkeypatch.setattr(dt.DiscretizedPencil, "SigmaA", property(assembled))
-    monkeypatch.setattr(dt.DiscretizedPencil, "SigmaE", property(assembled))
+    monkeypatch.setattr(spectral, "_dense_pair", assembled)
     pairs = dt.spectrum_at(family, 0.0, N=N, shift=-1 + 1j, count=6)
     assert pairs
     assert shapes and set(shapes) == {(r, r)}

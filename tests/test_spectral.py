@@ -8,7 +8,7 @@ import delaytrack as dt
 from delaytrack import charfun
 from delaytrack.errors import ConfigurationError, NonConvergenceError
 
-from conftest import HAYES_PRINCIPAL
+from conftest import HAYES_PRINCIPAL, pencil_pair
 
 
 def rightmost(pairs):
@@ -19,12 +19,13 @@ class TestDiscretize:
     def test_delay_free_degree_zero(self, quadratic_family):
         m = quadratic_family.evaluate(0.5)
         pen = dt.discretize(dt.split_form(m), 0)
-        np.testing.assert_array_equal(pen.SigmaA.toarray(), m.A0.toarray())
-        np.testing.assert_array_equal(pen.SigmaE.toarray(), m.E.toarray())
+        A, B = pencil_pair(pen)
+        np.testing.assert_array_equal(A.toarray(), m.A0.toarray())
+        np.testing.assert_array_equal(B.toarray(), m.E.toarray())
 
     def test_dimension(self, hayes_model):
         pen = dt.discretize(dt.split_form(hayes_model), 12)
-        assert pen.SigmaA.shape == (13, 13)
+        assert pencil_pair(pen)[0].shape == (13, 13)
         assert pen.dim == 13
         assert pen.nodes[0] == 0.0
         assert pen.nodes[-1] == pytest.approx(-1.0)
@@ -94,21 +95,32 @@ class TestSolveDiscretized:
 
 
 class TestLift:
+    """The endpoint block v[:r] of a pencil eigenvector approximates phi."""
+
     def test_delay_free_identity(self, quadratic_family):
+        # at N = 0 the pencil is (A0, E): its eigenvector is phi itself
         m = quadratic_family.evaluate(0.5)
         pen = dt.discretize(dt.split_form(m), 0)
-        v = np.array([1.0 + 2j, -0.5 + 0j])
-        np.testing.assert_array_equal(dt.lift_eigenvector(pen, v), v)
+        assert pen.dim == pen.r
+        for pair in dt.solve_discretized(pen, 0j, 2):
+            v = pair.phi[: pen.r]
+            P = pair.s * m.E.toarray() - m.A0.toarray()
+            assert np.linalg.norm(P @ v) <= 1e-14 * np.linalg.norm(v)
 
     def test_endpoint_block_first(self, hayes_model):
-        pen = dt.discretize(dt.split_form(hayes_model), 8)
-        v = np.arange(pen.dim, dtype=complex)
-        np.testing.assert_array_equal(dt.lift_eigenvector(pen, v), v[:1])
+        # block k holds the segment x(theta_k) = exp(s theta_k) phi, and
+        # block 0 is the endpoint theta = 0
+        pen = dt.discretize(dt.split_form(hayes_model), 16)
+        pair = rightmost(dt.solve_discretized(pen, 1.3j, 2))
+        V = pair.phi.reshape(pen.N + 1, pen.r)
+        assert pen.nodes[0] == 0.0
+        segment = np.exp(pair.s * pen.nodes)[:, None] * V[0]
+        assert np.abs(V - segment).max() <= 1e-12 * np.abs(V).max()
 
     def test_hayes_endpoint_nonzero(self, hayes_model):
         pen = dt.discretize(dt.split_form(hayes_model), 16)
         pair = rightmost(dt.solve_discretized(pen, 1.3j, 2))
-        phi = dt.lift_eigenvector(pen, pair.phi)
+        phi = pair.phi[: pen.r]
         assert abs(phi[0]) > 1e-3
 
 
@@ -166,7 +178,7 @@ class TestRefineNewton:
     def test_refined_invariants_on_random_candidates(self, hayes_model):
         pen = dt.discretize(dt.split_form(hayes_model), 16)
         for pair in dt.solve_discretized(pen, 1.3j, 4):
-            phi0 = dt.lift_eigenvector(pen, pair.phi)
+            phi0 = pair.phi[: pen.r]
             out = dt.refine_newton(dt.split_form(hayes_model), pair.s, phi0,
                                    tol=1e-10)
             assert out.residual <= 1e-10
@@ -206,7 +218,7 @@ class TestSplitFormPencil:
             got = dt.discretize(form, 8)
             ref = dt.discretize(dt.split_form(family.evaluate(p)), 8)
             np.testing.assert_array_equal(got.nodes, ref.nodes)
-            for a, b in ((got.SigmaA, ref.SigmaA), (got.SigmaE, ref.SigmaE)):
+            for a, b in zip(pencil_pair(got), pencil_pair(ref)):
                 assert abs(a - b).max() <= 1e-14 * abs(b).max()
 
     def test_spectrum_at_builds_no_model(self, monkeypatch, hayes_family):

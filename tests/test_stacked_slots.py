@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 import delaytrack as dt
 from delaytrack import charfun, spectral
 
-from conftest import random_model_with_derivatives, random_state
+from conftest import pencil_pair, random_model_with_derivatives, random_state
 
 
 def model_slots(model, derivs):
@@ -128,8 +128,10 @@ def test_uncorrected_residuals_are_the_eigenpair_residual(layout,
     for k, st in enumerate(traj.samples):
         if k % opts.corrector_every == 0 and k > 0:
             continue  # corrected: the residual of the Newton polish
-        ref = spectral.eigenpair_residual(fam.split_form(st.p), st.s,
-                                         st.phi)
+        form = fam.split_form(st.p)
+        c, _, _ = charfun.coefficients(form, st.s)
+        v = charfun.matvec(form.slots, c, st.phi)
+        ref = np.linalg.norm(v) / np.linalg.norm(st.phi)
         assert abs(st.residual - ref) <= 1e-14 * ref
 
 
@@ -140,24 +142,27 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
         monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
     fam = drifting_family(30, 3)
     initial = complex_start(fam, 0.0)
-    forms = []
-    split_form = fam.split_form
+    forms, systems = [], []
+    split_form, assemble = fam.split_form, spectral.assemble
 
     def counting(p, wams=None):
         forms.append(p)
         return split_form(p, wams)
 
-    def residual(*args):
-        raise AssertionError("a sample's residual was computed again")
+    def assembling(form, pair):
+        systems.append(pair.p)
+        return assemble(form, pair)
 
     monkeypatch.setattr(fam, "split_form", counting)
-    monkeypatch.setattr(spectral, "eigenpair_residual", residual)
+    monkeypatch.setattr(spectral, "assemble", assembling)
     opts = dt.TrackOptions(dp=1e-2, corrector_every=0, p_fin=0.1)
     traj = dt.track_run(fam, initial, opts)
     assert not traj.truncated and len(traj.samples) == 11
-    # one form for the initial state, then one per step
+    # one form and one system for the initial state, then one per step:
+    # no sample's residual is computed again
     assert len(forms) == len(traj.samples)
     assert forms == [st.p for st in traj.samples]
+    assert systems == forms
 
 
 def test_converged_pair_forms_no_matrix(monkeypatch):
@@ -184,8 +189,9 @@ def test_dense_qz_pair_is_the_assembled_pencil(monkeypatch):
     model, _ = random_model_with_derivatives(3, 2, seed=11)
     pencil = dt.discretize(dt.split_form(model), 8)
     A, B = spectral._dense_pair(pencil)
-    np.testing.assert_array_equal(A, pencil.SigmaA.toarray())
-    np.testing.assert_array_equal(B, pencil.SigmaE.toarray())
+    SigmaA, SigmaE = pencil_pair(pencil)
+    np.testing.assert_array_equal(A, SigmaA.toarray())
+    np.testing.assert_array_equal(B, SigmaE.toarray())
 
     def built(*args, **kwargs):
         raise AssertionError("a sparse matrix was built for dense QZ")

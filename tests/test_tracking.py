@@ -34,8 +34,8 @@ def quadratic_initial(family, p=0.1):
 def unit_system(g):
     """Scalar bordered system [[1, 1], [1, 0]] with forcing ``g``."""
     one = np.ones(1, dtype=complex)
-    return dt.ContinuationSystem(P=np.eye(1, dtype=complex), w=one, g=g,
-                                 phi=one)
+    return dt.ContinuationSystem(slots=np.ones((1, 1, 1)), c=[1.0 + 0j],
+                                 phi=one, top=one, w=one, g=g, residual=1.0)
 
 
 class TestIntegrateStep:
@@ -501,7 +501,7 @@ def test_p_fin_outside_the_range_fails_before_any_step(hayes_family,
     def unexpected(*args, **kwargs):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(track, "assemble", unexpected)
+    monkeypatch.setattr(spectral, "assemble", unexpected)
     monkeypatch.setattr(spectral, "bordered_solve", unexpected)
     opts = dt.TrackOptions(regime="delay_param",
                            p_fin=hayes_family.p_range[1] + 1.0)
@@ -514,3 +514,15 @@ def test_p_fin_within_the_range_slack_is_reached(hayes_family):
     opts = dt.TrackOptions(dp=0.05, regime="delay_param", p_fin=p_fin)
     traj = dt.track_run(hayes_family, hayes_initial(hayes_family), opts)
     assert not traj.truncated and traj.samples[-1].p == p_fin
+
+
+@pytest.mark.parametrize("settings", [
+    {"dp": 0.0}, {"dp": float("nan")}, {"dp": float("inf")},
+    {"corrector_tol": 0.0}, {"corrector_tol": -1e-10},
+    {"corrector_tol": float("nan")}, {"corrector_every": -1},
+], ids=["dp-zero", "dp-nan", "dp-inf", "tol-zero", "tol-negative",
+        "tol-nan", "every-negative"])
+def test_wrong_sweep_settings_rejected(settings):
+    with pytest.raises(ConfigurationError, match=next(iter(settings))):
+        dt.TrackOptions(**settings)
+
