@@ -258,6 +258,9 @@ def load_manifest(path):
     taus = ms.get("delays", list, [])
     p_min = ms.get("p_min", float, required=True)
     p_max = ms.get("p_max", float, required=True)
+    if not p_min < p_max:
+        ms._fail(f"empty parameter range [{p_min}, {p_max}]",
+                 code="bad-range", entry=ms.raw("p_min"))
 
     if kind == "tabulated":
         snaps = []
@@ -270,7 +273,10 @@ def load_manifest(path):
                 "tabulated family needs at least 2 [snapshot.K] sections",
                 code="missing-snapshots", path=path,
             )
-        family = TabulatedFamily(snaps, p_range=(p_min, p_max))
+        try:
+            family = TabulatedFamily(snaps, p_range=(p_min, p_max))
+        except ConfigurationError as exc:
+            ms._fail(str(exc), code="bad-delays", entry=ms.raw("delays"))
     else:
         base = _model_from_section(ms, r, n_dyn, taus, base_dir)
         if kind == "affine":
@@ -286,7 +292,10 @@ def load_manifest(path):
                 dA0 if dA0 is not None else _zeros(r),
                 [dA if dA is not None else _zeros(r) for dA in dAs],
             )
-            family = AffineFamily(base, slopes, p_range=(p_min, p_max))
+            try:
+                family = AffineFamily(base, slopes, p_range=(p_min, p_max))
+            except ConfigurationError as exc:
+                ms._fail(str(exc), code="bad-delays", entry=ms.raw("delays"))
         else:
             idx = ms.get("delay_index", int, required=True)
             try:

@@ -172,8 +172,8 @@ class AffineFamily(ModelFamily):
     """Family that depends affinely on p: M(p) = M_base + p * M_slope for
     every matrix and tau_j(p) = tau_j + p * dtau_j for every delay.
 
-    ``slopes`` is a :class:`ModelDerivatives` of the (constant) slopes; a
-    moving delay must be positive at both ends of ``p_range``."""
+    ``slopes`` is a :class:`ModelDerivatives` of the (constant) slopes;
+    every delay must be positive at both ends of ``p_range``."""
 
     def __init__(self, base, slopes, p_range):
         super().__init__(p_range)
@@ -184,10 +184,9 @@ class AffineFamily(ModelFamily):
         self.base = base
         self.slopes = slopes
         self._delays = tuple(zip(base.taus, slopes.dtaus))
-        if any(dtau and not tau + p * dtau > 0.0 for p in self.p_range
-               for tau, dtau in self._delays):
+        if any(not tau > 0.0 for p in self.p_range for tau in self._taus(p)):
             raise ConfigurationError(
-                f"a moving delay must stay positive over {self.p_range}"
+                f"every delay must stay positive over {self.p_range}"
             )
         # no slope block when no matrix moves: P has one block, weight 1
         moving = any(M.nnz for M in (slopes.dE, slopes.dA0,
@@ -227,9 +226,10 @@ class TabulatedFamily(ModelFamily):
 
     Interpolation is piecewise-linear between bracketing snapshots, and the
     derivative is the exact slope of the interpolant segment.  Delay
-    magnitudes must be identical across snapshots: a varying delay belongs
-    to an :class:`AffineFamily` with delay slopes instead.  The table needs
-    at least two snapshots; ``p_range`` defaults to the span of their p.
+    magnitudes must be positive and identical across snapshots: a varying
+    delay belongs to an :class:`AffineFamily` with delay slopes instead.
+    The table needs at least two snapshots; ``p_range`` defaults to the
+    span of their p.
     """
 
     def __init__(self, snapshots, p_range=None):
@@ -244,6 +244,9 @@ class TabulatedFamily(ModelFamily):
         self._ps = np.array([q for q, _ in snaps])
         self._cached = (None, None)  # (segment index, its slots)
         ref = snaps[0][1]
+        if not all(tau > 0.0 for tau in ref.taus):
+            raise ConfigurationError(f"every delay must be positive, got "
+                                     f"{ref.taus}")
         for p, m in snaps[1:]:
             if m.r != ref.r or m.mu != ref.mu:
                 raise ConfigurationError(

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import spectral
-from .errors import DelayTrackError
+from .errors import ConfigurationError, DelayTrackError
 from .model import DelayedLinearModel
 
 # brute-force root sweep: Newton from every point of this grid
@@ -97,14 +97,16 @@ def compare_trajectory(trajectory, family, checkpoint_count=11, options=None,
                        pass_tol=1e-6, N=16, count=6):
     """Distance between tracked eigenvalues and recomputed spectra.
 
-    Picks ``checkpoint_count`` samples equispaced in p, recomputes the
-    spectrum near the tracked eigenvalue at each, and records the distance
-    to the nearest recomputed root.  A checkpoint where the recomputation
-    fails is counted as unmatched.
+    Picks ``checkpoint_count`` (at least 1) samples equispaced in p,
+    recomputes the spectrum near the tracked eigenvalue at each, and
+    records the distance to the nearest recomputed root.  A checkpoint
+    where the recomputation fails is counted as unmatched.
     """
     samples = trajectory.samples
     if not samples:
         raise ValueError("empty trajectory")
+    if checkpoint_count < 1:
+        raise ConfigurationError(f"checkpoint_count={checkpoint_count} < 1")
     wams = options.wams if options is not None else None
     ps = np.array([st.p for st in samples])
     targets = np.linspace(ps[0], ps[-1], checkpoint_count)
@@ -171,12 +173,13 @@ def rand_ddae(r, n_dyn, density, mu, seed):
     dominant spectrum sits in the left half plane; delayed matrices are
     weak couplings with delays in [0.01, 0.1] s.  Sparsity patterns are
     locality-biased (see :func:`_sparse_local`).  Identical seeds yield
-    bit-identical models.
+    bit-identical models.  Raises :class:`ConfigurationError` unless
+    r >= 1, 0 <= n_dyn <= r, 0 < density <= 1 and mu >= 0.
     """
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-    if not 0 <= n_dyn <= r:
-        raise ValueError("n_dyn must lie in [0, r]")
+    if not (r >= 1 and 0 <= n_dyn <= r and 0.0 < density <= 1.0
+            and mu >= 0):
+        raise ConfigurationError(f"no rand_ddae model with r={r}, n_dyn="
+                                 f"{n_dyn}, density={density}, mu={mu}")
     rng = np.random.default_rng(seed)
 
     m = r - n_dyn

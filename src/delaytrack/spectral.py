@@ -2,9 +2,10 @@
 plus Newton refinement.
 
 :func:`assemble` is the one build of the bordered system
-[[P(s), P'(s) phi], [phi^T, 0]] at an eigenpair, and
-:func:`bordered_solve` its solve: the Newton corrector, the continuation
-predictor of :mod:`track` and every residual read it.
+[[P(s), P'(s) phi], [phi^T, 0]] at an eigenpair, read by the Newton
+corrector, the continuation predictor of :mod:`track` and every residual,
+and :func:`bordered_solve` its solve; on a sparse P, one refinement loop
+on a held or a fresh LU meets 1e-13 ||(f, t)|| or fails.
 The transcendental eigenproblem P(s) phi = 0 is seeded by collocating the
 delay interval [-tau_max, 0] at Chebyshev-Gauss-Lobatto nodes.  Values of
 the solution segment at the nodes satisfy a generalized linear eigenproblem
@@ -61,9 +62,10 @@ INFINITE_EIGENVALUE_THRESHOLD = 1e8
 # exact P (refinement in bordered_solve, the Newton polish).
 DIAG_PIVOT_THRESH = 0.01
 
-# budget of a bordered solve on a held factor of an earlier P, in solves
-# with that factor (each pass also takes one product with the exact P);
-# past it, P itself is factored.  A factor costs as much as 16, 25, 21
+# budget of a bordered solve on one factor, in solves with it (each pass
+# also takes one product with the exact P); past it, a held factor of an
+# earlier P gives way to a factor of P itself, and a factor of P to
+# SingularSystemError.  A factor costs as much as 16, 25, 21
 # and 45 such passes at r = 128, 300, 1000 and 5000 (rand_ddae at
 # s = -1+1j; OpenBLAS, 1 thread, 2-CPU x86-64 Linux), so a held solve
 # that succeeds within the budget is the cheaper one.  On the r = 5000
@@ -329,51 +331,37 @@ class HeldFactor:
         self.lu = None
 
 
-def _elimination(lu, w, phi):
-    """Block elimination of [[A, w], [phi^T, 0]] with ``lu`` the LU of A:
-    the map (f, t) -> (x, ds), one solve each, and the Schur complement
-    phi^T A^-1 w; the map is None when that complement is zero or
-    nonfinite."""
+def _refined_solve(lu, P, w, phi, f, t):
+    """Bordered solve against the exact ``P`` on ``lu``, the LU of P or of
+    a nearby matrix: from x = 0, block elimination passes on the exact
+    bordered residual (b = LU^-1 w and the Schur complement phi^T b taken
+    once; the first pass is the plain elimination) until that residual is
+    at most 1e-13 ||(f, t)||.
+
+    Returns ``(solution, solves, ratio, schur)``: ``(x, ds)``, the solves
+    spent, the last residual ratio per pass and the Schur complement.
+    ``solution`` is None, and nothing raised, when the attempt fails: a
+    zero or nonfinite Schur complement or residual, or a ratio too weak to
+    reach the target within ``HELD_SOLVES`` solves."""
     b = lu.solve(w)
     schur = phi @ b
     if schur == 0.0 or not np.isfinite(schur):
-        return None, schur
-
-    def eliminate(f, t):
-        a = lu.solve(f)
-        ds = (phi @ a - t) / schur
-        return a - ds * b, ds
-
-    return eliminate, schur
-
-
-def _held_solve(lu, P, w, phi, f, t):
-    """Bordered solve against the exact ``P`` with the factor ``lu`` of a
-    nearby matrix: block elimination, then refinement passes against the
-    exact bordered residual until it is at most 1e-13 ||(f, t)||, the
-    level that one refinement step on a fresh factor reaches (7e-16 to
-    1.3e-13 ||(f, t)|| measured on the r = 5000 benchmark steps).
-
-    Returns ``(solution, solves, ratio)``: ``(x, ds)``, the solves spent
-    and the last residual ratio per pass.  ``solution`` is None when the
-    attempt is dropped: a zero or nonfinite Schur complement or residual,
-    or a ratio too weak to reach the tolerance within ``HELD_SOLVES``
-    solves.  It never raises, so a stale factor cannot declare the
-    bordered matrix singular."""
-    eliminate, _ = _elimination(lu, w, phi)
-    if eliminate is None:
-        return None, 1, math.nan
-    x, ds = eliminate(f, t)
-    solves, ratio = 2, math.nan
+        return None, 1, math.nan, schur
+    x, ds, rf, rt = 0.0, 0.0, f, t
+    solves, ratio = 1, math.nan
     target = 1e-13 * math.hypot(np.linalg.norm(f), abs(t))
     seen = []  # the residual after each pass
     while True:
+        a = lu.solve(rf)
+        dds = (phi @ a - rt) / schur
+        x, ds = x + (a - dds * b), ds + dds
+        solves += 1
         rf, rt = f - P @ x - w * ds, t - phi @ x
         res = math.hypot(np.linalg.norm(rf), abs(rt))
         if not np.isfinite(res):
-            return None, solves, ratio
+            return None, solves, ratio, schur
         if res <= target:
-            return (x, ds), solves, ratio
+            return (x, ds), solves, ratio, schur
         seen.append(res)
         # the first pass carries the cancellation error of the elimination
         # (b is huge near an eigenvalue), so the contraction is read from
@@ -385,10 +373,7 @@ def _held_solve(lu, P, w, phi, f, t):
             ratio = (res / seen[-1 - back]) ** (1.0 / back)
             if not (ratio < 1.0 and solves + math.log(target / res)
                     / math.log(ratio) <= HELD_SOLVES):
-                return None, solves, ratio
-        dx, dds = eliminate(rf, rt)
-        solves += 1
-        x, ds = x + dx, ds + dds
+                return None, solves, ratio, schur
 
 
 def bordered_solve(P, w, phi, f, t, held=None):
@@ -401,21 +386,21 @@ def bordered_solve(P, w, phi, f, t, held=None):
     ds/dp); with (f, t) = -(P phi, (phi^T phi - 1)/2) it is the Newton step.
 
     A dense ndarray P is solved as the dense (r+1) bordered matrix.  A
-    sparse P is solved through one sparse LU: block elimination with
-    b = LU^-1 w and the scalar Schur complement phi^T b, then iterative
-    refinement against the exact bordered residual of P.  Near an
-    eigenvalue b is huge and the unrefined x loses all accuracy; the
-    refinement restores it.  On a fresh factor of P one refinement step
-    does.  A :class:`HeldFactor` ``held`` lends the LU of an earlier,
-    nearby P instead, and the refinement is repeated on it until the
-    residual is at most 1e-13 ||(f, t)||.  When the measured contraction
-    shows that this takes more than ``HELD_SOLVES`` solves, the attempt is
-    dropped (one DEBUG record on the ``delaytrack`` logger), and P itself
-    is factored and held for the next solve.
+    sparse P is solved through one sparse LU by :func:`_refined_solve`:
+    block elimination with b = LU^-1 w and the scalar Schur complement
+    phi^T b, repeated on the exact bordered residual of P until it is at
+    most 1e-13 ||(f, t)||.  Near an eigenvalue b is huge and the plain
+    elimination loses all accuracy; the refinement restores it.  A
+    :class:`HeldFactor` ``held`` lends the LU of an earlier, nearby P; when
+    its measured contraction cannot reach the target within
+    ``HELD_SOLVES`` solves, it is dropped (one DEBUG record on the
+    ``delaytrack`` logger), and P itself is factored, solved on by the same
+    loop and held for the next solve.  Every sparse solve, on a fresh or a
+    held factor, so meets the target or fails.
 
     Raises :class:`SingularSystemError` when the bordered matrix is
-    singular: a zero or nonfinite Schur complement on a fresh factor of P,
-    or a nonfinite result.
+    singular: on a fresh factor of P, a zero or nonfinite Schur complement
+    or a refinement that cannot reach the target; or a nonfinite result.
     """
     w = np.asarray(w, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
@@ -424,8 +409,8 @@ def bordered_solve(P, w, phi, f, t, held=None):
         if sparse.issparse(P):
             solution = None
             if held is not None and held.lu is not None:
-                solution, solves, ratio = _held_solve(held.lu, P, w, phi,
-                                                      f, t)
+                solution, solves, ratio, _ = _refined_solve(
+                    held.lu, P, w, phi, f, t)
                 if solution is None:
                     log.debug(
                         "dropped the held %d x %d factor after %d solves "
@@ -437,15 +422,13 @@ def bordered_solve(P, w, phi, f, t, held=None):
                 lu = _factor(P)
                 if held is not None:
                     held.lu = lu
-                eliminate, schur = _elimination(lu, w, phi)
-                if eliminate is None:
+                solution, solves, ratio, schur = _refined_solve(
+                    lu, P, w, phi, f, t)
+                if solution is None:
                     raise SingularSystemError(
                         "bordered matrix is singular: Schur complement "
-                        f"phi^T P^-1 w = {schur}"
-                    )
-                x, ds = eliminate(f, t)
-                dx, dds = eliminate(f - P @ x - w * ds, t - phi @ x)
-                solution = x + dx, ds + dds
+                        f"phi^T P^-1 w = {schur}, residual ratio "
+                        f"{ratio:.3g} per pass after {solves} solves")
             x, ds = solution
         else:
             r = P.shape[0]

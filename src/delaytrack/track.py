@@ -187,15 +187,17 @@ def _slope(system, held):
     return np.concatenate((x, [ds]))
 
 
-def integrate_step(assemble, state, dp, method="euler", held=None):
+def integrate_step(assemble, state, dp, method="euler", held=None,
+                   first=None):
     """Advance the complex eigenpair (phi, s) of ``state`` by one explicit
     Runge-Kutta step of size ``dp``.
 
     ``method`` names a scheme of :data:`INTEGRATORS` (Euler, Heun or RK4);
     an unknown name raises :class:`ConfigurationError`.  ``assemble`` maps
     a TrackState to its :class:`spectral.ContinuationSystem` and is called
-    once per stage; each stage after the first starts from the slope of
-    the one before.
+    once per stage, except for the first when the caller passes that
+    stage's system at ``state`` as ``first``; each stage after the first
+    starts from the slope of the one before.
     Every stage solves on the factor in ``held`` (a
     :class:`spectral.HeldFactor`) when one is given.
     """
@@ -204,7 +206,7 @@ def integrate_step(assemble, state, dp, method="euler", held=None):
     except KeyError:
         raise ConfigurationError(f"unknown integrator {method!r}") from None
     y = np.concatenate((state.phi, [state.s]))
-    k = _slope(assemble(state), held)
+    k = _slope(assemble(state) if first is None else first, held)
     total = weights[0] * k
     for a, w in zip(offsets, weights[1:]):
         y_a = y + (a * dp) * k
@@ -309,23 +311,12 @@ def track_run(family, initial, options):
     dp = abs(options.dp) if options.dp else abs(span) / 1000.0
     dp = math.copysign(dp, span)
 
-    # (state, system) for the initial state or the last uncorrected
-    # sample: the system gave its residual and is the first stage of the
-    # step from it
-    kept = None
-
-    def settle(form, st):
-        nonlocal kept
+    def settled(form, st):
+        """``st`` with its residual, and its system."""
         system = spectral.assemble(form, st)
-        st = replace(st, residual=system.residual)
-        kept = (st, system)
-        return st
+        return replace(st, residual=system.residual), system
 
     def assemble_at(st):
-        nonlocal kept
-        hit, kept = kept, None
-        if hit is not None and hit[0] is st:
-            return hit[1]
         return spectral.assemble(family.split_form(st.p, wams), st)
 
     traj = Trajectory(
@@ -339,7 +330,9 @@ def track_run(family, initial, options):
             "corrector_tol": options.corrector_tol,
         }
     )
-    state = settle(form, _real_if_roundoff(initial))
+    # the system of the last sample when it was not corrected: it gave
+    # the sample's residual and is the first stage of the step from it
+    state, system = settled(form, _real_if_roundoff(initial))
     traj.samples.append(state)
     held = spectral.HeldFactor()
     side = state.s_r  # Re s of the last sample off the imaginary axis
@@ -359,7 +352,8 @@ def track_run(family, initial, options):
         new_state = None
         try:
             new_state = integrate_step(assemble_at, state, dp_k,
-                                       options.method, held)
+                                       options.method, held, first=system)
+            system = None
             if last:
                 new_state = replace(new_state, p=p_fin)
             form_new = family.split_form(new_state.p, wams)
@@ -370,7 +364,7 @@ def track_run(family, initial, options):
                 new_state = TrackState.from_eigenpair(
                     new_state.p, ref.s, ref.phi, ref.residual)
             else:
-                new_state = settle(form_new, new_state)
+                new_state, system = settled(form_new, new_state)
         except (SingularSystemError, SingularityError,
                 DefectiveEigenvalueError, NonConvergenceError) as exc:
             # a failed step: a singular bordered system, a P that cannot be
@@ -379,7 +373,7 @@ def track_run(family, initial, options):
             # one, tagged with the event
             if new_state is not None:
                 with contextlib.suppress(SingularityError):
-                    traj.samples.append(settle(form_new, new_state))
+                    traj.samples.append(settled(form_new, new_state)[0])
             at = traj.samples[-1]
             failure = TrackEvent(
                 kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
@@ -402,8 +396,8 @@ def track_run(family, initial, options):
             if fresh is None:
                 traj.truncated = True
                 break
-            traj.samples.append(settle(family.split_form(fresh.p, wams),
-                                       fresh))
+            fresh, system = settled(family.split_form(fresh.p, wams), fresh)
+            traj.samples.append(fresh)
             traj.events.append(TrackEvent(kind="reinit", p=fresh.p, s=fresh.s,
                                           index=len(traj.samples) - 1))
         state = traj.samples[-1]

@@ -7,6 +7,7 @@ a dense solve of the full bordered matrix and, through
 """
 
 import logging
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from delaytrack.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
-from delaytrack import charfun
+from delaytrack import charfun, spectral
 from delaytrack.charfun import DENSE_MAX_DIM
 from delaytrack.spectral import _factor, bordered_solve, refined_eigenpairs
 
@@ -47,6 +48,13 @@ def dense_bordered(P, w, phi, f, t):
     K[r, :r] = phi
     z = np.linalg.solve(K, np.append(f, t))
     return z[:r], z[r]
+
+
+def assert_meets_target(P, w, phi, f, t, x, ds):
+    """The contract of every sparse solve: a bordered residual of at most
+    1e-13 ||(f, t)||, computed as bordered_solve computes it."""
+    res = math.hypot(np.linalg.norm(f - P @ x - w * ds), abs(t - phi @ x))
+    assert res <= 1e-13 * math.hypot(np.linalg.norm(f), abs(t))
 
 
 @pytest.fixture(autouse=True)
@@ -128,9 +136,21 @@ class TestBorderedSolve:
         rng = np.random.default_rng(5)
         f, t = cvec(rng, model.r), 0.3 - 0.1j
         x, ds = bordered_solve(P, w, pair.phi, f, t)
+        assert_meets_target(P, w, pair.phi, f, t, x, ds)
         xd, dsd = dense_bordered(P, w, pair.phi, f, t)
         got, want = np.append(x, ds), np.append(xd, dsd)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_fresh_factor_that_does_not_contract_is_singular(self,
+                                                             monkeypatch):
+        # a "fresh" factor of 2P: each pass only halves the residual, so
+        # the target is out of reach within HELD_SOLVES and the solve
+        # must fail rather than return what its passes gave
+        P, w, phi, f, t = pair_system(1e-3 + 1e-3j)
+        monkeypatch.setattr(spectral, "_factor",
+                            lambda P: splu(sparse.csc_array(2.0 * P)))
+        with pytest.raises(SingularSystemError, match="residual ratio"):
+            bordered_solve(P, w, phi, f, t)
 
     @pytest.mark.parametrize("as_sparse", [True, False])
     def test_zero_schur_complement_is_singular(self, as_sparse):
@@ -216,6 +236,8 @@ class TestHeldFactor:
         assert factor_count() == before and held.lu is lu
         assert caplog.records == []
         xf, dsf = bordered_solve(P, w, phi, f, t)
+        assert_meets_target(P, w, phi, f, t, x, ds)
+        assert_meets_target(P, w, phi, f, t, xf, dsf)
         got, want = np.append(x, ds), np.append(xf, dsf)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -229,6 +251,7 @@ class TestHeldFactor:
             x, ds = bordered_solve(P, w, phi, f, t, held)
         assert factor_count() == before + 1
         assert held.lu is not stale
+        assert_meets_target(P, w, phi, f, t, x, ds)
         xf, dsf = bordered_solve(P, w, phi, f, t)
         np.testing.assert_array_equal(x, xf)
         assert ds == dsf

@@ -214,6 +214,7 @@ class TestLoadManifest:
         ("delays = 1.0", "delays = 0.1, x", "bad-value", True),
         ("kind = delay_param", "kind = quadratic", "unknown-kind", True),
         ("delay_index = 0", "delay_index = 3", "bad-delay-index", True),
+        ("p_min = 0.5", "p_min = 3.0", "bad-range", True),
         ("corrector_every = 10", "corrector_every = ten", "bad-value", True),
         ("shift = 1.3j", "shift = 1+", "bad-value", True),
         ("dp = 0.001", "dp = 0", "bad-track-options", True),
@@ -223,6 +224,7 @@ class TestLoadManifest:
          "bad-track-options", True),
     ], ids=["no-equals", "duplicate-key", "no-r", "r-not-int",
             "delays-not-reals", "unknown-kind", "delay-index-range",
+            "empty-p-range",
             "corrector_every-not-int", "shift-not-complex", "dp-zero",
             "corrector_tol-zero", "corrector_every-negative"])
     def test_rejected_manifest(self, tmp_path, old, new, code, anchored):
@@ -238,6 +240,24 @@ class TestLoadManifest:
         # the last line the edit wrote is the one the error names
         bad = at + 1 + new.count("\n")
         assert info.value.line == (bad if anchored else None)
+
+    @pytest.mark.parametrize("command", ["spectrum", "track"])
+    @pytest.mark.parametrize("delays", ["0.0", "-1.0"])
+    def test_nonpositive_delay_exit_code(self, tmp_path, capsys, command,
+                                         delays):
+        # the Hayes equation as an affine family with its delay fixed
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        text = (path.read_text().replace("kind = delay_param", "kind = affine")
+                .replace("delay_index = 0\n", "")
+                .replace("delays = 1.0", f"delays = {delays}"))
+        path.write_text(text)
+        line = text.splitlines().index(f"delays = {delays}") + 1
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert f"{path}:{line}: " in capsys.readouterr().err
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "bad-delays" and info.value.line == line
 
     def test_missing_manifest_reported(self, tmp_path):
         with pytest.raises(ManifestError) as info:
@@ -441,6 +461,23 @@ class TestCommands:
         code = main(["track", HAYES, "--dp", "0", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "dp=0.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--r", "40", "--density", "0"],
+        ["gen", "--r", "40", "--n-dyn", "50"],
+        ["gen", "--r", "0"],
+        ["gen", "--r", "40", "--mu", "-1"],
+        ["validate", QUADRATIC, "--checkpoints", "0"],
+        ["validate", QUADRATIC, "--checkpoints", "-3"],
+    ], ids=["density-zero", "n_dyn-above-r", "r-zero", "mu-negative",
+            "checkpoints-zero", "checkpoints-negative"])
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "bundle"
+        if argv[0] == "gen":
+            argv = argv + ["--out-dir", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_fold_truncation_exit_code(self, tmp_path):

@@ -130,20 +130,29 @@ class TestMovingDelays:
         with pytest.raises(ConfigurationError, match="1 delay slopes"):
             dt.SplitForm(slot_matrices(m), (1.0,), (0.0,), m.taus, (1.0,))
 
-    @pytest.mark.parametrize("dtau, p_range, ok", [
-        (-1.0, (0.0, 0.4), True),
-        (-1.0, (0.0, 0.5), False),   # reaches zero at the upper end
-        (1.0, (-0.7, 1.0), False),   # negative at the lower end
-        (0.0, (-5.0, 5.0), True),    # a fixed delay does not move
-    ], ids=["positive", "zero-at-upper", "negative-at-lower", "fixed"])
-    def test_moving_delay_must_stay_positive(self, dtau, p_range, ok):
-        base = dt.DelayedLinearModel([[1.0]], [[0.0]], [(0.5, [[-1.0]])])
+    @pytest.mark.parametrize("tau, dtau, p_range, ok", [
+        (0.5, -1.0, (0.0, 0.4), True),
+        (0.5, -1.0, (0.0, 0.5), False),   # reaches zero at the upper end
+        (0.5, 1.0, (-0.7, 1.0), False),   # negative at the lower end
+        (0.5, 0.0, (-5.0, 5.0), True),    # a fixed delay does not move
+        (0.0, 0.0, (0.0, 1.0), False),    # a fixed delay at zero
+        (-1.0, 0.0, (0.0, 1.0), False),   # an advance, not a delay
+    ], ids=["positive", "zero-at-upper", "negative-at-lower", "fixed",
+            "fixed-zero", "fixed-negative"])
+    def test_moving_delay_must_stay_positive(self, tau, dtau, p_range, ok):
+        base = dt.DelayedLinearModel([[1.0]], [[0.0]], [(tau, [[-1.0]])])
         slopes = dt.ModelDerivatives.zero(base, [dtau])
         if ok:
             dt.AffineFamily(base, slopes, p_range)
         else:
             with pytest.raises(ConfigurationError, match="positive"):
                 dt.AffineFamily(base, slopes, p_range)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_tabulated_delay_must_be_positive(self, tau):
+        snap = dt.DelayedLinearModel([[1.0]], [[0.0]], [(tau, [[-1.0]])])
+        with pytest.raises(ConfigurationError, match="positive"):
+            dt.TabulatedFamily([(0.0, snap), (1.0, snap)])
 
     def test_delay_parameter_range_must_be_positive(self):
         m = dt.DelayedLinearModel([[1.0]], [[0.0]], [(1.0, [[-1.0]])])
