@@ -33,7 +33,7 @@ trajectory = dt.track_run(family, initial, options)
 
 for ev in trajectory.events:
     print(f"event: {ev.kind:14s} at p = {ev.p:.4f}, s = {ev.s:+.6f}")
-end = trajectory.samples[-1].s
+end = trajectory.eigenvalues[-1]
 print(f"end: p = 1.5, s = {end:+.10f} "
       f"(analytic upper branch {-1 + np.sqrt(0.5):+.10f})")
 

@@ -279,12 +279,15 @@ def coefficients(form, s):
     s exp(-s tau_j) dtau_j/dp to dP/dp, and the weight slopes
     ``form.dweights`` carry every slot.  Raises :class:`SingularityError`
     when a kernel overflows or hits a pole of the transfer functions.
+
+    The rows are real for a float s on a form without WAMS shaping and
+    complex otherwise: the type of s is the one decision.
     """
-    s = complex(s)
     if form.wams is None:
         kernels = [_delay_scalar(s, tau) for tau in form.taus]
         slopes = [-tau * e for tau, e in zip(form.taus, kernels)]
     else:
+        s = complex(s)
         g, g_s = transfer_scalars(form.wams, s)
         kernels, slopes = [g], [g_s - form.wams.tau0 * g]
     c = [s, -1.0] + [-e for e in kernels]
@@ -335,21 +338,26 @@ def matvec(mats, c, x):
     ``c`` is one coefficient row, which gives one vector, or a stack of
     rows, which gives one row per coefficient row.  The slot products
     M_k x are taken once for all rows: on a dense stack by one real
-    product of the stack, as an (n r, r) matrix, with (Re x, Im x); on csr
-    slots by one product per slot with a nonzero coefficient in some row.
+    product of the stack, as an (n r, r) matrix, with x, or with
+    (Re x, Im x) for a complex x; on csr slots by one product per slot
+    with a nonzero coefficient in some row.  Real rows and a real x give
+    real vectors.
     """
     rows = np.asarray(c)
     C = np.atleast_2d(rows)
-    x = np.ascontiguousarray(x, dtype=complex)
+    x = np.ascontiguousarray(x)
     if isinstance(mats, np.ndarray):
         n, r, _ = mats.shape
-        Y = mats.reshape(n * r, r) @ x.view(float).reshape(r, 2)
-        Y = Y.view(complex).reshape(n, r)
+        if x.dtype == complex:
+            Y = mats.reshape(n * r, r) @ x.view(float).reshape(r, 2)
+            Y = Y.view(complex).reshape(n, r)
+        else:
+            Y = (mats.reshape(n * r, r) @ x).reshape(n, r)
         # row by row, so that a row gives the same digits alone as in a
         # stack
         out = np.array([row @ Y for row in C])
     else:
-        out = np.zeros((len(C), len(x)), dtype=complex)
+        out = np.zeros((len(C), len(x)), dtype=np.result_type(C, x))
         for k in np.flatnonzero(C.any(axis=0)):
             y = mats[k] @ x
             for ck, o in zip(C[:, k], out):

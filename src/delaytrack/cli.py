@@ -214,6 +214,8 @@ def cmd_margin(args):
 
 
 def cmd_validate(args):
+    if args.checkpoints < 1:  # before the sweep, which it would waste
+        raise ConfigurationError(f"--checkpoints {args.checkpoints} < 1")
     man = load_manifest(args.manifest)
     traj, options = _run_track(man, args)
     report = oracle.compare_trajectory(
@@ -240,6 +242,9 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
+    # a bundle whose [init] N cannot resolve its delays is refused by every
+    # later command, so none is written
+    spectral.check_degree(args.N, args.mu)
     model = oracle.rand_ddae(
         args.r, args.n_dyn if args.n_dyn is not None else args.r * 3 // 4,
         args.density, args.mu, args.seed,

@@ -49,6 +49,7 @@ from .model import (
     ModelDerivatives,
     TabulatedFamily,
 )
+from .spectral import check_degree
 from .track import TrackOptions
 
 FORMAT_VERSION = 2
@@ -330,7 +331,12 @@ def load_manifest(path):
             ts._fail(str(exc), code="bad-track-options", entry=ts.raw(key))
     options = TrackOptions(regime=regime, wams=wams, p_fin=p_fin, **given)
 
-    init = InitSettings(**sec("init").given(N=int, shift=complex, count=int))
+    init_sec = sec("init")
+    init = InitSettings(**init_sec.given(N=int, shift=complex, count=int))
+    try:
+        check_degree(init.N, len(taus))
+    except ConfigurationError as exc:
+        init_sec._fail(str(exc), code="bad-degree", entry=init_sec.raw("N"))
 
     for name, entries in sections.items():
         if name not in opened:

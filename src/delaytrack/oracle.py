@@ -114,7 +114,7 @@ def compare_trajectory(trajectory, family, checkpoint_count=11, options=None,
     matched = 0
     for pt in targets:
         st = samples[int(np.argmin(np.abs(ps - pt)))]
-        tracked = st.s
+        tracked = complex(st.s)
         best = None
         dist = np.inf
         try:

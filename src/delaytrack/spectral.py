@@ -106,11 +106,27 @@ class DiscretizedPencil:
 
 @dataclass
 class Eigenpair:
-    """One eigenvalue with its right eigenvector and a relative residual."""
+    """One eigenvalue with its right eigenvector and a relative residual;
+    ``s`` is a float for a real pair (:func:`in_field`)."""
 
     s: complex
     phi: np.ndarray
     residual: float
+
+
+def in_field(s, phi):
+    """``(s, phi)`` in the field of the eigenpair, ``phi`` copied to 1-D.
+
+    A pair whose ``phi`` is real, with ``s.imag == 0``, is real: a float
+    ``s`` and a float64 ``phi``.  Any other pair is complex: a complex
+    ``s`` and a complex128 ``phi``.  P(s) of a real form is real at a real
+    s, so the assembly and the bordered solve of a real pair, and every
+    step and Newton correction from it, stay in real arithmetic.
+    """
+    phi = np.asarray(phi)
+    if phi.dtype.kind != "c" and s.imag == 0.0:
+        return float(s.real), np.array(phi, dtype=float).ravel()
+    return complex(s), np.array(phi, dtype=complex).ravel()
 
 
 def cheb_points_diff(N):
@@ -143,17 +159,23 @@ def _barycentric_row(nodes, t):
     return q / q.sum()
 
 
+def check_degree(N, mu):
+    """Raise :class:`ConfigurationError` when collocation degree ``N``
+    cannot resolve ``mu`` delay terms: forms with delays need N >= 2."""
+    if mu > 0 and N < 2:
+        raise ConfigurationError(
+            f"N={N} cannot resolve {mu} delay term(s); need N >= 2"
+        )
+
+
 def discretize(form, N):
     """Collocation pencil of the split form ``form`` at polynomial degree
     ``N``, holding the form's weighted slots at its p as csr.
 
     A delay-free form with N = 0 reduces to the pair (A0, E).  Forms with
-    delays need N >= 2.
+    delays need N >= 2 (:func:`check_degree`).
     """
-    if form.mu > 0 and N < 2:
-        raise ConfigurationError(
-            f"N={N} cannot resolve {form.mu} delay term(s); need N >= 2"
-        )
+    check_degree(N, form.mu)
     span = max(form.taus) if form.mu else 1.0
     x, D = cheb_points_diff(N)
     nodes = (x - 1.0) * span / 2.0  # theta_0 = 0, theta_N = -span
@@ -297,13 +319,14 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
 
 
 def _factor(P):
-    """Sparse LU of P with COLAMD ordering and threshold partial pivoting
-    (``DIAG_PIVOT_THRESH``).  An exactly zero pivot (P singular at a simple
-    eigenvalue) refactors P nudged by 1e-14 relative on the diagonal and
-    logs a warning.  The refinement in :func:`bordered_solve` against the
-    exact P absorbs the nudge; in :func:`_shift_invert` it moves the shift
-    by about as much, and the Newton polish absorbs that."""
-    P = sparse.csc_array(P, dtype=complex)
+    """Sparse LU of P, in the field of P, with COLAMD ordering and
+    threshold partial pivoting (``DIAG_PIVOT_THRESH``).  An exactly zero
+    pivot (P singular at a simple eigenvalue) refactors P nudged by 1e-14
+    relative on the diagonal and logs a warning.  The refinement in
+    :func:`bordered_solve` against the exact P absorbs the nudge; in
+    :func:`_shift_invert` it moves the shift by about as much, and the
+    Newton polish absorbs that."""
+    P = sparse.csc_array(P)
     try:
         return splu(P, diag_pivot_thresh=DIAG_PIVOT_THRESH)
     except RuntimeError:
@@ -325,10 +348,22 @@ class HeldFactor:
     """The sparse LU of one recent P, kept for the bordered solves of one
     call (a sweep, a crossing search) to reuse on the nearby P that come
     after it.  Create one per call and let it go with the call: the factor
-    is as large as the LU fill."""
+    is as large as the LU fill.  The factor may be of the other field than
+    the system it serves (a sweep that reinitializes from a real branch
+    onto a complex one): :func:`_lu_solve` bridges the two."""
 
     def __init__(self):
         self.lu = None
+
+
+def _lu_solve(lu, v):
+    """lu^-1 v.  SuperLU takes no complex right-hand side on a real LU, so
+    a real LU solves a complex ``v`` by its real and imaginary parts; a
+    complex LU takes a real ``v`` and gives a complex result."""
+    try:
+        return lu.solve(v)
+    except TypeError:
+        return lu.solve(v.real) + 1j * lu.solve(v.imag)
 
 
 def _refined_solve(lu, P, w, phi, f, t):
@@ -343,7 +378,7 @@ def _refined_solve(lu, P, w, phi, f, t):
     ``solution`` is None, and nothing raised, when the attempt fails: a
     zero or nonfinite Schur complement or residual, or a ratio too weak to
     reach the target within ``HELD_SOLVES`` solves."""
-    b = lu.solve(w)
+    b = _lu_solve(lu, w)
     schur = phi @ b
     if schur == 0.0 or not np.isfinite(schur):
         return None, 1, math.nan, schur
@@ -352,7 +387,7 @@ def _refined_solve(lu, P, w, phi, f, t):
     target = 1e-13 * math.hypot(np.linalg.norm(f), abs(t))
     seen = []  # the residual after each pass
     while True:
-        a = lu.solve(rf)
+        a = _lu_solve(lu, rf)
         dds = (phi @ a - rt) / schur
         x, ds = x + (a - dds * b), ds + dds
         solves += 1
@@ -377,34 +412,38 @@ def _refined_solve(lu, P, w, phi, f, t):
 
 
 def bordered_solve(P, w, phi, f, t, held=None):
-    """Solve the complex bordered system
+    """Solve the bordered system
 
         [[P, w], [phi^T, 0]] [x; ds] = [f; t]
 
-    for the vector x and the scalar ds.  With P = P(s), w = P'(s) phi and
-    (f, t) = (-dP/dp phi, 0) this is the continuation slope (dphi/dp,
-    ds/dp); with (f, t) = -(P phi, (phi^T phi - 1)/2) it is the Newton step.
+    for the vector x and the scalar ds, in the field of the inputs
+    (``np.result_type``): real ones give a real x and a float ds.  With
+    P = P(s), w = P'(s) phi and (f, t) = (-dP/dp phi, 0) this is the
+    continuation slope (dphi/dp, ds/dp); with (f, t) = -(P phi,
+    (phi^T phi - 1)/2) it is the Newton step.
 
-    A dense ndarray P is solved as the dense (r+1) bordered matrix.  A
-    sparse P is solved through one sparse LU by :func:`_refined_solve`:
-    block elimination with b = LU^-1 w and the scalar Schur complement
-    phi^T b, repeated on the exact bordered residual of P until it is at
-    most 1e-13 ||(f, t)||.  Near an eigenvalue b is huge and the plain
-    elimination loses all accuracy; the refinement restores it.  A
+    A dense ndarray P is solved as the dense (r+1) bordered matrix, by
+    dgesv when it is real.  A sparse P is solved through one sparse LU,
+    real for a real P, by :func:`_refined_solve`: block elimination with
+    b = LU^-1 w and the scalar Schur complement phi^T b, repeated on the
+    exact bordered residual of P until it is at most 1e-13 ||(f, t)||.
+    Near an eigenvalue b is huge and the plain elimination loses all
+    accuracy; the refinement restores it.  A
     :class:`HeldFactor` ``held`` lends the LU of an earlier, nearby P; when
     its measured contraction cannot reach the target within
     ``HELD_SOLVES`` solves, it is dropped (one DEBUG record on the
     ``delaytrack`` logger), and P itself is factored, solved on by the same
     loop and held for the next solve.  Every sparse solve, on a fresh or a
-    held factor, so meets the target or fails.
+    held factor, so meets the target or fails.  A held factor of the other
+    field serves too (:func:`_lu_solve`); the real part of a complex
+    solution of a real system meets the target that the solution met.
 
     Raises :class:`SingularSystemError` when the bordered matrix is
     singular: on a fresh factor of P, a zero or nonfinite Schur complement
     or a refinement that cannot reach the target; or a nonfinite result.
     """
-    w = np.asarray(w, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    f = np.asarray(f, dtype=complex)
+    w, phi, f = np.asarray(w), np.asarray(phi), np.asarray(f)
+    dtype = np.result_type(P.dtype, w, phi, f, t)
     with np.errstate(all="ignore"):  # nonfinite values are reported below
         if sparse.issparse(P):
             solution = None
@@ -432,20 +471,24 @@ def bordered_solve(P, w, phi, f, t, held=None):
             x, ds = solution
         else:
             r = P.shape[0]
-            K = np.zeros((r + 1, r + 1), dtype=complex)
+            K = np.zeros((r + 1, r + 1), dtype=dtype)
             K[:r, :r] = P
             K[:r, r] = w
             K[r, :r] = phi
+            rhs = np.empty(r + 1, dtype=dtype)
+            rhs[:r], rhs[r] = f, t
             try:
-                z = np.linalg.solve(K, np.append(f, t))
+                z = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(
                     "bordered matrix is singular"
                 ) from exc
             x, ds = z[:r], z[r]
+    if dtype.kind != "c":  # a complex held LU may have solved a real system
+        x, ds = x.real, ds.real
     if not (np.isfinite(ds) and np.all(np.isfinite(x))):
         raise SingularSystemError("nonfinite bordered solution")
-    return x, complex(ds)
+    return x, ds.item()
 
 
 @dataclass
@@ -502,7 +545,8 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     :func:`bordered_solve`, which reuses the factor in ``held`` (a
     :class:`HeldFactor`) when one is given.  The transpose (not conjugate)
     border keeps F holomorphic, so plain complex Newton converges
-    quadratically.  Each iteration reads the system of :func:`assemble`,
+    quadratically.  A real pair (:func:`in_field`) stays real on a real
+    form.  Each iteration reads the system of :func:`assemble`,
     which forms P(s) only for a Newton step, so a pair that already
     converged costs no matrix.  Returns an
     :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
@@ -517,7 +561,7 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     :class:`DefectiveEigenvalueError` when the bordered Jacobian is
     singular (the fold signature).
     """
-    phi = np.asarray(phi0, dtype=complex).ravel().copy()
+    s, phi = in_field(s0, phi0)
     if phi.size != form.r:
         raise ConfigurationError(
             f"eigenvector guess has length {phi.size}, expected {form.r}"
@@ -528,7 +572,6 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     quad = phi @ phi
     if abs(quad) > 1e-12 * nrm2:
         phi = phi / np.sqrt(quad)  # principal root; Newton fixes the rest
-    s = complex(s0)
 
     residual = np.inf
     for _ in range(max_iter):

@@ -1,11 +1,11 @@
 """Continuation tracking of eigenpairs across a parameter sweep.
 
 Implicit differentiation of P(s(p), p) phi(p) = 0 together with the
-eigenvector normalization phi^T phi = 1 yields the complex bordered system
+eigenvector normalization phi^T phi = 1 yields the bordered system
 
     [[P(s), P'(s) phi], [phi^T, 0]] [dphi/dp; ds/dp] = [-(dP/dp) phi; 0],
 
-an ODE in the complex eigenpair (phi, s) itself, which is the continuation
+an ODE in the eigenpair (phi, s) itself, which is the continuation
 state; the sweep never builds its real split in (phi_r, phi_i, s_r, s_i),
 the form the paper writes.  One assembly, :func:`spectral.assemble`,
 builds P(s), P'(s) phi, -(dP/dp) phi and the residual ||P(s) phi|| /
@@ -18,7 +18,7 @@ that system gives its residual and is the first stage of the step from
 it.
 Every integrator stage solves the bordered system with
 :func:`spectral.bordered_solve` -- the same solve the bordered Newton
-corrector takes: a sparse LU of the r x r complex P(s), a scalar Schur
+corrector takes: a sparse LU of the r x r P(s), a scalar Schur
 complement on the border and iterative refinement against the exact
 bordered residual.  Consecutive P(s, p) differ by O(dp), so one sweep (and
 one crossing search) keeps a single :class:`spectral.HeldFactor` for all
@@ -27,8 +27,18 @@ refinement on the held LU stops contracting fast enough.
 The sweep advances (phi, s) with one explicit Runge-Kutta loop over the
 table of Euler, Heun and RK4, optionally re-polished by the Newton
 corrector at fixed p, while watching for conjugate-pair folds and real-axis
-crossings.  A real eigenpair (real to roundoff) is tracked from its real
-parts, so it stays exactly real.
+crossings.
+
+The state carries its field.  A real eigenpair (real to roundoff at the
+start or after a reinitialization) becomes a real :class:`TrackState`,
+with a float s and a float64 phi.  On a form without WAMS shaping, its
+coefficients, slot products, P(s) and bordered solves (dgesv, or a real
+sparse LU) are then real, so the branch runs in real arithmetic and stays
+exactly real; a complex branch runs in complex arithmetic.  The field is
+decided once per state (:class:`TrackState`) and once per bordered solve;
+the helpers in between follow the types they are given.
+:attr:`Trajectory.eigenvalues`, the s_star of :func:`find_crossing` and
+the events stay complex on either branch.
 """
 
 from __future__ import annotations
@@ -72,8 +82,14 @@ INIT_COUNT = 6
 
 @dataclass(frozen=True)
 class TrackState:
-    """The continuation state: the complex eigenpair (s, phi) at one p,
-    with ``phi`` copied to a complex 1-D array on construction."""
+    """The continuation state: the eigenpair (s, phi) at one p, with
+    ``phi`` copied to a 1-D array on construction.
+
+    The state carries its field (:func:`spectral.in_field`): a state whose
+    ``phi`` is real, with ``s.imag == 0``, is real and stores a float
+    ``s`` and a float64 ``phi``; any other stores a complex ``s`` and a
+    complex128 ``phi``.  A real state on a real form is assembled, solved
+    and stepped in real arithmetic, so its successors are real states."""
 
     p: float
     s: complex
@@ -81,9 +97,9 @@ class TrackState:
     residual: float = math.nan
 
     def __post_init__(self):
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "phi",
-                           np.array(self.phi, dtype=complex).ravel())
+        s, phi = spectral.in_field(self.s, self.phi)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "phi", phi)
 
     @property
     def s_r(self):
@@ -105,6 +121,9 @@ class TrackEvent:
     s: complex
     index: int = -1  # sample index the event is attached to
 
+    def __post_init__(self):
+        self.s = complex(self.s)
+
 
 @dataclass
 class Trajectory:
@@ -119,7 +138,7 @@ class Trajectory:
 
     @property
     def eigenvalues(self):
-        return np.array([st.s for st in self.samples])
+        return np.array([st.s for st in self.samples], dtype=complex)
 
 
 @dataclass
@@ -180,7 +199,8 @@ class TrackOptions:
 
 
 def _slope(system, held):
-    """Slope d(phi, s)/dp of the continuation ODE, as one complex vector."""
+    """Slope d(phi, s)/dp of the continuation ODE, as one vector in the
+    field of ``system``."""
     x, ds = spectral.bordered_solve(
         system.P, system.w, system.phi, system.g, 0.0, held
     )
@@ -189,8 +209,9 @@ def _slope(system, held):
 
 def integrate_step(assemble, state, dp, method="euler", held=None,
                    first=None):
-    """Advance the complex eigenpair (phi, s) of ``state`` by one explicit
-    Runge-Kutta step of size ``dp``.
+    """Advance the eigenpair (phi, s) of ``state`` by one explicit
+    Runge-Kutta step of size ``dp``, in the field of its stages: a real
+    state whose stages are real steps to a real state.
 
     ``method`` names a scheme of :data:`INTEGRATORS` (Euler, Heun or RK4);
     an unknown name raises :class:`ConfigurationError`.  ``assemble`` maps
@@ -427,9 +448,9 @@ def _resume(family, at, options, dp, p_fin):
 
 
 def _real_if_roundoff(state):
-    """``state`` with its imaginary parts set to exactly 0 when it is real
-    to roundoff.  P(s) is real for real s, so every step and correction
-    from there stays exactly real, where roundoff-sized imaginary parts
+    """``state`` as a real state when it is real to roundoff.  P(s) is
+    real for real s, so every step and correction from there runs in real
+    arithmetic and stays exactly real, where roundoff-sized imaginary parts
     would shrink geometrically into subnormal arithmetic."""
     phi = state.phi
     if not (abs(state.s_i) <= 1e-12 * max(1.0, abs(state.s))
@@ -448,9 +469,10 @@ def find_crossing(family, trajectory, options):
     A nonfinite s_r breaks the brackets around it.  Each solve starts
     from the nearer bracketing sample through
     :func:`_real_if_roundoff`, as :func:`track_run` does, so a real branch
-    keeps every iterate, and s_star, exactly real.  The Newton solves of
-    the call share one :class:`spectral.HeldFactor`.  Returns a list of
-    (p_star, s_star), empty when the trajectory never crosses.
+    keeps every iterate exactly real and solves it in real arithmetic.  The
+    Newton solves of the call share one :class:`spectral.HeldFactor`.
+    Returns a list of (p_star, s_star) with a complex s_star, empty when
+    the trajectory never crosses.
     """
     crossings = []
     held = spectral.HeldFactor()
@@ -466,7 +488,7 @@ def find_crossing(family, trajectory, options):
         if lo is None or (lo.s_r > 0.0) == (hi.s_r > 0.0):
             continue
         if on_axis is not None:
-            crossings.append((on_axis.p, on_axis.s))
+            crossings.append((on_axis.p, complex(on_axis.s)))
             continue
         pm, sm = lo.p, lo.s
         for _ in range(200):
@@ -488,5 +510,5 @@ def find_crossing(family, trajectory, options):
                 lo = mid
             else:
                 hi = mid
-        crossings.append((pm, sm))
+        crossings.append((pm, complex(sm)))
     return crossings

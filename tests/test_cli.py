@@ -222,11 +222,13 @@ class TestLoadManifest:
          True),
         ("corrector_every = 10", "corrector_every = -1",
          "bad-track-options", True),
+        ("N = 16", "N = 1", "bad-degree", True),
     ], ids=["no-equals", "duplicate-key", "no-r", "r-not-int",
             "delays-not-reals", "unknown-kind", "delay-index-range",
             "empty-p-range",
             "corrector_every-not-int", "shift-not-complex", "dp-zero",
-            "corrector_tol-zero", "corrector_every-negative"])
+            "corrector_tol-zero", "corrector_every-negative",
+            "degree-below-delays"])
     def test_rejected_manifest(self, tmp_path, old, new, code, anchored):
         shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
         path = tmp_path / "m" / "manifest.ini"
@@ -468,10 +470,12 @@ class TestCommands:
         ["gen", "--r", "40", "--n-dyn", "50"],
         ["gen", "--r", "0"],
         ["gen", "--r", "40", "--mu", "-1"],
+        ["gen", "--r", "40", "--N", "1"],
         ["validate", QUADRATIC, "--checkpoints", "0"],
         ["validate", QUADRATIC, "--checkpoints", "-3"],
     ], ids=["density-zero", "n_dyn-above-r", "r-zero", "mu-negative",
-            "checkpoints-zero", "checkpoints-negative"])
+            "degree-below-delays", "checkpoints-zero",
+            "checkpoints-negative"])
     def test_bad_argument_exit_code(self, tmp_path, capsys, argv):
         out = tmp_path / "bundle"
         if argv[0] == "gen":
@@ -479,6 +483,28 @@ class TestCommands:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_gen_degree_error_is_the_discretize_error(self, tmp_path,
+                                                      capsys):
+        assert main(["gen", "--r", "40", "--N", "1",
+                     "--out-dir", str(tmp_path / "b")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        form = dt.split_form(dt.rand_ddae(4, 3, 0.5, 1, 0))
+        with pytest.raises(dt.ConfigurationError) as info:
+            dt.discretize(form, 1)
+        assert err == f"error: {info.value}\n"
+        assert not (tmp_path / "b").exists()
+
+    def test_validate_rejects_checkpoints_before_the_sweep(self, monkeypatch,
+                                                           capsys):
+        def sweep(*args, **kwargs):
+            raise AssertionError("validate swept before checking its "
+                                 "arguments")
+
+        monkeypatch.setattr(cli, "track_run", sweep)
+        assert main(["validate", QUADRATIC, "--checkpoints", "0"]) == \
+            EXIT_CONFIG
+        assert "--checkpoints 0" in capsys.readouterr().err
 
     def test_fold_truncation_exit_code(self, tmp_path):
         # coalescing companion family: complex pair turns defective at p = 1

@@ -61,18 +61,36 @@ def test_slot_products_match_per_slot_sums(r, layout, monkeypatch):
                                                         st.phi))
 
 
-def test_real_coefficients_on_real_slots_stay_exactly_real():
+def test_real_coefficients_on_real_slots_stay_exactly_real(monkeypatch):
     model, derivs = random_model_with_derivatives(6, 2, seed=5)
-    form = dt.split_form(model, derivs)
-    # real s: complex coefficients whose imaginary parts are 0
-    rows = charfun.coefficients(form, -0.7)
-    phi = np.random.default_rng(1).standard_normal(6).astype(complex)
+    mats = model_slots(model, derivs)
+    dense = dt.split_form(model, derivs)
+    monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
+    for form in (dense, dt.split_form(model, derivs)):
+        check_real_field(form, mats)
+
+
+def check_real_field(form, mats):
+    # a float s gives real rows, a real P and real products
+    rows = np.array(charfun.coefficients(form, -0.7))
+    assert rows.dtype == np.float64
+    phi = np.random.default_rng(1).standard_normal(6)
     for c in rows:
         P = dt.eval_P(form.slots, c)
-        assert P.dtype == complex and not P.imag.any()
-    assert not charfun.matvec(form.slots, rows, phi).imag.any()
-    # real-typed coefficients give a real matrix
-    assert dt.eval_P(form.slots, np.real(rows[0])).dtype == np.float64
+        assert P.dtype == np.float64
+        P = P.toarray() if sparse.issparse(P) else P
+        assert_close(P, per_slot(mats, c), 1e-13)
+    products = charfun.matvec(form.slots, rows, phi)
+    assert products.dtype == np.float64
+    for y, c in zip(products, rows):
+        assert_close(y, per_slot(mats, c) @ phi, 1e-13)
+    # the same s as a complex number keeps the complex field, with the
+    # same values
+    crows = np.array(charfun.coefficients(form, -0.7 + 0j))
+    assert crows.dtype == complex
+    cproducts = charfun.matvec(form.slots, crows, phi.astype(complex))
+    assert cproducts.dtype == complex and not cproducts.imag.any()
+    assert_close(cproducts.real, products, 1e-15)
 
 
 def test_tabulated_form_on_both_sides_of_a_snapshot():
