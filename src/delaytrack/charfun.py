@@ -27,9 +27,9 @@ return a form per p, and :func:`split_form` wraps a single model.
 Below ``DENSE_MAX_DIM`` the slots are one real (n, r, r) stack, so a
 combination of them is a real matrix product; from it up they are a
 tuple of csr matrices.
-:func:`eval_P` forms a matrix from coefficients and slots; :func:`matvec`
-applies the same combination, or several at once, to a vector without
-forming it, from one set of slot products M_k x.
+:func:`coefficients` gives the rows of P, dP/ds and dP/dp as one array;
+:func:`eval_P` forms a matrix from a row, and :func:`slot_products` (or
+:func:`matvec`) applies rows to a vector from one set of products M_k x.
 """
 
 from __future__ import annotations
@@ -270,7 +270,8 @@ def split_form(model, derivatives=None, wams=None):
 
 
 def coefficients(form, s):
-    """Scalar coefficients (c, c_s, c_p) of the split form at s.
+    """The coefficient rows (c, c_s, c_p) of the split form at s, as one
+    (3, n) ndarray.
 
     Over ``form.slots``, P(s) = sum_k c[k] M_k, dP/ds = sum_k c_s[k] M_k
     and dP/dp = sum_k c_p[k] M_k.  Within a block the delayed slots take
@@ -280,7 +281,7 @@ def coefficients(form, s):
     ``form.dweights`` carry every slot.  Raises :class:`SingularityError`
     when a kernel overflows or hits a pole of the transfer functions.
 
-    The rows are real for a float s on a form without WAMS shaping and
+    The array is real for a float s on a form without WAMS shaping and
     complex otherwise: the type of s is the one decision.
     """
     if form.wams is None:
@@ -295,13 +296,14 @@ def coefficients(form, s):
     dtaus = form.dtaus or (0.0,) * form.mu
     c_p = [0.0, 0.0] + [s * e * dtau for e, dtau in zip(kernels, dtaus)]
     blocks = list(zip(form.weights, form.dweights))
-    return ([w * x for w, _ in blocks for x in c],
-            [w * x for w, _ in blocks for x in c_s],
-            [w * x + dw * y for w, dw in blocks for x, y in zip(c_p, c)])
+    return np.array([[w * x for w, _ in blocks for x in c],
+                     [w * x for w, _ in blocks for x in c_s],
+                     [w * x + dw * y
+                      for w, dw in blocks for x, y in zip(c_p, c)]])
 
 
 def eval_P(mats, c):
-    """The matrix sum_k c[k] mats[k]: P(s) for the coefficients ``c`` of
+    """The matrix sum_k c[k] mats[k]: P(s) for the row ``c`` of
     :func:`coefficients`, dP/ds for ``c_s``.
 
     On a dense stack, one real product of the stack, as an (n, r r)
@@ -326,25 +328,19 @@ def eval_P(mats, c):
         for ck, M in zip(c, mats):
             if ck != 0.0:
                 P = ck * M if P is None else P + ck * M
-    if not np.all(np.isfinite(P.data if sparse.issparse(P) else P)):
+    if not np.isfinite(P.data if sparse.issparse(P) else P).all():
         raise SingularityError("nonfinite entries in P(s)")
     return P
 
 
-def matvec(mats, c, x):
-    """sum_k c[k] (mats[k] @ x) without forming the matrix: P(s) x, P'(s) x
-    or (dP/dp) x.
-
-    ``c`` is one coefficient row, which gives one vector, or a stack of
-    rows, which gives one row per coefficient row.  The slot products
-    M_k x are taken once for all rows: on a dense stack by one real
-    product of the stack, as an (n r, r) matrix, with x, or with
-    (Re x, Im x) for a complex x; on csr slots by one product per slot
-    with a nonzero coefficient in some row.  Real rows and a real x give
-    real vectors.
+def slot_products(mats, x):
+    """The map c -> sum_k c[k] (mats[k] @ x) for one x, which takes each
+    slot product M_k x once: on a dense stack all at once, by one real
+    product of the stack, as an (n r, r) matrix, with x or (Re x, Im x);
+    on csr slots each on first use by a row with a nonzero coefficient
+    there.  A row gives the same digits whichever rows are applied with
+    it, and real rows on a real x give real vectors.
     """
-    rows = np.asarray(c)
-    C = np.atleast_2d(rows)
     x = np.ascontiguousarray(x)
     if isinstance(mats, np.ndarray):
         n, r, _ = mats.shape
@@ -353,14 +349,26 @@ def matvec(mats, c, x):
             Y = Y.view(complex).reshape(n, r)
         else:
             Y = (mats.reshape(n * r, r) @ x).reshape(n, r)
-        # row by row, so that a row gives the same digits alone as in a
-        # stack
-        out = np.array([row @ Y for row in C])
-    else:
-        out = np.zeros((len(C), len(x)), dtype=np.result_type(C, x))
-        for k in np.flatnonzero(C.any(axis=0)):
-            y = mats[k] @ x
-            for ck, o in zip(C[:, k], out):
-                if ck != 0.0:
-                    o += ck * y
-    return out if rows.ndim > 1 else out[0]
+        return lambda row: row @ Y
+    products = {}
+
+    def apply(row):
+        out = np.zeros(len(x), dtype=np.result_type(row, x))
+        for k in np.flatnonzero(row):
+            if k not in products:
+                products[k] = mats[k] @ x
+            out += row[k] * products[k]
+        return out
+
+    return apply
+
+
+def matvec(mats, c, x):
+    """sum_k c[k] (mats[k] @ x) without forming the matrix, by
+    :func:`slot_products`: one vector for one row ``c``, one per row for a
+    stack of rows."""
+    rows = np.asarray(c)
+    apply = slot_products(mats, x)
+    if rows.ndim == 1:
+        return apply(rows)
+    return np.array([apply(row) for row in rows])

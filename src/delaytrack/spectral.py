@@ -3,9 +3,10 @@ plus Newton refinement.
 
 :func:`assemble` is the one build of the bordered system
 [[P(s), P'(s) phi], [phi^T, 0]] at an eigenpair, read by the Newton
-corrector, the continuation predictor of :mod:`track` and every residual,
-and :func:`bordered_solve` its solve; on a sparse P, one refinement loop
-on a held or a fresh LU meets 1e-13 ||(f, t)|| or fails.
+corrector, the continuation predictor of :mod:`track` and every residual;
+each reads only the parts it uses.  :func:`bordered_solve` is its solve:
+one LAPACK ?gesv on a dense P; on a sparse P, one refinement loop on a
+held or a fresh LU that meets 1e-13 ||(f, t)|| or fails.
 The transcendental eigenproblem P(s) phi = 0 is seeded by collocating the
 delay interval [-tau_max, 0] at Chebyshev-Gauss-Lobatto nodes.  Values of
 the solution segment at the nodes satisfy a generalized linear eigenproblem
@@ -72,6 +73,10 @@ DIAG_PIVOT_THRESH = 0.01
 # benchmark family the refinement gains 10-100x per pass over steps of
 # dp = 1e-3 to 2e-2; the second benchmark step needs 11 solves.
 HELD_SOLVES = 20
+
+# LAPACK ?gesv of the dense bordered solve in the two fields of P(s)
+_GESV = {np.dtype(t): la.get_lapack_funcs("gesv", dtype=t)
+         for t in (float, complex)}
 
 
 @dataclass
@@ -422,8 +427,10 @@ def bordered_solve(P, w, phi, f, t, held=None):
     continuation slope (dphi/dp, ds/dp); with (f, t) = -(P phi,
     (phi^T phi - 1)/2) it is the Newton step.
 
-    A dense ndarray P is solved as the dense (r+1) bordered matrix, by
-    dgesv when it is real.  A sparse P is solved through one sparse LU,
+    A dense ndarray P is solved as the dense (r+1) bordered matrix by one
+    direct LAPACK ?gesv call (a fresh LU each time; dgesv when it is
+    real), outside ``np.errstate``: LAPACK raises no floating-point
+    warnings.  A sparse P is solved through one sparse LU,
     real for a real P, by :func:`_refined_solve`: block elimination with
     b = LU^-1 w and the scalar Schur complement phi^T b, repeated on the
     exact bordered residual of P until it is at most 1e-13 ||(f, t)||.
@@ -439,54 +446,54 @@ def bordered_solve(P, w, phi, f, t, held=None):
     solution of a real system meets the target that the solution met.
 
     Raises :class:`SingularSystemError` when the bordered matrix is
-    singular: on a fresh factor of P, a zero or nonfinite Schur complement
-    or a refinement that cannot reach the target; or a nonfinite result.
+    singular: a zero pivot of the dense LU (``info != 0``); on a fresh
+    factor of P, a zero or nonfinite Schur complement or a refinement that
+    cannot reach the target; or a nonfinite result.
     """
     w, phi, f = np.asarray(w), np.asarray(phi), np.asarray(f)
     dtype = np.result_type(P.dtype, w, phi, f, t)
+    if not sparse.issparse(P):
+        r = P.shape[0]
+        K = np.zeros((r + 1, r + 1), dtype=dtype, order="F")
+        K[:r, :r] = P
+        K[:r, r] = w
+        K[r, :r] = phi
+        z = np.empty(r + 1, dtype=dtype)
+        z[:r], z[r] = f, t
+        gesv = _GESV.get(dtype) or la.get_lapack_funcs("gesv", dtype=dtype)
+        _, _, z, info = gesv(K, z, overwrite_a=True, overwrite_b=True)
+        if info != 0 or not np.isfinite(z).all():
+            raise SingularSystemError(
+                f"singular bordered matrix (LAPACK info {info}) or a "
+                f"nonfinite solution")
+        return z[:r], z[r].item()
     with np.errstate(all="ignore"):  # nonfinite values are reported below
-        if sparse.issparse(P):
-            solution = None
-            if held is not None and held.lu is not None:
-                solution, solves, ratio, _ = _refined_solve(
-                    held.lu, P, w, phi, f, t)
-                if solution is None:
-                    log.debug(
-                        "dropped the held %d x %d factor after %d solves "
-                        "(residual ratio %.3g)", P.shape[0], P.shape[0],
-                        solves, ratio,
-                    )
-                    held.lu = None  # before the new factor: one LU at a time
+        solution = None
+        if held is not None and held.lu is not None:
+            solution, solves, ratio, _ = _refined_solve(
+                held.lu, P, w, phi, f, t)
             if solution is None:
-                lu = _factor(P)
-                if held is not None:
-                    held.lu = lu
-                solution, solves, ratio, schur = _refined_solve(
-                    lu, P, w, phi, f, t)
-                if solution is None:
-                    raise SingularSystemError(
-                        "bordered matrix is singular: Schur complement "
-                        f"phi^T P^-1 w = {schur}, residual ratio "
-                        f"{ratio:.3g} per pass after {solves} solves")
-            x, ds = solution
-        else:
-            r = P.shape[0]
-            K = np.zeros((r + 1, r + 1), dtype=dtype)
-            K[:r, :r] = P
-            K[:r, r] = w
-            K[r, :r] = phi
-            rhs = np.empty(r + 1, dtype=dtype)
-            rhs[:r], rhs[r] = f, t
-            try:
-                z = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError as exc:
+                log.debug(
+                    "dropped the held %d x %d factor after %d solves "
+                    "(residual ratio %.3g)", P.shape[0], P.shape[0],
+                    solves, ratio,
+                )
+                held.lu = None  # before the new factor: one LU at a time
+        if solution is None:
+            lu = _factor(P)
+            if held is not None:
+                held.lu = lu
+            solution, solves, ratio, schur = _refined_solve(
+                lu, P, w, phi, f, t)
+            if solution is None:
                 raise SingularSystemError(
-                    "bordered matrix is singular"
-                ) from exc
-            x, ds = z[:r], z[r]
+                    "bordered matrix is singular: Schur complement "
+                    f"phi^T P^-1 w = {schur}, residual ratio "
+                    f"{ratio:.3g} per pass after {solves} solves")
+    x, ds = solution
     if dtype.kind != "c":  # a complex held LU may have solved a real system
         x, ds = x.real, ds.real
-    if not (np.isfinite(ds) and np.all(np.isfinite(x))):
+    if not (np.isfinite(ds) and np.isfinite(x).all()):
         raise SingularSystemError("nonfinite bordered solution")
     return x, ds.item()
 
@@ -496,41 +503,49 @@ class ContinuationSystem:
     """The bordered system [[P(s), P'(s) phi], [phi^T, 0]] at one eigenpair
     (s, phi), with its right-hand sides.
 
-    ``top`` = P(s) phi, ``w`` = P'(s) phi (the border column) and ``g`` =
-    -(dP/dp) phi (the parameter forcing) come from one set of slot
-    products; ``residual`` is ||P(s) phi|| / ||phi||.  ``P`` = P(s), dense
-    or sparse as the ``slots`` are, is formed from the coefficients ``c``
-    on first access and kept, so a system read only for its residual or
-    its defect costs no matrix.
+    ``apply`` applies a row of ``c`` (:func:`charfun.coefficients`) to phi
+    over one set of slot products (:func:`charfun.slot_products`).
+    ``top`` = P(s) phi, ``w`` = P'(s) phi (the border column) and
+    ``residual`` = ||P(s) phi|| / ||phi|| are formed at once, ``g`` =
+    -(dP/dp) phi (the parameter forcing) and ``P`` = P(s), dense or sparse
+    as the ``slots`` are, on first access: the Newton corrector forms no
+    forcing, and a converged pair no matrix.
     """
 
     slots: object
-    c: list
+    c: np.ndarray
     phi: np.ndarray
+    apply: object
     top: np.ndarray
     w: np.ndarray
-    g: np.ndarray
     residual: float
     _P: object = field(default=None, repr=False)
+    _g: object = field(default=None, repr=False)
 
     @property
     def P(self):
         if self._P is None:
-            self._P = charfun.eval_P(self.slots, self.c)
+            self._P = charfun.eval_P(self.slots, self.c[0])
         return self._P
+
+    @property
+    def g(self):
+        if self._g is None:
+            self._g = -self.apply(self.c[2])
+        return self._g
 
 
 def assemble(form, pair):
     """The :class:`ContinuationSystem` of the split form ``form`` at
     ``pair`` (anything with ``s`` and ``phi``): the coefficients of
     :func:`charfun.coefficients` over one set of slot products M_k phi."""
-    c, c_s, c_p = charfun.coefficients(form, pair.s)
-    phi = pair.phi
-    top, w, dpphi = charfun.matvec(form.slots, [c, c_s, c_p], phi)
+    c = charfun.coefficients(form, pair.s)
+    apply = charfun.slot_products(form.slots, pair.phi)
+    top = apply(c[0])
     return ContinuationSystem(
-        slots=form.slots, c=c, phi=phi, top=top, w=w, g=-dpphi,
-        residual=float(np.linalg.norm(top) / np.linalg.norm(phi)),
-    )
+        slots=form.slots, c=c, phi=pair.phi, apply=apply, top=top,
+        w=apply(c[1]), residual=float(np.linalg.norm(top)
+                                      / np.linalg.norm(pair.phi)))
 
 
 def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
@@ -546,11 +561,10 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     :class:`HeldFactor`) when one is given.  The transpose (not conjugate)
     border keeps F holomorphic, so plain complex Newton converges
     quadratically.  A real pair (:func:`in_field`) stays real on a real
-    form.  Each iteration reads the system of :func:`assemble`,
-    which forms P(s) only for a Newton step, so a pair that already
-    converged costs no matrix.  Returns an
-    :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol and
-    |phi^T phi - 1| <= tol.
+    form.  Each iteration reads P(s) phi, P'(s) phi and P(s) of the system
+    of :func:`assemble`, which forms P(s) only for a Newton step and the
+    parameter forcing never.  Returns an :class:`Eigenpair` satisfying
+    ||P(s) phi|| / ||phi|| <= tol and |phi^T phi - 1| <= tol.
 
     Eigenvectors that are isotropic under the transpose pairing
     (phi^T phi = 0, e.g. (1, j) of a pure rotation) admit no quadratic
@@ -577,12 +591,12 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     for _ in range(max_iter):
         system = assemble(form, Eigenpair(s, phi, math.nan))
         residual = system.residual
-        nrm = np.linalg.norm(phi)
         quad = phi @ phi
         defect = (quad - 1.0) / 2.0
         if residual <= tol:
             if abs(2.0 * defect) <= tol:
                 return Eigenpair(s, phi, residual)
+            nrm = np.linalg.norm(phi)
             if abs(quad) <= 1e-12 * nrm * nrm:
                 # isotropic eigenvector: no quadratic normalization exists
                 log.warning(
@@ -592,9 +606,8 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
                 return Eigenpair(s, phi / nrm, residual)
 
         try:
-            dphi, ds = bordered_solve(
-                system.P, system.w, phi, -system.top, -defect, held
-            )
+            dphi, ds = bordered_solve(system.P, system.w, phi, -system.top,
+                                      -defect, held)
         except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):
                 # singular at a converged-ish iterate: defective eigenvalue

@@ -17,13 +17,11 @@ is rebuilt per step.  A sample that is not corrected is assembled once:
 that system gives its residual and is the first stage of the step from
 it.
 Every integrator stage solves the bordered system with
-:func:`spectral.bordered_solve` -- the same solve the bordered Newton
-corrector takes: a sparse LU of the r x r P(s), a scalar Schur
-complement on the border and iterative refinement against the exact
-bordered residual.  Consecutive P(s, p) differ by O(dp), so one sweep (and
-one crossing search) keeps a single :class:`spectral.HeldFactor` for all
-its stages, steps and corrector iterations, and refactors only when
-refinement on the held LU stops contracting fast enough.
+:func:`spectral.bordered_solve`, as the Newton corrector does: one LAPACK
+solve on a dense P(s); on a sparse one, a refined block elimination on an
+LU of P(s).  Consecutive P(s, p) differ by O(dp), so one sweep (and one
+crossing search) keeps a single :class:`spectral.HeldFactor` for all its
+sparse stages, steps and corrector iterations.
 The sweep advances (phi, s) with one explicit Runge-Kutta loop over the
 table of Euler, Heun and RK4, optionally re-polished by the Newton
 corrector at fixed p, while watching for conjugate-pair folds and real-axis
@@ -201,9 +199,8 @@ class TrackOptions:
 def _slope(system, held):
     """Slope d(phi, s)/dp of the continuation ODE, as one vector in the
     field of ``system``."""
-    x, ds = spectral.bordered_solve(
-        system.P, system.w, system.phi, system.g, 0.0, held
-    )
+    x, ds = spectral.bordered_solve(system.P, system.w, system.phi,
+                                    system.g, 0.0, held)
     return np.concatenate((x, [ds]))
 
 
@@ -333,9 +330,10 @@ def track_run(family, initial, options):
     dp = math.copysign(dp, span)
 
     def settled(form, st):
-        """``st`` with its residual, and its system."""
+        """``st``, a state of this run, given its residual; its system."""
         system = spectral.assemble(form, st)
-        return replace(st, residual=system.residual), system
+        object.__setattr__(st, "residual", system.residual)
+        return st, system
 
     def assemble_at(st):
         return spectral.assemble(family.split_form(st.p, wams), st)
@@ -353,7 +351,8 @@ def track_run(family, initial, options):
     )
     # the system of the last sample when it was not corrected: it gave
     # the sample's residual and is the first stage of the step from it
-    state, system = settled(form, _real_if_roundoff(initial))
+    # a copy: settling writes the residual into states of the run only
+    state, system = settled(form, replace(_real_if_roundoff(initial)))
     traj.samples.append(state)
     held = spectral.HeldFactor()
     side = state.s_r  # Re s of the last sample off the imaginary axis

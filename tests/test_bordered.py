@@ -152,27 +152,45 @@ class TestBorderedSolve:
         with pytest.raises(SingularSystemError, match="residual ratio"):
             bordered_solve(P, w, phi, f, t)
 
-    @pytest.mark.parametrize("as_sparse", [True, False])
-    def test_zero_schur_complement_is_singular(self, as_sparse):
+    @pytest.mark.parametrize("as_sparse, dtype", [
+        pytest.param(True, complex, id="True"),
+        pytest.param(False, complex, id="False"),
+        pytest.param(True, float, id="True-real"),
+        pytest.param(False, float, id="False-real"),
+    ])
+    def test_zero_schur_complement_is_singular(self, as_sparse, dtype):
         # P = I, w = e0, phi = e1: phi^T P^-1 w = 0 and the bordered matrix
-        # [[I, e0], [e1^T, 0]] is singular
+        # [[I, e0], [e1^T, 0]] is singular; the dense LU meets an exactly
+        # zero pivot
         r = 4
-        P = sparse.eye_array(r, dtype=complex, format="csr")
+        P = sparse.eye_array(r, dtype=dtype, format="csr")
         e0, e1 = np.eye(r)[0], np.eye(r)[1]
         with pytest.raises(np.linalg.LinAlgError):
             dense_bordered(P, e0, e1, np.ones(r), 0.0)
-        with pytest.raises(SingularSystemError):
+        match = "Schur complement" if as_sparse else "LAPACK info [1-9]"
+        with pytest.raises(SingularSystemError, match=match):
             bordered_solve(P if as_sparse else P.toarray(), e0, e1,
                            np.ones(r), 0.0)
 
-    @pytest.mark.parametrize("as_sparse", [True, False])
-    def test_nonfinite_result_is_singular(self, as_sparse):
+    @pytest.mark.parametrize("as_sparse, dtype, where", [
+        pytest.param(True, complex, "f", id="True"),
+        pytest.param(False, complex, "f", id="False"),
+        pytest.param(True, float, "f", id="True-real"),
+        pytest.param(False, float, "f", id="False-real"),
+        pytest.param(False, float, "P", id="False-real-nan-P"),
+    ])
+    def test_nonfinite_result_is_singular(self, as_sparse, dtype, where):
+        # an infinite right-hand side, or a NaN inside P: on the dense path
+        # LAPACK reports no zero pivot (info 0) and the result is nonfinite
         r = 3
-        P = sparse.eye_array(r, dtype=complex, format="csr")
+        P = np.eye(r, dtype=dtype)
         f = np.array([1.0, np.inf, 0.0])
-        with pytest.raises(SingularSystemError):
-            bordered_solve(P if as_sparse else P.toarray(), np.ones(r),
-                           np.ones(r), f, 0.0)
+        if where == "P":
+            P[1, 2], f[1] = np.nan, 1.0
+        match = "residual ratio" if as_sparse else "LAPACK info 0"
+        with pytest.raises(SingularSystemError, match=match):
+            bordered_solve(sparse.csr_array(P) if as_sparse else P,
+                           np.ones(r), np.ones(r), f, 0.0)
 
     def test_singular_jacobian_maps_to_newton_errors(self):
         # at s = 0 row 1 of P(s) = s I - A0 is zero and so is phi[1] = w[1]:

@@ -56,9 +56,18 @@ def test_slot_products_match_per_slot_sums(r, layout, monkeypatch):
     assert stacked.shape == (3, r)
     for y, c in zip(stacked, rows):
         assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
-        # a row gives the same digits alone as in a stack
-        np.testing.assert_array_equal(y, charfun.matvec(form.slots, c,
-                                                        st.phi))
+    # a row gives the same digits alone as in a stack, whether the stack is
+    # a list of rows or the one array of coefficients, in either field
+    for s, phi in ((st.s, st.phi), (-0.7, st.phi.real)):
+        array = charfun.coefficients(form, s)
+        assert isinstance(array, np.ndarray) and array.shape == (3, 8)
+        assert array.dtype == (complex if isinstance(s, complex) else float)
+        for rows in ([list(c) for c in array], array):
+            stacked = charfun.matvec(form.slots, rows, phi)
+            assert stacked.dtype == array.dtype
+            for y, c in zip(stacked, array):
+                np.testing.assert_array_equal(
+                    y, charfun.matvec(form.slots, c, phi))
 
 
 def test_real_coefficients_on_real_slots_stay_exactly_real(monkeypatch):
@@ -160,8 +169,9 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
         monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
     fam = drifting_family(30, 3)
     initial = complex_start(fam, 0.0)
-    forms, systems = [], []
+    forms, systems, states = [], [], []
     split_form, assemble = fam.split_form, spectral.assemble
+    post_init = dt.TrackState.__post_init__
 
     def counting(p, wams=None):
         forms.append(p)
@@ -171,9 +181,15 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
         systems.append(pair.p)
         return assemble(form, pair)
 
+    def constructing(state):
+        states.append(1)
+        post_init(state)
+
     monkeypatch.setattr(fam, "split_form", counting)
     monkeypatch.setattr(spectral, "assemble", assembling)
+    monkeypatch.setattr(dt.TrackState, "__post_init__", constructing)
     opts = dt.TrackOptions(dp=1e-2, corrector_every=0, p_fin=0.1)
+    residual = initial.residual
     traj = dt.track_run(fam, initial, opts)
     assert not traj.truncated and len(traj.samples) == 11
     # one form and one system for the initial state, then one per step:
@@ -181,6 +197,12 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
     assert len(forms) == len(traj.samples)
     assert forms == [st.p for st in traj.samples]
     assert systems == forms
+    # one state per sample, given its residual in place: the run's copy of
+    # the initial state, then the state of each step, and one more copy
+    # that puts the last step exactly on p_fin; the caller's initial state
+    # keeps its own residual
+    assert len(states) == len(traj.samples) + 1
+    assert traj.samples[0] is not initial and initial.residual == residual
 
 
 def test_converged_pair_forms_no_matrix(monkeypatch):
@@ -201,6 +223,77 @@ def test_converged_pair_forms_no_matrix(monkeypatch):
     # an unconverged start forms P(s) once per Newton step
     dt.refine_newton(form, pair.s + 1e-3, pair.phi)
     assert 1 <= len(calls) <= 5
+
+
+def reference_newton(form, s, phi, tol=1e-10, max_iter=25):
+    """The Newton corrector as a reference: every coefficient row applied
+    to phi, the full bordered matrix solved by ``np.linalg.solve``."""
+    s, phi = spectral.in_field(s, phi)
+    quad = phi @ phi
+    if abs(quad) > 1e-12 * np.linalg.norm(phi) ** 2:
+        phi = phi / np.sqrt(quad)
+    for _ in range(max_iter):
+        c, c_s, c_p = charfun.coefficients(form, s)
+        top, w, _ = charfun.matvec(form.slots, [c, c_s, c_p], phi)
+        residual = float(np.linalg.norm(top) / np.linalg.norm(phi))
+        defect = (phi @ phi - 1.0) / 2.0
+        if residual <= tol and abs(2.0 * defect) <= tol:
+            return s, phi, residual
+        r = len(phi)
+        K = np.zeros((r + 1, r + 1), dtype=top.dtype)
+        K[:r, :r], K[:r, r], K[r, :r] = dt.eval_P(form.slots, c), w, phi
+        z = np.linalg.solve(K, np.append(-top, -defect))
+        phi, s = phi + z[:r], s + z[r].item()
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_corrector_forms_no_forcing(monkeypatch):
+    # a Newton iteration applies the rows of P(s) and P'(s) to phi and
+    # never the dP/dp row: the forcing -(dP/dp) phi is the predictor's
+    fam = drifting_family(100, 11)
+    form = fam.split_form(0.3)
+    pairs = dt.spectrum_at(fam, 0.3, N=8, shift=0j, count=6)
+    start = max((e for e in pairs if abs(e.s.imag) < 1e-8),
+                key=lambda e: e.s.real)
+    # the real pair, off by 1e-3 in s: a few Newton steps in real arithmetic
+    phi0 = (start.phi / start.phi[np.argmax(abs(start.phi))]).real
+    systems, applied = [], []
+    assemble, slot_products = spectral.assemble, charfun.slot_products
+
+    def assembling(form, pair):
+        systems.append(pair.s)
+        return assemble(form, pair)
+
+    def counting(mats, x):
+        apply = slot_products(mats, x)
+
+        def counted(row):
+            applied.append(row)
+            return apply(row)
+        return counted
+
+    def forcing(system):
+        raise AssertionError("the corrector formed -(dP/dp) phi")
+
+    monkeypatch.setattr(spectral, "assemble", assembling)
+    monkeypatch.setattr(charfun, "slot_products", counting)
+    monkeypatch.setattr(spectral.ContinuationSystem, "g", property(forcing))
+    ref = dt.refine_newton(form, start.s.real + 1e-3, phi0)
+    assert isinstance(ref.s, float) and ref.residual <= 1e-10
+    assert len(systems) >= 3
+    assert len(applied) == 2 * len(systems)
+    for s, (c, c_s) in zip(systems, zip(applied[::2], applied[1::2])):
+        rows = charfun.coefficients(form, s)
+        np.testing.assert_array_equal(c, rows[0])
+        np.testing.assert_array_equal(c_s, rows[1])
+
+
+def test_corrector_matches_reference_on_hayes(hayes_family):
+    form = hayes_family.split_form(1.0)
+    ref = dt.refine_newton(form, -0.3 + 1.3j, [1.0])
+    s, phi, residual = reference_newton(form, -0.3 + 1.3j, [1.0])
+    assert ref.s == s and ref.residual == residual
+    np.testing.assert_array_equal(ref.phi, phi)
 
 
 def test_dense_qz_pair_is_the_assembled_pencil(monkeypatch):

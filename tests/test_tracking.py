@@ -31,16 +31,17 @@ def quadratic_initial(family, p=0.1):
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
 
 
-def unit_system(g):
-    """Scalar bordered system [[1, 1], [1, 0]] with forcing ``g``."""
-    one = np.ones(1, dtype=complex)
-    return dt.ContinuationSystem(slots=np.ones((1, 1, 1)), c=[1.0 + 0j],
-                                 phi=one, top=one, w=one, g=g, residual=1.0)
+def unit_system():
+    """Scalar bordered system [[1, 1], [1, 0]] with zero forcing: P(s) = s
+    at s = 1, on a model that does not depend on p."""
+    form = dt.split_form(dt.DelayedLinearModel([[1.0]], [[0.0]]))
+    return dt.assemble(form, dt.TrackState.from_eigenpair(0.0, 1.0 + 0j,
+                                                          [1.0 + 0j]))
 
 
 class TestIntegrateStep:
     def test_zero_rhs_keeps_state(self):
-        sys_ = unit_system(g=np.zeros(1, dtype=complex))
+        sys_ = unit_system()
         st = dt.TrackState.from_eigenpair(0.0, -1.0 + 2.0j, [1.0 + 0j])
         out = dt.integrate_step(lambda _: sys_, st, 0.25, "euler")
         assert out.p == 0.25
@@ -60,7 +61,7 @@ class TestIntegrateStep:
         assert out.s_i == pytest.approx(0.0, abs=1e-14)
 
     def test_unknown_method_rejected(self):
-        sys_ = unit_system(g=np.zeros(1, dtype=complex))
+        sys_ = unit_system()
         st = dt.TrackState.from_eigenpair(0.0, 1j, [1.0 + 0j])
         with pytest.raises(ConfigurationError):
             dt.integrate_step(lambda _: sys_, st, 0.1, "midpoint")
