@@ -108,9 +108,12 @@ class WamsSpec:
         return cls(tau0=tau0, constant_limit=True)
 
 
-def _hp_parts(spec, s):
-    """(s, q, e, D, u) with q = 1 - p_dr, e = exp(-sT), D = 1 - p_dr e and
-    u = 1 - q e / D, so that h_p = q u / s; raises at the poles of h_p."""
+def _packet_dropout(spec, s):
+    """(h_p, dh_p/ds) at s, from q = 1 - p_dr, e = exp(-sT),
+    D = 1 - p_dr e and u = 1 - q e / D, each taken once; raises at the
+    poles of h_p."""
+    if spec.constant_limit:
+        return 1.0 + 0.0j, 0.0 + 0.0j
     s = complex(s)
     if abs(s) < 1e-150:
         raise SingularityError("h_p has a pole at s = 0")
@@ -121,7 +124,25 @@ def _hp_parts(spec, s):
             f"h_p denominator 1 - p_dr*exp(-sT) vanishes at s={s}"
         )
     q = 1.0 - spec.p_dr
-    return s, q, e, den, 1.0 - q * e / den
+    u = 1.0 - q * e / den
+    return (q / s) * u, -q * u / (s * s) + q * q * spec.T * e / (s * den * den)
+
+
+def _gamma_noise(spec, s):
+    """(h_s, dh_s/ds) at s, from one base 1 + alpha s/(1 - p_dr); raises
+    at the pole of h_s and on its branch cut."""
+    if spec.constant_limit or spec.b == 0.0 or spec.alpha == 0.0:
+        return 1.0 + 0.0j, 0.0 + 0.0j
+    base = 1.0 + spec.alpha * complex(s) / (1.0 - spec.p_dr)
+    if abs(base) < 1e-150:
+        raise SingularityError("h_s base vanishes; pole of the noise shaping")
+    frac = abs(spec.b - round(spec.b)) > 1e-12
+    if frac and base.real < 0.0 and abs(base.imag) <= 1e-14 * abs(base.real):
+        raise SingularityError(
+            "h_s base on the negative real branch cut with non-integer b"
+        )
+    c = spec.alpha / (1.0 - spec.p_dr)
+    return base ** (-spec.b), -spec.b * c * base ** (-spec.b - 1.0)
 
 
 def eval_hp(spec, s):
@@ -129,10 +150,7 @@ def eval_hp(spec, s):
 
     h_p(s) = (1 - p_dr)/s * [1 + (p_dr - 1) exp(-sT) / (1 - p_dr exp(-sT))]
     """
-    if spec.constant_limit:
-        return 1.0 + 0.0j
-    s, q, _, _, u = _hp_parts(spec, s)
-    return (q / s) * u
+    return _packet_dropout(spec, s)[0]
 
 
 def eval_dhp_ds(spec, s):
@@ -143,22 +161,7 @@ def eval_dhp_ds(spec, s):
 
         dh_p/ds = -q u / s^2 + q^2 T exp(-sT) / (s D^2).
     """
-    if spec.constant_limit:
-        return 0.0 + 0.0j
-    s, q, e, den, u = _hp_parts(spec, s)
-    return -q * u / (s * s) + q * q * spec.T * e / (s * den * den)
-
-
-def _hs_base(spec, s):
-    base = 1.0 + spec.alpha * complex(s) / (1.0 - spec.p_dr)
-    if abs(base) < 1e-150:
-        raise SingularityError("h_s base vanishes; pole of the noise shaping")
-    frac = abs(spec.b - round(spec.b)) > 1e-12
-    if frac and base.real < 0.0 and abs(base.imag) <= 1e-14 * abs(base.real):
-        raise SingularityError(
-            "h_s base on the negative real branch cut with non-integer b"
-        )
-    return base
+    return _packet_dropout(spec, s)[1]
 
 
 def eval_hs(spec, s):
@@ -166,18 +169,13 @@ def eval_hs(spec, s):
 
     Uses the principal branch of the complex power; b may be non-integer.
     """
-    if spec.constant_limit or spec.b == 0.0 or spec.alpha == 0.0:
-        return 1.0 + 0.0j
-    return _hs_base(spec, s) ** (-spec.b)
+    return _gamma_noise(spec, s)[0]
 
 
 def eval_dhs_ds(spec, s):
     """Analytic s-derivative of :func:`eval_hs`:
     -b * alpha/(1-p_dr) * base^(-b-1)."""
-    if spec.constant_limit or spec.b == 0.0 or spec.alpha == 0.0:
-        return 0.0 + 0.0j
-    c = spec.alpha / (1.0 - spec.p_dr)
-    return -spec.b * c * _hs_base(spec, s) ** (-spec.b - 1.0)
+    return _gamma_noise(spec, s)[1]
 
 
 def transfer_scalars(spec, s):
@@ -186,14 +184,13 @@ def transfer_scalars(spec, s):
     g   = h_p(s) h_s(s) exp(-s tau0)
     g_s = (dh_p/ds h_s + h_p dh_s/ds) exp(-s tau0)
 
-    The full s-derivative of g is g_s - tau0 * g.
+    The full s-derivative of g is g_s - tau0 * g.  Each transfer function
+    and its derivative come from one evaluation.
     """
     s = complex(s)
     e0 = _delay_scalar(s, spec.tau0)
-    hp, hs = eval_hp(spec, s), eval_hs(spec, s)
-    g = hp * hs * e0
-    g_s = (eval_dhp_ds(spec, s) * hs + hp * eval_dhs_ds(spec, s)) * e0
-    return g, g_s
+    (hp, dhp), (hs, dhs) = _packet_dropout(spec, s), _gamma_noise(spec, s)
+    return hp * hs * e0, (dhp * hs + hp * dhs) * e0
 
 
 def slot_matrices(model, derivatives=None):

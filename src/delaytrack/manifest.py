@@ -179,10 +179,11 @@ class _Section:
 
 
 def _read_matrix(section, key, r, base_dir, required=True):
-    """Load one Matrix Market slot as real CSR, checked against r."""
+    """Load one Matrix Market slot as real CSR, checked against r; an
+    optional slot the section leaves out is zero."""
     entry = section.raw(key, required=required)
     if entry is None:
-        return None
+        return sparse.csr_array((r, r))
     path = os.path.join(base_dir, entry.value)
     if not os.path.exists(path):
         section._fail(
@@ -203,10 +204,6 @@ def _read_matrix(section, key, r, base_dir, required=True):
             f"({r}, {r})", code="dimension-mismatch", entry=entry,
         )
     return mat.astype(np.float64)
-
-
-def _zeros(r):
-    return sparse.csr_array((r, r))
 
 
 def _model_from_section(section, r, n_dyn, taus, base_dir):
@@ -268,12 +265,20 @@ def load_manifest(path):
         for name in sorted(n for n in sections if n.startswith("snapshot.")):
             ss = sec(name)
             p = ss.get("p", float, required=True)
+            if any(p == q for q, _ in snaps):
+                ss._fail(f"a second snapshot at p = {p}",
+                         code="duplicate-snapshot", entry=ss.raw("p"))
             snaps.append((p, _model_from_section(ss, r, n_dyn, taus, base_dir)))
         if len(snaps) < 2:
             raise ManifestError(
                 "tabulated family needs at least 2 [snapshot.K] sections",
                 code="missing-snapshots", path=path,
             )
+        lo, hi = min(p for p, _ in snaps), max(p for p, _ in snaps)
+        if p_min < lo or p_max > hi:
+            ms._fail(f"range [{p_min}, {p_max}] runs past the snapshots at "
+                     f"p = {lo}..{hi}", code="bad-range",
+                     entry=ms.raw("p_min" if p_min < lo else "p_max"))
         try:
             family = TabulatedFamily(snaps, p_range=(p_min, p_max))
         except ConfigurationError as exc:
@@ -281,20 +286,12 @@ def load_manifest(path):
     else:
         base = _model_from_section(ms, r, n_dyn, taus, base_dir)
         if kind == "affine":
-            dE = _read_matrix(ms, "E_slope", r, base_dir, required=False)
-            dA0 = _read_matrix(ms, "A0_slope", r, base_dir, required=False)
-            dAs = [
-                _read_matrix(ms, f"A{j + 1}_slope", r, base_dir,
-                             required=False)
-                for j in range(len(taus))
-            ]
-            slopes = ModelDerivatives(
-                dE if dE is not None else _zeros(r),
-                dA0 if dA0 is not None else _zeros(r),
-                [dA if dA is not None else _zeros(r) for dA in dAs],
-            )
+            names = ["E", "A0"] + [f"A{j + 1}" for j in range(len(taus))]
+            dE, dA0, *dAs = (_read_matrix(ms, f"{name}_slope", r, base_dir,
+                                          required=False) for name in names)
             try:
-                family = AffineFamily(base, slopes, p_range=(p_min, p_max))
+                family = AffineFamily(base, ModelDerivatives(dE, dA0, dAs),
+                                      p_range=(p_min, p_max))
             except ConfigurationError as exc:
                 ms._fail(str(exc), code="bad-delays", entry=ms.raw("delays"))
         else:

@@ -8,10 +8,15 @@ where E may be singular (algebraic equations occupy its zero columns).  A
 family maps a scalar parameter p to such a model and also supplies its
 derivative with respect to p (the entrywise slope of every matrix and the
 slope of every delay), and the :class:`charfun.SplitForm` of P(s, p) over
-slots it builds once.
+slots it builds once per segment.  Every family is one piecewise-affine
+:class:`ModelFamily`, in which each matrix and each delay is affine in p
+between knots; the affine, tabulated and delay-parameter families only
+construct one.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 import scipy.sparse as sparse
@@ -132,19 +137,58 @@ def validate_model(model):
 
 
 class ModelFamily:
-    """Base class: a map p -> DelayedLinearModel with derivative access.
+    """A piecewise-affine map p -> DelayedLinearModel with derivative access.
 
-    Subclasses implement :meth:`evaluate`, :meth:`derivative` and
-    :meth:`split_form`.  Instances are immutable after construction (a
-    tabulated family caches the dense slots of one segment) and safe to
-    share between concurrent tracking runs.
+    Its knots are p_0 < ... < p_K.  On segment k, [p_k, p_k+1], every
+    matrix is M_k + (p - a_k) dM_k and every delay tau_k + (p - a_k)
+    dtau_k; the end segments also hold p past the knots, up to the slack
+    of :meth:`check_range`.  ``models`` holds M_k and ``slopes`` the
+    :class:`ModelDerivatives` dM_k of each segment; with ``slopes=None``,
+    ``models`` holds one model per knot and dM_k is the chord
+    (M_k+1 - M_k)/(p_k+1 - p_k), formed on first use.  The anchors a_k
+    default to the knots.  ``p_range`` may not run past the knots, and
+    every delay must be positive on them.  Instances are immutable after
+    construction (they cache the slots of one segment and each csr chord
+    formed) and safe to share between concurrent tracking runs.
     """
 
-    def __init__(self, p_range):
-        lo, hi = float(p_range[0]), float(p_range[1])
-        if not lo < hi:
-            raise ConfigurationError(f"empty parameter range [{lo}, {hi}]")
-        self.p_range = (lo, hi)
+    def __init__(self, knots, models, p_range, slopes=None, anchors=None):
+        self._knots = tuple(map(float, knots))
+        self._last = len(self._knots) - 1
+        lo, hi = self.p_range = (float(p_range[0]), float(p_range[1]))
+        if not self._knots[0] <= lo < hi <= self._knots[-1]:
+            raise ConfigurationError(
+                f"parameter range [{lo}, {hi}] is empty or runs past the "
+                f"knots [{self._knots[0]}, {self._knots[-1]}]"
+            )
+        for a, b in zip(self._knots, self._knots[1:]):
+            if not a < b:
+                raise ConfigurationError(f"knot p={b} does not follow p={a}")
+        self._models = list(models)
+        self._chords = slopes is None
+        self._slopes = [None] * self._last if self._chords else list(slopes)
+        self._anchors = self._knots[:-1] if anchors is None else anchors
+        self._dtaus = [
+            tuple(self._chord(k, *(m.taus for m in self._models[k:k + 2])))
+            if dm is None else dm.dtaus for k, dm in enumerate(self._slopes)
+        ]
+        self._delays = [tuple(zip(m.taus, dtaus))
+                        for m, dtaus in zip(self._models, self._dtaus)]
+        ref = self._models[0]
+        if any((m.r, m.mu) != (ref.r, ref.mu) for m in self._models) or any(
+                len(dtaus) != ref.mu for dtaus in self._dtaus):
+            raise ConfigurationError(
+                f"every model and slope must have r={ref.r} and mu={ref.mu}"
+            )
+        if any(not tau > 0.0 for k, p in enumerate(self._knots[:-1])
+               for q in (p, self._knots[k + 1])
+               for tau in self._taus(k, q - self._anchors[k])):
+            raise ConfigurationError(
+                f"every delay must stay positive over "
+                f"[{self._knots[0]}, {self._knots[-1]}]"
+            )
+        self._held = (None, None, None)  # (segment, its slots, dweights)
+        self._stacks = {}  # knot -> slot stack, of the chord held
 
     def check_range(self, p, slack=False):
         """Reject p outside the range; ``slack`` admits 1e-6 max(1, |p|)
@@ -156,80 +200,113 @@ class ModelFamily:
                 f"p={p} outside family range [{lo}, {hi}] (slack {tol:g})"
             )
 
+    def _segment(self, p, slack=False):
+        """Range-checked p: the index k of the segment [p_k, p_k+1) that
+        holds p, the first or the last one past the knots."""
+        self.check_range(p, slack)
+        return bisect.bisect_right(self._knots, p, 1, self._last) - 1
+
+    def _taus(self, k, h):
+        """The delays of segment k at p = a_k + h."""
+        return tuple([tau + h * dtau for tau, dtau in self._delays[k]])
+
+    def _chord(self, k, first, second):
+        """(second - first)/(p_k+1 - p_k): at once for two slot stacks,
+        item by item for sequences."""
+        inv = 1.0 / (self._knots[k + 1] - self._knots[k])
+        if isinstance(first, np.ndarray):
+            return (second - first) * inv
+        return [(b - a) * inv for a, b in zip(first, second)]
+
+    def _slope(self, k):
+        """dM_k; a chord is formed as csr on first use and kept."""
+        dm = self._slopes[k]
+        if dm is None:
+            dE, dA0, *dAs = self._chord(k, *(
+                [m.E, m.A0] + [A for _, A in m.delay_terms]
+                for m in self._models[k:k + 2]
+            ))
+            dm = self._slopes[k] = ModelDerivatives(dE, dA0, dAs,
+                                                    self._dtaus[k])
+        return dm
+
     def evaluate(self, p):
-        raise NotImplementedError
+        k = self._segment(p, slack=True)
+        m, dm, h = self._models[k], self._slope(k), p - self._anchors[k]
+        terms = [
+            (tau, A + h * dA)
+            for tau, (_, A), dA in zip(self._taus(k, h), m.delay_terms,
+                                       dm.dA_terms)
+        ]
+        return DelayedLinearModel(m.E + h * dm.dE, m.A0 + h * dm.dA0, terms,
+                                  n_dyn=m.n_dyn)
 
     def derivative(self, p):
-        raise NotImplementedError
+        """The slope of the segment of p."""
+        return self._slope(self._segment(p))
+
+    def _segment_slots(self, k):
+        """(slots, dweights) of segment k: the slots of M_k, then those of
+        dM_k when a matrix moves there.  A chord is formed from the slot
+        stacks of its two models, one of them shared with the chord held
+        before."""
+        if self._chords:
+            held = self._stacks
+            first, second = (held[i] if i in held
+                             else slot_matrices(self._models[i])
+                             for i in (k, k + 1))
+            self._stacks = {k: first, k + 1: second}
+            chord = self._chord(k, first, second)
+            slots = (np.concatenate((first, chord))
+                     if isinstance(first, np.ndarray) else first + tuple(chord))
+        else:
+            slots = slot_matrices(self._models[k], self._slopes[k])
+        n = len(self._dtaus[k]) + 2
+        slope = slots[n:]
+        if (slope.any() if isinstance(slope, np.ndarray)
+                else any(M.nnz for M in slope)):
+            return slots, (0.0, 1.0)
+        return slots[:n], (0.0,)
 
     def split_form(self, p, wams=None):
         """The :class:`charfun.SplitForm` of P(s, p) at ``p``, its delayed
-        term shaped by the WAMS spec ``wams`` if given."""
-        raise NotImplementedError
+        term shaped by the WAMS spec ``wams`` if given: blocks (M_k, dM_k)
+        with weights (1, p - a_k), or M_k alone when no matrix moves on
+        the segment, and the delays at tau_k + (p - a_k) dtau_k.  Only the
+        slots of the segment last used are kept, so memory does not grow
+        with the knots."""
+        k = self._segment(p, slack=True)
+        held = self._held
+        if held[0] != k:
+            held = self._held = (k, *self._segment_slots(k))
+        _, slots, dweights = held
+        h = p - self._anchors[k]
+        return SplitForm(slots, (1.0, float(h))[:len(dweights)], dweights,
+                         self._taus(k, h), self._dtaus[k], wams=wams)
 
 
 class AffineFamily(ModelFamily):
     """Family that depends affinely on p: M(p) = M_base + p * M_slope for
-    every matrix and tau_j(p) = tau_j + p * dtau_j for every delay.
+    every matrix and tau_j(p) = tau_j + p * dtau_j for every delay, one
+    segment anchored at p = 0.
 
     ``slopes`` is a :class:`ModelDerivatives` of the (constant) slopes;
     every delay must be positive at both ends of ``p_range``."""
 
     def __init__(self, base, slopes, p_range):
-        super().__init__(p_range)
-        if len(slopes.dA_terms) != base.mu:
-            raise ConfigurationError(
-                f"{len(slopes.dA_terms)} slope matrices for {base.mu} delays"
-            )
-        self.base = base
-        self.slopes = slopes
-        self._delays = tuple(zip(base.taus, slopes.dtaus))
-        if any(not tau > 0.0 for p in self.p_range for tau in self._taus(p)):
-            raise ConfigurationError(
-                f"every delay must stay positive over {self.p_range}"
-            )
-        # no slope block when no matrix moves: P has one block, weight 1
-        moving = any(M.nnz for M in (slopes.dE, slopes.dA0,
-                                     *slopes.dA_terms))
-        self._slots = slot_matrices(base, slopes if moving else None)
-        self._dweights = (0.0, 1.0) if moving else (0.0,)
-
-    def _taus(self, p):
-        return tuple([tau + p * dtau for tau, dtau in self._delays])
-
-    def evaluate(self, p):
-        self.check_range(p, slack=True)
-        E = self.base.E + p * self.slopes.dE
-        A0 = self.base.A0 + p * self.slopes.dA0
-        terms = [
-            (tau, A + p * dA)
-            for tau, (_, A), dA in zip(self._taus(p), self.base.delay_terms,
-                                       self.slopes.dA_terms)
-        ]
-        return DelayedLinearModel(E, A0, terms, n_dyn=self.base.n_dyn)
-
-    def derivative(self, p):
-        self.check_range(p)
-        return self.slopes
-
-    def split_form(self, p, wams=None):
-        """Blocks (base, slopes) with weights (1, p), or the base alone
-        when no matrix moves, and the delays at tau_j + p * dtau_j."""
-        self.check_range(p, slack=True)
-        weights = (1.0, float(p))[:len(self._dweights)]
-        return SplitForm(self._slots, weights, self._dweights,
-                         self._taus(p), self.slopes.dtaus, wams=wams)
+        super().__init__(p_range, [base], p_range, [slopes], anchors=(0.0,))
 
 
 class TabulatedFamily(ModelFamily):
     """Family given by model snapshots, interpolated entrywise in p.
 
-    Interpolation is piecewise-linear between bracketing snapshots, and the
-    derivative is the exact slope of the interpolant segment.  Delay
-    magnitudes must be positive and identical across snapshots: a varying
-    delay belongs to an :class:`AffineFamily` with delay slopes instead.
-    The table needs at least two snapshots; ``p_range`` defaults to the
-    span of their p.
+    Interpolation is piecewise-linear between consecutive snapshots, for
+    the matrices and the delays alike: segment k is anchored at its
+    snapshot p_k with the slopes (m_k+1 - m_k)/(p_k+1 - p_k), so the
+    derivative is the exact slope of the interpolant segment and a delay
+    may move from snapshot to snapshot.  The table needs at least two
+    snapshots, at distinct p; ``p_range`` defaults to their span and may
+    not run past it.
     """
 
     def __init__(self, snapshots, p_range=None):
@@ -238,75 +315,11 @@ class TabulatedFamily(ModelFamily):
             raise ConfigurationError(
                 "tabulated family needs at least 2 snapshots"
             )
-        super().__init__(p_range if p_range is not None
-                         else (snaps[0][0], snaps[-1][0]))
+        knots = [p for p, _ in snaps]
+        super().__init__(knots, [m for _, m in snaps],
+                         p_range if p_range is not None
+                         else (knots[0], knots[-1]))
         self.snapshots = snaps
-        self._ps = np.array([q for q, _ in snaps])
-        self._cached = (None, None)  # (segment index, its slots)
-        ref = snaps[0][1]
-        if not all(tau > 0.0 for tau in ref.taus):
-            raise ConfigurationError(f"every delay must be positive, got "
-                                     f"{ref.taus}")
-        for p, m in snaps[1:]:
-            if m.r != ref.r or m.mu != ref.mu:
-                raise ConfigurationError(
-                    f"snapshot at p={p} changes dimensions or delay count"
-                )
-            if not np.allclose(m.taus, ref.taus, rtol=0, atol=0):
-                raise ConfigurationError(
-                    "delay magnitudes differ across snapshots; use a "
-                    "delay-parameter family to vary a delay"
-                )
-
-    def _segment(self, p, slack=False):
-        """Range-checked p: index k and snapshots (p0, m0), (p1, m1) of the
-        segment [p_k, p_k+1) that contains p; the first or the last segment
-        outside the table."""
-        self.check_range(p, slack)
-        k = int(np.searchsorted(self._ps, p, side="right")) - 1
-        k = min(max(k, 0), len(self._ps) - 2)
-        return k, self.snapshots[k], self.snapshots[k + 1]
-
-    def evaluate(self, p):
-        _, (p0, m0), (p1, m1) = self._segment(p, slack=True)
-        w = (min(max(p, p0), p1) - p0) / (p1 - p0)
-        E = (1.0 - w) * m0.E + w * m1.E
-        A0 = (1.0 - w) * m0.A0 + w * m1.A0
-        terms = [
-            (tau, (1.0 - w) * A + w * B)
-            for (tau, A), (_, B) in zip(m0.delay_terms, m1.delay_terms)
-        ]
-        return DelayedLinearModel(E, A0, terms, n_dyn=m0.n_dyn)
-
-    def derivative(self, p):
-        """Exact slope of the interpolant on the segment of p."""
-        _, (p0, m0), (p1, m1) = self._segment(p)
-        inv = 1.0 / (p1 - p0)
-        return ModelDerivatives(
-            (m1.E - m0.E) * inv,
-            (m1.A0 - m0.A0) * inv,
-            [
-                (B - A) * inv
-                for (_, A), (_, B) in zip(m0.delay_terms, m1.delay_terms)
-            ],
-        )
-
-    def split_form(self, p, wams=None):
-        """Blocks (m0, m1) of the bracketing snapshots with weights
-        (1 - theta, theta), theta = (p - p0)/(p1 - p0) clamped to [0, 1].
-        Only the current segment's slots are kept (dense below
-        ``DENSE_MAX_DIM``), so memory does not grow with the table."""
-        k, (p0, m0), (p1, m1) = self._segment(p, slack=True)
-        cached_k, slots = self._cached
-        if cached_k != k:
-            first, second = slot_matrices(m0), slot_matrices(m1)
-            slots = (np.concatenate((first, second))
-                     if isinstance(first, np.ndarray) else first + second)
-            self._cached = (k, slots)
-        theta = (min(max(p, p0), p1) - p0) / (p1 - p0)
-        inv = 1.0 / (p1 - p0)
-        return SplitForm(slots, (1.0 - theta, theta), (-inv, inv), m0.taus,
-                         wams=wams)
 
 
 class DelayParameterFamily(AffineFamily):

@@ -206,6 +206,34 @@ class TestLoadManifest:
             load_manifest(path)
         assert info.value.code == "missing-snapshots"
 
+    def test_tabulated_range_past_the_snapshots_exit_code(self, tmp_path,
+                                                           capsys):
+        # the bundle's range is [0, 2]; P is only tabulated on [0, 1]
+        path = write_tabulated_bundle(tmp_path, [(0.0, A0_SNAP0),
+                                                 (1.0, A0_SNAP2)])
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        with open(path) as fh:
+            line = fh.read().splitlines().index("p_max = 2.0") + 1
+        assert info.value.code == "bad-range" and info.value.line == line
+        assert main(["track", path]) == EXIT_CONFIG
+        assert f"{path}:{line}: " in capsys.readouterr().err
+
+    def test_two_snapshots_at_one_p_exit_code(self, tmp_path, capsys):
+        path = write_tabulated_bundle(tmp_path, [
+            (0.0, A0_SNAP0), (1.0, A0_SNAP0), (1.0, A0_SNAP2),
+            (2.0, A0_SNAP2),
+        ])
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        repeated = [k + 1 for k, line in enumerate(lines) if line == "p = 1.0"]
+        assert info.value.code == "duplicate-snapshot"
+        assert info.value.line == repeated[1]
+        assert main(["spectrum", path, "--p", "1.0"]) == EXIT_CONFIG
+        assert f"{path}:{repeated[1]}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new, code, anchored", [
         ("n_dyn = 1", "n_dyn = 1\ngarbage", "parse", True),
         ("n_dyn = 1", "n_dyn = 1\nr = 1", "parse", True),

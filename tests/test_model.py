@@ -48,6 +48,24 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError, match="at least 2 snapshots"):
             dt.TabulatedFamily([(0.0, m)], p_range=(0.0, 1.0))
 
+    def test_tabulated_range_may_not_run_past_the_snapshots(self):
+        # past p = 1 the table would hold P at the last snapshot while its
+        # slope stayed that of the last segment
+        m0 = dt.DelayedLinearModel([[1.0]], [[-1.0]])
+        m1 = dt.DelayedLinearModel([[1.0]], [[-2.0]])
+        with pytest.raises(ConfigurationError, match="runs past"):
+            dt.TabulatedFamily([(0.0, m0), (1.0, m1)], p_range=(0.0, 2.0))
+        with pytest.raises(ConfigurationError, match="runs past"):
+            dt.TabulatedFamily([(0.0, m0), (1.0, m1)], p_range=(-0.5, 1.0))
+        fam = dt.TabulatedFamily([(0.0, m0), (1.0, m1)], p_range=(0.25, 0.5))
+        assert fam.evaluate(0.5).A0.toarray()[0, 0] == -1.5
+
+    def test_tabulated_rejects_two_snapshots_at_one_p(self):
+        m0 = dt.DelayedLinearModel([[1.0]], [[-1.0]])
+        m1 = dt.DelayedLinearModel([[1.0]], [[-2.0]])
+        with pytest.raises(ConfigurationError, match="p=1.0"):
+            dt.TabulatedFamily([(0.0, m0), (1.0, m0), (1.0, m1), (2.0, m1)])
+
     def test_deterministic_reevaluation(self):
         fam = scalar_affine()
         a = fam.evaluate(0.37).A0.toarray()

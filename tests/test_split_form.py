@@ -1,5 +1,8 @@
 """Families own their split form: the sweep never rebuilds a model."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -59,6 +62,32 @@ def two_moving_delays_family():
     slopes = dt.ModelDerivatives(mat(0.1), mat(), [mat(), mat()],
                                  dtaus=[0.5, -0.3])
     return dt.AffineFamily(base, slopes, (0.0, 1.0))
+
+
+def tabulated_moving_delays_family():
+    # every matrix and both delays move from snapshot to snapshot
+    rng = np.random.default_rng(82)
+    r = 3
+
+    def snapshot(taus):
+        return dt.DelayedLinearModel(
+            np.eye(r) + 0.1 * rng.standard_normal((r, r)),
+            rng.standard_normal((r, r)) - 2.0 * np.eye(r),
+            [(tau, 0.5 * rng.standard_normal((r, r))) for tau in taus],
+        )
+
+    return dt.TabulatedFamily([(0.0, snapshot((0.4, 0.9))),
+                               (1.0, snapshot((0.6, 0.7))),
+                               (2.0, snapshot((0.5, 1.1)))])
+
+
+def tabulated_hayes_family():
+    # x' = -x(t - tau), tau tabulated as 1.0, 1.2, 2.0 at p = 0, 1, 2
+    return dt.TabulatedFamily([
+        (float(p), dt.DelayedLinearModel([[1.0]], [[0.0]],
+                                         [(tau, [[-1.0]])]))
+        for p, tau in enumerate((1.0, 1.2, 2.0))
+    ])
 
 
 def sweep_case(kind):
@@ -136,7 +165,8 @@ WAMS = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
 
 
 @pytest.mark.parametrize("kind", ["multi", "tabulated", "delay_param",
-                                  "wams", "two_moving_delays"])
+                                  "wams", "two_moving_delays",
+                                  "tabulated_moving_delays"])
 def test_family_form_matches_evaluated_model(kind):
     if kind == "multi":
         fam, wams, p = scalar_affine_family(), None, 0.73
@@ -144,6 +174,8 @@ def test_family_form_matches_evaluated_model(kind):
         fam, wams, p = two_moving_delays_family(), None, 0.58
     elif kind == "tabulated":
         fam, wams, p = two_crossing_family(), None, 1.234
+    elif kind == "tabulated_moving_delays":
+        fam, wams, p = tabulated_moving_delays_family(), None, 1.37
     elif kind == "delay_param":
         fam, wams, p = hayes_family(), None, 1.37
     else:
@@ -183,3 +215,56 @@ def test_moving_delays_dP_dp_matches_central_difference(dense, monkeypatch):
     dP = matrix(p, 2)
     fd = (matrix(p + h, 0) - matrix(p - h, 0)) / (2.0 * h)
     assert np.abs(dP - fd).max() <= 1e-7 * max(1.0, np.abs(dP).max())
+
+
+def test_tabulated_moving_delay_margin():
+    # the Hayes margin tau* = pi/2 lies on the second segment, where
+    # tau = 1.2 + 0.8 (p - 1); a moving delay goes with regime delay_param
+    fam = tabulated_hayes_family()
+    ref = dt.refine_newton(fam.split_form(0.0), -0.3 + 1.3j, np.ones(1),
+                           tol=1e-12)
+    opts = dt.TrackOptions(dp=1e-2, corrector_every=10,
+                           regime="delay_param", p_fin=2.0)
+    traj = dt.track_run(fam, dt.TrackState.from_eigenpair(0.0, ref.s,
+                                                          ref.phi), opts)
+    assert not traj.truncated and traj.samples[-1].p == 2.0
+    (p_star, s_star), = dt.find_crossing(fam, traj, opts)
+    assert abs(p_star - (1.0 + (np.pi / 2 - 1.2) / 0.8)) < 1e-8
+    assert abs(s_star - 1j) < 1e-8
+
+
+def test_shared_table_gives_every_thread_its_own_segment():
+    # a table caches the slots of one segment, the snapshot stacks of its
+    # chord and each csr chord formed; threads that jump between segments
+    # of one table must still each get the form and the slope of their p
+    fam, ref = two_crossing_family(), two_crossing_family()
+    ps = np.linspace(0.0, 4.0, 157)
+    expected = {p: (ref.split_form(p), ref.derivative(p).dA0.toarray())
+                for p in ps}
+    wrong = []
+
+    def sweep(order):
+        for i, p in enumerate(np.tile(order, 5)):
+            form, (want, want_slope) = fam.split_form(p), expected[p]
+            if not (np.array_equal(form.slots, want.slots)
+                    and form.weights == want.weights):
+                wrong.append(p)
+            # the csr chord costs far more: one pass of it
+            if i < len(order) and not np.array_equal(
+                    fam.derivative(p).dA0.toarray(), want_slope):
+                wrong.append(p)
+
+    rng = np.random.default_rng(5)
+    orders = [rng.permutation(ps) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(o,)) for o in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
