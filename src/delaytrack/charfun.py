@@ -200,14 +200,18 @@ def slot_matrices(model, derivatives=None):
 
     Below ``DENSE_MAX_DIM`` they are one real (n, r, r) ndarray, slot k at
     index k, so that :func:`eval_P` and :func:`matvec` combine them by one
-    real matrix product each; from it up they are the tuple of the stored
-    csr matrices.  Stacks are joined with ``np.concatenate``: ``+`` would
-    add two ndarray stacks elementwise."""
+    real matrix product each, written slot by slot into one array; from it
+    up they are the tuple of the stored csr matrices.  Stacks are joined
+    with ``np.concatenate``: ``+`` would add two ndarray stacks
+    elementwise."""
     mats = [model.E, model.A0] + [A for _, A in model.delay_terms]
     if derivatives is not None:
         mats += [derivatives.dE, derivatives.dA0, *derivatives.dA_terms]
     if model.r < DENSE_MAX_DIM:
-        return np.stack([M.toarray() for M in mats])
+        stack = np.empty((len(mats), model.r, model.r))
+        for M, out in zip(mats, stack):
+            M.toarray(out=out)
+        return stack
     return tuple(mats)
 
 

@@ -19,7 +19,8 @@ Sections
 
 The family and the [wams] section define P(s, p), so the loader derives
 the tracking regime from them: ``wams`` with a [wams] section,
-``delay_param`` for a delay_param family and ``multi`` otherwise.
+``delay_param`` for a family that moves a delay (a delay_param family, or
+a table whose delays differ between snapshots) and ``multi`` otherwise.
 
 A key the loader does not read and a section it does not know are errors
 (codes ``unknown-key`` and ``unknown-section``), so a misspelt name cannot
@@ -314,7 +315,7 @@ def load_manifest(path):
             raise ManifestError(str(exc), code="bad-wams", path=path,
                                 line=headers["wams"]) from exc
     regime = ("wams" if wams is not None
-              else "delay_param" if kind == "delay_param" else "multi")
+              else "delay_param" if family.moves_delay else "multi")
 
     ts = sec("track")
     p_init = ts.get("p_init", float, p_min)

@@ -190,6 +190,11 @@ class ModelFamily:
         self._held = (None, None, None)  # (segment, its slots, dweights)
         self._stacks = {}  # knot -> slot stack, of the chord held
 
+    @property
+    def moves_delay(self):
+        """Whether some segment moves a delay (a nonzero dtau)."""
+        return any(map(any, self._dtaus))
+
     def check_range(self, p, slack=False):
         """Reject p outside the range; ``slack`` admits 1e-6 max(1, |p|)
         past its ends."""

@@ -19,7 +19,11 @@ ndarrays, only for dense QZ below ``charfun.DENSE_MAX_DIM``; above it,
 shift-invert Arnoldi eliminates the interior rows with an N x N solve and
 factors only the r x r collocated characteristic matrix, which has the
 split form and sparsity pattern of P(sigma) (the structure behind
-infinite Arnoldi).
+infinite Arnoldi).  That Arnoldi is compact: every Krylov vector is
+(I_{N+1} kron U) q for one orthonormal basis U of r-vectors, so its
+orthogonalization and its Krylov-Schur restarts work on U, of r x ~40
+numbers, and on small coefficient arrays, never on a vector of the pencil
+dimension (N+1) r.
 Candidate eigenpairs are then polished on the exact nonlinear P by a
 bordered Newton iteration; :func:`refined_eigenpairs` is that whole
 pipeline.
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
+from scipy.sparse.linalg import splu
 
 from . import charfun
 from .errors import (
@@ -73,6 +77,24 @@ DIAG_PIVOT_THRESH = 0.01
 # benchmark family the refinement gains 10-100x per pass over steps of
 # dp = 1e-3 to 2e-2; the second benchmark step needs 11 solves.
 HELD_SOLVES = 20
+
+# Krylov dimension of the compact shift-invert Arnoldi (at least
+# 2 count + 1, and below the pencil dimension).  For six eigenvalues at
+# tol 1e-10 (OpenBLAS, 1 thread, 2-CPU x86-64 Linux), dimensions 20, 30
+# and 40 took 56, 55 and 58 operator applications at pencil dimension 900
+# (rand_ddae r = 100), 49, 43 and 41 at 45 000 (r = 5000) and 287, 199
+# and 177 at 180 000 (r = 20 000, 38, 14 and 8 restarts).  Each restart
+# takes one complex Schur form of up to this size, 0.55 ms at 30 and
+# about twice that at 40, which the r = 100 pencil feels most.
+KRYLOV_DIM = 30
+
+# restart cap of the compact shift-invert Arnoldi, past which it raises
+# NonConvergenceError: seven times the 14 restarts of the slowest pencil
+# measured (dimension 180 000 above).
+MAX_RESTARTS = 100
+
+# LAPACK ztrsen: reorders a complex Schur form
+_TRSEN = la.get_lapack_funcs("trsen", dtype=complex)
 
 # LAPACK ?gesv of the dense bordered solve in the two fields of P(s)
 _GESV = {np.dtype(t): la.get_lapack_funcs("gesv", dtype=t)
@@ -257,7 +279,8 @@ def solve_discretized(pencil, shift, count, tol=0.0):
 
 
 def _shift_invert(pencil, sigma, count, tol=0.0):
-    """Arnoldi on y = (SigmaA - sigma SigmaE)^-1 SigmaE x, solved blockwise.
+    """Compact Krylov-Schur Arnoldi on y = (SigmaA - sigma SigmaE)^-1
+    SigmaE x, solved blockwise.
 
     With Dt[1:, :] = [d10 | D11], the interior block rows give
     Y[1:] = W - g y_0^T with W = (D11 - sigma I)^-1 X[1:] and
@@ -270,15 +293,30 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
     in the split form and sparsity pattern of P(sigma), and
     y_0 = -P_N(sigma)^-1 (E x_0 - sum_j A_j l_j[1:] W).  P_N is factored
     once by :func:`_factor`, whose zero-pivot nudge covers a shift that
-    lands on an eigenvalue.  ARPACK stops at the relative accuracy ``tol``
-    of the Ritz values (0: machine precision).  Returns the eigenvalues
-    sigma + 1/mu of the Ritz values mu, inf where mu is tiny (an infinite
-    mode), and the Ritz vectors.
+    lands on an eigenvalue.
+
+    Every block of y is a combination of the blocks of x and of y_0, so
+    from the constant start (one fixed r-vector u0 in every block) every
+    Krylov vector is (I_{N+1} kron U) q with U an orthonormal r-row basis
+    that gains at most the column of y_0 per application
+    (:class:`_CompactBasis`).  The Arnoldi and its Krylov-Schur restarts
+    (:func:`_krylov_schur`) work on the (N+1) x k coefficients q; the
+    basis holds r x k numbers, k at most 2 (m + N + 1) for the Krylov
+    dimension m = ``KRYLOV_DIM``, in place of m vectors of length (N+1) r.
+    At r = 20 000 and N = 8 that was 63 columns, 20 MB, where ARPACK held
+    20 vectors, 58 MB.  On the r = 5000 benchmark pencil (dimension
+    45 000, six eigenvalues, ``tol`` 1e-10) it takes 43 operator
+    applications and one restart, where ARPACK took 51 applications.
+    It stops when each wanted Schur vector has a residual within ``tol``
+    (0: machine precision) relative to its Ritz value, and raises
+    :class:`NonConvergenceError` after ``MAX_RESTARTS`` restarts.  Returns
+    the eigenvalues sigma + 1/mu of the Ritz values mu, inf where mu is
+    tiny (an infinite mode), and the Ritz vectors.
     """
     N, r = pencil.N, pencil.r
     E, _, *delayed = pencil.slots
     try:
-        # N x N: applying the inverse to N x r blocks is many times
+        # N x N: applying the inverse to N x k coefficients is many times
         # cheaper than a solve against them
         Kinv = np.linalg.inv(pencil.Dt[1:, 1:] - sigma * np.eye(N))
     except np.linalg.LinAlgError as exc:
@@ -296,31 +334,198 @@ def _shift_invert(pencil, sigma, count, tol=0.0):
             f"collocated characteristic matrix singular at sigma={sigma}"
         ) from exc
 
-    def solve(x):
-        X = x.reshape(N + 1, r)
-        W = Kinv @ X[1:]
-        rhs = E @ X[0]
-        for A, z in zip(delayed, L @ W):
-            rhs = rhs - A @ z
-        y0 = -lu.solve(rhs)
-        return np.concatenate([y0, (W - np.outer(g, y0)).ravel()])
+    # E x_0 - sum_j A_j l_j[1:] W as one product: at r = 100 one matvec
+    # takes 8 us where three took 46 us, at r = 5000 0.31 ms against 0.45
+    B = sparse.hstack([E, *(-A for A in delayed)], format="csr")
+    m = min(max(KRYLOV_DIM, 2 * count + 1), pencil.dim - 1)
+    basis = _CompactBasis(r, N, m)
 
-    op = LinearOperator(
-        shape=(pencil.dim, pencil.dim), matvec=solve, dtype=complex
-    )
-    k = min(count, pencil.dim - 2)
-    # a fixed start vector: ARPACK draws its own unseeded, which changes
-    # the roundoff digits of the result from run to run
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
-    try:
-        mu, V = eigs(op, k=k, which="LM", v0=v0, tol=tol)
-    except ArpackNoConvergence as exc:
-        raise NonConvergenceError(
-            f"Arnoldi iteration did not converge: {exc}"
-        ) from exc
+    def apply(q):
+        """Coefficients, on the basis grown by y_0, of y for x = q."""
+        k = q.shape[1]
+        W = Kinv @ q[1:]
+        Z = np.concatenate((q[:1], L @ W)) @ basis.U[:k]
+        c = basis.add(-lu.solve(B @ Z.ravel()))
+        y = np.zeros((N + 1, len(basis.U)), dtype=complex)
+        y[0, :len(c)] = c
+        y[1:, :k] = W
+        y[1:, :len(c)] -= g[:, None] * c
+        return y.ravel()
+
+    mu, V = _krylov_schur(basis, apply, m, min(count, m - 1),
+                          max(tol, np.finfo(float).eps))
     small = np.abs(mu) < 1.0 / INFINITE_EIGENVALUE_THRESHOLD
     return np.where(small, np.inf, sigma + 1.0 / np.where(small, 1.0, mu)), V
+
+
+class _CompactBasis:
+    """Orthonormal Krylov vectors held as (I_{N+1} kron U) q.
+
+    ``U[:k]`` holds k orthonormal r-vectors as rows, and vector i is the
+    (N+1) x k coefficient array ``Q[i, :, :k]``: its block b is
+    ``Q[i, b, :k] @ U[:k]``.  Since U is orthonormal, inner products and
+    combinations of vectors are those of their coefficients.  Coefficients
+    are zero past column k, so Q's rows can be read flat."""
+
+    def __init__(self, r, N, m):
+        self.r, self.N = r, N
+        rng = np.random.default_rng(0)
+        u0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        # a restarted Krylov space of m vectors uses at most m + N + 1
+        # columns of U; U has room for twice that, so that restarts
+        # compress it (one SVD of the coefficients, as costly as a Schur
+        # form at m = 30) only every few cycles
+        cap = min(r, 2 * (m + N + 1))
+        self.U = np.empty((cap, r), dtype=complex)
+        self.U[0] = u0 / np.linalg.norm(u0)
+        self.k = 1
+        self.Q = np.zeros((m + 1, N + 1, cap), dtype=complex)
+        self.Q[0, :, 0] = 1.0 / math.sqrt(N + 1)
+
+    def add(self, y):
+        """Coefficients of the r-vector ``y`` on U, after U gains the part
+        of ``y`` orthogonal to it (:func:`_gram_schmidt`); no column is
+        added once U spans C^r, where that part is roundoff."""
+        c, y, beta = _gram_schmidt(self.U[: self.k], y)
+        if self.k == self.r or beta == 0.0:
+            return c
+        if self.k == self.U.shape[0]:
+            grow = min(self.r, 2 * self.k) - self.k
+            self.U = np.vstack([self.U, np.empty((grow, self.r), complex)])
+            self.Q = np.concatenate(
+                [self.Q, np.zeros(self.Q.shape[:2] + (grow,), complex)],
+                axis=2)
+        self.U[self.k] = y / beta
+        self.k += 1
+        return np.append(c, beta)
+
+    def restart(self, Z, p):
+        """Keep the p vectors ``Q[:m] Z`` and the last vector ``Q[m]``.
+        When the m - p columns the next cycle may add would not fit in U,
+        first drop from U the directions these no longer use."""
+        m = Z.shape[0]
+        kept = np.tensordot(Z.T, self.Q[:m], axes=1)
+        self.Q[p] = self.Q[m]
+        self.Q[:p] = kept
+        self.Q[p + 1:] = 0.0
+        k = self.k
+        if k + m - p <= len(self.U):
+            return
+        # the rank tolerance of numpy.linalg.matrix_rank: below it a
+        # singular value is the roundoff of the coefficients (past the
+        # p + N + 1 columns the kept Krylov space needs, the measured ones
+        # were 1e-15 and less)
+        C = self.Q[: p + 1, :, :k].reshape(-1, k)
+        _, s, Vh = la.svd(C, full_matrices=False)
+        rank = int(np.count_nonzero(
+            s > s[0] * max(C.shape) * np.finfo(float).eps))
+        if rank < k:
+            self.U[:rank] = Vh[:rank] @ self.U[:k]
+            self.Q[: p + 1, :, :rank] = (C @ Vh[:rank].conj().T).reshape(
+                p + 1, self.N + 1, rank)
+            self.Q[:, :, rank:k] = 0.0
+            self.k = rank
+
+    def vectors(self, Y):
+        """The full (N+1) r vectors ``Q[:m] Y`` as columns."""
+        coef = np.tensordot(Y.T, self.Q[: Y.shape[0], :, : self.k], axes=1)
+        return (coef @ self.U[: self.k]).reshape(Y.shape[1], -1).T
+
+
+def _krylov_schur(basis, apply, m, want, tol):
+    """The ``want`` Ritz values of largest magnitude, and their Ritz
+    vectors, by Krylov-Schur restarts of a Krylov space of dimension ``m``
+    held in ``basis``; ``apply`` maps the coefficients of a basis vector to
+    those of its image.
+
+    Each cycle extends the Krylov-Schur relation A V = V H[:m] + v_m H[m]
+    to m vectors (:func:`_gram_schmidt` on the coefficients), takes one
+    complex Schur form of H[:m] and moves the ``want`` largest Ritz values
+    to its front.  They are done when each of these Schur vectors has
+    |b_i| <= tol |theta_i|, b = H[m] Z the residual row.  Otherwise the
+    next largest join them, up to want + (m - want) // 2 kept vectors, and
+    the basis restarts on those.  No vector is locked: a converged one
+    keeps improving while the others converge, which leaves its Ritz
+    vector as accurate as ARPACK's (pencil residuals near 1e-13 at tol
+    1e-10 on the r = 100 benchmark pencil, where locking left 1e-9 and
+    cost a Newton step).  A Krylov space that is invariant ends the
+    iteration with every Ritz value exact."""
+    H = np.zeros((m + 1, m), dtype=complex)
+    keep = want + (m - want) // 2
+    # start from the image of the constant start, as ARPACK starts in the
+    # range of the operator: with a shift on an eigenvalue (a Ritz value
+    # near 5e11) the constant start alone left the other Ritz values
+    # 2.6e-9 off, the image 2e-12
+    w = apply(basis.Q[0, :, : basis.k])
+    basis.Q[0] = (w / np.linalg.norm(w)).reshape(basis.Q.shape[1:])
+    p = 0
+    applied = 1
+    for restarts in range(MAX_RESTARTS + 1):
+        for j in range(p, m):
+            w = apply(basis.Q[j, :, : basis.k])
+            applied += 1
+            H[: j + 1, j], w, beta = _gram_schmidt(
+                basis.Q.reshape(len(basis.Q), -1)[: j + 1], w)
+            H[j + 1, j] = beta
+            if beta == 0.0:
+                m, want = j + 1, min(want, j + 1)
+                break
+            basis.Q[j + 1] = (w / beta).reshape(basis.Q.shape[1:])
+        T, Z = la.schur(H[:m, :m], output="complex")
+        select = np.zeros(m, dtype=np.int32)
+        select[np.argsort(-np.abs(np.diag(T)), kind="stable")[:want]] = 1
+        T, Z, theta, *_ = _TRSEN(select, T, Z, job="N")
+        b = H[m, :m] @ Z
+        if np.all(np.abs(b[:want]) <= tol * np.abs(theta[:want])):
+            log.debug(
+                "compact Arnoldi: %d applications, %d restarts, %d basis "
+                "columns", applied, restarts, basis.k)
+            return theta[:want], basis.vectors(
+                Z[:, :want] @ _triangular_eigenvectors(T[:want, :want]))
+        rest = np.argsort(-np.abs(theta[want:]), kind="stable")
+        select[:] = 0
+        select[:want] = 1
+        select[want + rest[: keep - want]] = 1
+        T, Z, *_ = _TRSEN(select, T, Z, job="N")
+        basis.restart(Z[:, :keep], keep)
+        H[:keep, :keep] = T[:keep, :keep]
+        H[keep, :keep] = H[m, :m] @ Z[:, :keep]
+        H[keep + 1:] = 0.0
+        H[:, keep:] = 0.0
+        p = keep
+    raise NonConvergenceError(
+        f"compact Arnoldi did not converge in {MAX_RESTARTS} restarts")
+
+
+def _gram_schmidt(V, w):
+    """``(h, w - h V, ||w - h V||)`` for the orthonormal rows ``V``: one
+    classical Gram-Schmidt pass, and a second when the first leaves less
+    than 0.717 of ||w|| (the DGKS test, as in ARPACK)."""
+    norm = math.sqrt(np.vdot(w, w).real)
+    h = (V @ w.conj()).conj()
+    w = w - h @ V
+    beta = math.sqrt(np.vdot(w, w).real)
+    if beta < 0.717 * norm:
+        d = (V @ w.conj()).conj()
+        w -= d @ V
+        h += d
+        beta = math.sqrt(np.vdot(w, w).real)
+    return h, w, beta
+
+
+def _triangular_eigenvectors(T):
+    """Unit eigenvectors of the upper-triangular ``T``, by back
+    substitution; a zero difference of diagonal entries is replaced by
+    eps ||T||, as LAPACK ?trevc does."""
+    n = T.shape[0]
+    Y = np.eye(n, dtype=complex)
+    floor = np.finfo(float).eps * max(np.abs(T).max(), 1e-300)
+    for i in range(1, n):
+        D = T[:i, :i] - T[i, i] * np.eye(i)
+        d = D.diagonal()
+        np.fill_diagonal(D, np.where(np.abs(d) < floor, floor, d))
+        Y[:i, i] = la.solve_triangular(D, -T[:i, i])
+    return Y / np.linalg.norm(Y, axis=0)
 
 
 def _factor(P):

@@ -181,14 +181,15 @@ class TrackOptions:
                 f"regime={self.regime!r}, wams={self.wams}"
             )
 
-    def check_regime(self, form):
-        """Reject a regime that disagrees with the split form ``form``,
-        which alone defines P(s, p): ``delay_param`` goes with a moving
-        delay and only with it, ``single`` needs one delay."""
-        if (self.regime == "delay_param") != any(form.dtaus):
+    def check_regime(self, family, form):
+        """Reject a regime that disagrees with the family, whichever p the
+        run starts from: ``delay_param`` goes with a family that moves a
+        delay on some segment and only with it, ``single`` needs one delay
+        (the split form ``form`` at any p has the family's count)."""
+        if (self.regime == "delay_param") != family.moves_delay:
             raise ConfigurationError(
-                f"regime={self.regime!r} does not match the family's delay "
-                f"slopes {form.dtaus}: 'delay_param' goes with a moving delay"
+                f"regime={self.regime!r} does not match the family: "
+                f"'delay_param' goes with a family that moves a delay"
             )
         if self.regime == "single" and form.mu != 1:
             raise ConfigurationError(
@@ -320,7 +321,7 @@ def track_run(family, initial, options):
     p_init = initial.p
     wams = options.wams
     form = family.split_form(p_init, wams)
-    options.check_regime(form)
+    options.check_regime(family, form)
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
         raise ConfigurationError("p_fin equals the initial parameter")

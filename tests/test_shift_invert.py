@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator
 
 import delaytrack as dt
 from delaytrack import charfun, spectral
@@ -69,28 +68,28 @@ def test_factors_only_r_by_r_matrices(monkeypatch):
 def test_arnoldi_stop_at_the_polish_tolerance_loses_no_candidate(
     monkeypatch,
 ):
-    # spectrum_at stops ARPACK at the tol its Newton polish meets; forcing
-    # it to machine precision must find the same eigenvalues, with more
-    # operator applications
+    # spectrum_at stops the Arnoldi at the tol its Newton polish meets;
+    # forcing it to machine precision must find the same eigenvalues, with
+    # more operator applications
     model = dt.rand_ddae(300, 210, 0.02, 2, seed=5)
     family = dt.AffineFamily(model, dt.ModelDerivatives.zero(model), (0, 1))
-    arpack = spectral.eigs
+    shift_invert, krylov_schur = spectral._shift_invert, spectral._krylov_schur
     applied = []
 
-    def counting(op, *args, forced=None, **kwargs):
-        def matvec(x):
+    def counting(basis, apply, *args):
+        def counted(q):
             applied[-1] += 1
-            return op.matvec(x)
+            return apply(q)
 
-        if forced is not None:
-            kwargs["tol"] = forced
         applied.append(0)
-        counted = LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
-        return arpack(counted, *args, **kwargs)
+        return krylov_schur(basis, counted, *args)
 
+    monkeypatch.setattr(spectral, "_krylov_schur", counting)
     runs = {}
     for forced in (None, 0.0):
-        monkeypatch.setattr(spectral, "eigs", partial(counting, forced=forced))
+        if forced is not None:
+            monkeypatch.setattr(spectral, "_shift_invert",
+                                partial(_forced_tol, shift_invert, forced))
         runs[forced] = dt.spectrum_at(family, 0.0, N=8, shift=-1 + 1j,
                                       count=6, tol=1e-10)
     stopped, full = runs[None], runs[0.0]
@@ -99,6 +98,68 @@ def test_arnoldi_stop_at_the_polish_tolerance_loses_no_candidate(
     for a, b in zip(stopped, full):
         assert abs(a.s - b.s) <= 1e-9
     assert applied[1] > applied[0]
+
+
+def _forced_tol(shift_invert, forced, pencil, sigma, count, tol):
+    return shift_invert(pencil, sigma, count, forced)
+
+
+def _restarts(monkeypatch):
+    """The basis columns before and after each Krylov-Schur restart."""
+    restart = spectral._CompactBasis.restart
+    columns = []
+
+    def recording(self, *args):
+        before = self.k
+        restart(self, *args)
+        columns.append((before, self.k))
+
+    monkeypatch.setattr(spectral._CompactBasis, "restart", recording)
+    return columns
+
+
+def test_restarted_arnoldi_matches_dense_eig(sparse_path, monkeypatch):
+    # ten wanted eigenvalues take several Krylov-Schur restarts, and the
+    # r-row basis fills up and is compressed on the way
+    pen = dt.discretize(dt.split_form(dt.rand_ddae(100, 70, 0.05, 2, seed=9)),
+                        8)
+    columns = _restarts(monkeypatch)
+    shift = 0.5j
+    pairs = dt.solve_discretized(pen, shift, 10)
+    assert len(columns) >= 3
+    assert any(after < before for before, after in columns)
+    A, B = pencil_pair(pen)
+    w = la.eig(A.toarray(), B.toarray(), right=False)
+    w = w[np.abs(w) <= spectral.INFINITE_EIGENVALUE_THRESHOLD]
+    nearest = w[np.argsort(np.abs(w - shift))[:10]]
+    assert len(pairs) == 10
+    for pair in pairs:
+        assert np.min(np.abs(nearest - pair.s)) < 1e-9
+        assert pair.residual < 1e-10
+
+
+@pytest.mark.parametrize("r", [16, 40])
+def test_compact_basis_holds_every_added_vector(r):
+    # U starts with room for 2 (m + N + 1) = 12 columns, grows past it,
+    # and stops at r columns, where it spans C^r; each added vector is
+    # its coefficients on the orthonormal U
+    basis = spectral._CompactBasis(r, 2, 3)
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        y = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        c = basis.add(y)
+        assert np.allclose(c @ basis.U[: basis.k], y, rtol=0, atol=1e-12)
+    U = basis.U[: basis.k]
+    assert basis.k == min(r, 31) and basis.Q.shape[2] == len(basis.U)
+    assert np.allclose(U.conj() @ U.T, np.eye(basis.k), rtol=0, atol=1e-13)
+
+
+def test_restart_cap_raises(sparse_path, monkeypatch):
+    pen = dt.discretize(dt.split_form(dt.rand_ddae(100, 70, 0.05, 2, seed=9)),
+                        8)
+    monkeypatch.setattr(spectral, "MAX_RESTARTS", 0)
+    with pytest.raises(dt.NonConvergenceError, match="0 restarts"):
+        dt.solve_discretized(pen, 0.5j, 10)
 
 
 def test_shift_on_an_eigenvalue(sparse_path):

@@ -233,6 +233,27 @@ def test_tabulated_moving_delay_margin():
     assert abs(s_star - 1j) < 1e-8
 
 
+@pytest.mark.parametrize("p_init", [0.5, 1.5])
+def test_regime_is_the_family_s_wherever_the_sweep_starts(p_init):
+    # tau = 1.0, 1.0, 2.0 at p = 0, 1, 2: the delay is fixed on the first
+    # segment and moves on the second, and a sweep from either one must
+    # declare 'delay_param', the family's regime, and only that
+    fam = dt.TabulatedFamily([
+        (float(p), dt.DelayedLinearModel([[1.0]], [[0.0]],
+                                         [(tau, [[-1.0]])]))
+        for p, tau in enumerate((1.0, 1.0, 2.0))
+    ])
+    assert fam.moves_delay
+    ref = dt.refine_newton(fam.split_form(p_init), 0.1 + 1.2j, np.ones(1),
+                           tol=1e-12)
+    initial = dt.TrackState.from_eigenpair(p_init, ref.s, ref.phi)
+    with pytest.raises(dt.ConfigurationError, match="moves a delay"):
+        dt.track_run(fam, initial, dt.TrackOptions(dp=1e-2, p_fin=2.0))
+    traj = dt.track_run(fam, initial, dt.TrackOptions(
+        dp=1e-2, corrector_every=10, regime="delay_param", p_fin=2.0))
+    assert not traj.truncated and traj.samples[-1].p == 2.0
+
+
 def test_shared_table_gives_every_thread_its_own_segment():
     # a table caches the slots of one segment, the snapshot stacks of its
     # chord and each csr chord formed; threads that jump between segments

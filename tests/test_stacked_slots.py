@@ -70,6 +70,19 @@ def test_slot_products_match_per_slot_sums(r, layout, monkeypatch):
                     y, charfun.matvec(form.slots, c, phi))
 
 
+@pytest.mark.parametrize("mu", [0, 2])
+def test_dense_slot_stack_is_the_stack_of_the_slots(mu):
+    # the stack is written slot by slot into one array; it must equal the
+    # np.stack of per-slot copies bit for bit
+    model, derivs = random_model_with_derivatives(6, mu, seed=13 + mu)
+    got = charfun.slot_matrices(model, derivs)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, np.stack(model_slots(model, derivs)))
+    n = mu + 2
+    assert np.array_equal(charfun.slot_matrices(model),
+                          np.stack(model_slots(model, derivs)[:n]))
+
+
 def test_real_coefficients_on_real_slots_stay_exactly_real(monkeypatch):
     model, derivs = random_model_with_derivatives(6, 2, seed=5)
     mats = model_slots(model, derivs)
