@@ -7,6 +7,13 @@ two real branches.  Tracking cannot integrate through the singular mass
 matrix; instead the fold is detected and the run is reinitialized on the
 branch overlapping the previous eigenvector, tie-broken toward the larger
 real part.
+
+With less damping, s^2 + 0.1 s + (1.0025 - p) has eigenvalues
+-0.05 +/- sqrt(p - 1): the upper real branch crosses Re s = 0 at
+p = 1.0025, inside the step after the fold.  The sample reinitialized one
+step past the fold lies across the axis, so the run records its
+axis_crossing event there, and find_crossing refines that bracket from the
+restarted branch.
 """
 
 import numpy as np
@@ -49,3 +56,27 @@ svg = svgplot.line_plot(
 with open("fold_branches.svg", "w") as fh:
     fh.write(svg)
 print("wrote fold_branches.svg")
+
+# the c = 0.05 family: a crossing at a reinitialized sample
+damped = dt.AffineFamily(
+    dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-1.0025, -0.1]]),
+    slopes, p_range=(0.2, 1.8),
+)
+m0 = damped.evaluate(0.5)
+w, V = np.linalg.eig(m0.A0.toarray())
+i = int(np.argmax(w.imag))
+damped_seed = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
+margin_options = dt.TrackOptions(
+    dp=1e-2, corrector_every=10, regime="multi", p_fin=1.5,
+    reinit_on_fold=True,
+)
+damped_run = dt.track_run(
+    damped, dt.TrackState.from_eigenpair(0.5, damped_seed.s, damped_seed.phi,
+                                         damped_seed.residual),
+    margin_options,
+)
+for ev in damped_run.events:
+    print(f"event: {ev.kind:14s} at p = {ev.p:.4f} (sample {ev.index})")
+for p_star, s_star in dt.find_crossing(damped, damped_run, margin_options):
+    print(f"margin: p* = {p_star:.10f} (analytic 1.0025), "
+          f"|Re s*| < 1e-9: {abs(s_star.real) < 1e-9}")

@@ -49,6 +49,7 @@ from .model import (
     DelayedLinearModel,
     ModelDerivatives,
     TabulatedFamily,
+    validate_model,
 )
 from .spectral import check_degree
 from .track import TrackOptions
@@ -222,7 +223,8 @@ def load_manifest(path):
 
     Raises :class:`ManifestError` with a distinct ``code`` and line anchor
     for every invariant violation (missing file, dimension mismatch,
-    malformed matrix, ...).
+    malformed matrix, ...); a snapshot or base model that fails
+    :func:`model.validate_model` is ``bad-model`` on the ``n_dyn`` line.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -303,6 +305,11 @@ def load_manifest(path):
             except ConfigurationError as exc:
                 ms._fail(str(exc), code="bad-delay-index",
                          entry=ms.raw("delay_index"))
+    models = [m for _, m in snaps] if kind == "tabulated" else [base]
+    report = sorted({v for m in models for v in validate_model(m)})
+    if report:
+        ms._fail("invalid model: " + "; ".join(report), code="bad-model",
+                 entry=ms.raw("n_dyn"))
 
     wams = None
     if "wams" in sections:

@@ -480,8 +480,8 @@ def _krylov_schur(basis, apply, m, want, tol):
             log.debug(
                 "compact Arnoldi: %d applications, %d restarts, %d basis "
                 "columns", applied, restarts, basis.k)
-            return theta[:want], basis.vectors(
-                Z[:, :want] @ _triangular_eigenvectors(T[:want, :want]))
+            mu, Y = la.eig(T[:want, :want])
+            return mu, basis.vectors(Z[:, :want] @ Y)
         rest = np.argsort(-np.abs(theta[want:]), kind="stable")
         select[:] = 0
         select[:want] = 1
@@ -511,21 +511,6 @@ def _gram_schmidt(V, w):
         h += d
         beta = math.sqrt(np.vdot(w, w).real)
     return h, w, beta
-
-
-def _triangular_eigenvectors(T):
-    """Unit eigenvectors of the upper-triangular ``T``, by back
-    substitution; a zero difference of diagonal entries is replaced by
-    eps ||T||, as LAPACK ?trevc does."""
-    n = T.shape[0]
-    Y = np.eye(n, dtype=complex)
-    floor = np.finfo(float).eps * max(np.abs(T).max(), 1e-300)
-    for i in range(1, n):
-        D = T[:i, :i] - T[i, i] * np.eye(i)
-        d = D.diagonal()
-        np.fill_diagonal(D, np.where(np.abs(d) < floor, floor, d))
-        Y[:i, i] = la.solve_triangular(D, -T[:i, i])
-    return Y / np.linalg.norm(Y, axis=0)
 
 
 def _factor(P):
@@ -844,7 +829,9 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
     enters only the polish.  A candidate whose endpoint block vanishes
     (relative to its pencil vector) or whose refinement raises a
     :class:`DelayTrackError` is skipped, as is one within 1e-9 of an
-    eigenvalue already kept.  Sorted by descending real part.
+    eigenvalue already kept.  For a real ``shift`` the conjugate (conj s,
+    conj phi) of a member, an eigenpair of the real form, joins when the
+    cut at ``count`` left it out.  Sorted by descending real part.
     """
     pencil = discretize(form, N if form.mu else 0)
     refined = []
@@ -859,5 +846,10 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
         if any(abs(ref.s - k.s) < 1e-9 for k in refined):
             continue
         refined.append(ref)
+    if complex(shift).imag == 0.0:
+        lone = [e for e in refined
+                if all(abs(k.s - e.s.conjugate()) >= 1e-9 for k in refined)]
+        refined += [Eigenpair(e.s.conjugate(), e.phi.conj(), e.residual)
+                    for e in lone]
     refined.sort(key=lambda e: -e.s.real)
     return refined

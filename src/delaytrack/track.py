@@ -24,8 +24,8 @@ crossing search) keeps a single :class:`spectral.HeldFactor` for all its
 sparse stages, steps and corrector iterations.
 The sweep advances (phi, s) with one explicit Runge-Kutta loop over the
 table of Euler, Heun and RK4, optionally re-polished by the Newton
-corrector at fixed p, while watching for conjugate-pair folds and real-axis
-crossings.
+corrector at fixed p, while watching for conjugate-pair folds; its
+``axis_crossing`` events, at a reinitialized sample too, are the crossings.
 
 The state carries its field.  A real eigenpair (real to roundoff at the
 start or after a reinitialization) becomes a real :class:`TrackState`,
@@ -76,6 +76,9 @@ FOLD_EPS = 1e-4
 # collocation degree and candidate count of a reinitialization
 INIT_DEGREE = 16
 INIT_COUNT = 6
+# a crossing bracket below 1e-9 in p whose ends differ in s by more than
+# this times its width (1e-3 at 1e-9) spans a jump between branches
+JUMP_SLOPE = 1e6
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,6 @@ class TrackEvent:
 class Trajectory:
     samples: list = field(default_factory=list)
     events: list = field(default_factory=list)
-    settings: dict = field(default_factory=dict)
     truncated: bool = False
 
     @property
@@ -301,7 +303,8 @@ def track_run(family, initial, options):
     raises :class:`RangeError` before the first step.  It applies the Newton
     corrector at fixed p every ``corrector_every`` steps and at the final
     point.  An axis crossing is an event at the first sample on the other
-    side of Re s = 0 than the last sample off it.  A failed step ends the
+    side of Re s = 0 than the last sample off it, an accepted, a failed or
+    a reinitialized one alike (:func:`_record`).  A failed step ends the
     run (``truncated``) unless ``options.reinit_on_fold`` restarts it on
     the overlapping branch.  A step fails when its bordered solve is
     singular, when P cannot be evaluated at the stepped state (an
@@ -339,24 +342,13 @@ def track_run(family, initial, options):
     def assemble_at(st):
         return spectral.assemble(family.split_form(st.p, wams), st)
 
-    traj = Trajectory(
-        settings={
-            "regime": options.regime,
-            "method": options.method,
-            "dp": dp,
-            "p_init": p_init,
-            "p_fin": p_fin,
-            "corrector_every": options.corrector_every,
-            "corrector_tol": options.corrector_tol,
-        }
-    )
+    traj = Trajectory()
     # the system of the last sample when it was not corrected: it gave
     # the sample's residual and is the first stage of the step from it
     # a copy: settling writes the residual into states of the run only
     state, system = settled(form, replace(_real_if_roundoff(initial)))
-    traj.samples.append(state)
+    side = _record(traj, state, 0.0)
     held = spectral.HeldFactor()
-    side = state.s_r  # Re s of the last sample off the imaginary axis
 
     step = 0
     while (p_fin - state.p) * math.copysign(1.0, dp) > 1e-14 * max(
@@ -394,7 +386,7 @@ def track_run(family, initial, options):
             # one, tagged with the event
             if new_state is not None:
                 with contextlib.suppress(SingularityError):
-                    traj.samples.append(settled(form_new, new_state)[0])
+                    side = _record(traj, settled(form_new, new_state)[0], side)
             at = traj.samples[-1]
             failure = TrackEvent(
                 kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
@@ -402,12 +394,7 @@ def track_run(family, initial, options):
                 p=at.p, s=at.s,
             )
         else:
-            traj.samples.append(new_state)
-            if side * new_state.s_r < 0.0:
-                traj.events.append(
-                    TrackEvent(kind="axis_crossing", p=new_state.p,
-                               s=new_state.s, index=len(traj.samples) - 1)
-                )
+            side = _record(traj, new_state, side)
             failure = detect_fold(traj.samples[-3:])
 
         if failure is not None:
@@ -418,13 +405,23 @@ def track_run(family, initial, options):
                 traj.truncated = True
                 break
             fresh, system = settled(family.split_form(fresh.p, wams), fresh)
-            traj.samples.append(fresh)
             traj.events.append(TrackEvent(kind="reinit", p=fresh.p, s=fresh.s,
-                                          index=len(traj.samples) - 1))
+                                          index=len(traj.samples)))
+            side = _record(traj, fresh, side)
         state = traj.samples[-1]
-        if state.s_r != 0.0:
-            side = state.s_r
     return traj
+
+
+def _record(traj, st, side):
+    """Append the sample ``st``, with an ``axis_crossing`` event when it
+    lies across Re s = 0 from ``side``, the Re s of the last sample off the
+    axis (0.0: none, or a nonfinite one since); return the new ``side``."""
+    traj.samples.append(st)
+    new = (st.s_r or side) if math.isfinite(st.s_r) else 0.0
+    if side * new < 0.0:
+        traj.events.append(TrackEvent(kind="axis_crossing", p=st.p, s=st.s,
+                                      index=len(traj.samples) - 1))
+    return new
 
 
 def _resume(family, at, options, dp, p_fin):
@@ -462,53 +459,56 @@ def _real_if_roundoff(state):
 def find_crossing(family, trajectory, options):
     """Refine every real-axis crossing of the tracked eigenvalue.
 
-    Each sign change of s_r between consecutive samples off the axis is
-    bisected in p; a sample exactly on the axis between them is the
-    crossing itself.  The eigenpair is re-solved by warm-started Newton at
-    every midpoint until |Re s| < 1e-9 or the bracket narrows below 1e-9.
-    A nonfinite s_r breaks the brackets around it.  Each solve starts
-    from the nearer bracketing sample through
-    :func:`_real_if_roundoff`, as :func:`track_run` does, so a real branch
-    keeps every iterate exactly real and solves it in real arithmetic.  The
-    Newton solves of the call share one :class:`spectral.HeldFactor`.
+    The crossings are the ``axis_crossing`` events of the trajectory, one
+    at a reinitialized sample included; each is refined in its bracket,
+    from the last sample off the axis before it.  A sample exactly on the
+    axis between them is the crossing itself.  Otherwise the bracket is
+    bisected in p by warm-started Newton at every midpoint until
+    |Re s| < 1e-9 or the bracket narrows below 1e-9.  Each solve starts
+    from the nearer end, or from the event's end when that sample starts
+    a reinitialized branch; a real branch stays exactly real.  Stopped off
+    the axis on a bracket far wider in s than in p (:data:`JUMP_SLOPE`),
+    the bisection spans a jump and raises :class:`NonConvergenceError`.
+    The Newton solves of the call share one :class:`spectral.HeldFactor`.
     Returns a list of (p_star, s_star) with a complex s_star, empty when
     the trajectory never crosses.
     """
+    samples = trajectory.samples
+    restarts = {ev.index for ev in trajectory.events if ev.kind == "reinit"}
     crossings = []
     held = spectral.HeldFactor()
-    last = zero = None  # the last sample off the axis, the first on it
-    for b in trajectory.samples:
-        if not np.isfinite(b.s_r):
-            last = zero = None
+    for ev in trajectory.events:
+        if ev.kind != "axis_crossing":
             continue
-        if b.s_r == 0.0:
-            zero = zero or b
+        k = ev.index - 1
+        while samples[k].s_r == 0.0:
+            k -= 1
+        if k + 1 < ev.index:  # the first sample on the axis
+            crossings.append((samples[k + 1].p, complex(samples[k + 1].s)))
             continue
-        lo, hi, on_axis, last, zero = last, b, zero, b, None
-        if lo is None or (lo.s_r > 0.0) == (hi.s_r > 0.0):
-            continue
-        if on_axis is not None:
-            crossings.append((on_axis.p, complex(on_axis.s)))
-            continue
-        pm, sm = lo.p, lo.s
+        lo, hi = samples[k], samples[ev.index]
+        mid = lo
         for _ in range(200):
             if abs(hi.p - lo.p) < 1e-9:
                 break
             pm = 0.5 * (lo.p + hi.p)
-            warm = _real_if_roundoff(
-                lo if abs(pm - lo.p) <= abs(pm - hi.p) else hi
-            )
+            near_lo = abs(pm - lo.p) <= abs(pm - hi.p)
+            warm = lo if near_lo and ev.index not in restarts else hi
             ref = spectral.refine_newton(
                 family.split_form(pm, options.wams), warm.s, warm.phi,
                 tol=options.corrector_tol, held=held,
             )
-            sm = ref.s
             mid = TrackState.from_eigenpair(pm, ref.s, ref.phi, ref.residual)
-            if abs(sm.real) < 1e-9:
+            if abs(mid.s_r) < 1e-9:
                 break
-            if (sm.real > 0.0) == (lo.s_r > 0.0):
+            if (mid.s_r > 0.0) == (lo.s_r > 0.0):
                 lo = mid
             else:
                 hi = mid
-        crossings.append((pm, complex(sm)))
+        jump = abs(hi.s - lo.s) > JUMP_SLOPE * abs(hi.p - lo.p)
+        if jump and abs(mid.s_r) >= 1e-9:
+            raise NonConvergenceError(
+                f"no crossing on one branch: s jumps from {lo.s} to {hi.s} "
+                f"between p={lo.p} and p={hi.p}")
+        crossings.append((mid.p, complex(mid.s)))
     return crossings

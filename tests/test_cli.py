@@ -219,6 +219,33 @@ class TestLoadManifest:
         assert main(["track", path]) == EXIT_CONFIG
         assert f"{path}:{line}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["affine", "tabulated"])
+    def test_mass_on_an_algebraic_state_exit_code(self, tmp_path, capsys,
+                                                  kind):
+        # r = 2 with E = I declares one algebraic state (n_dyn = 1) that
+        # still carries mass: every model the loader builds is validated
+        if kind == "tabulated":
+            path = write_tabulated_bundle(tmp_path, [(0.0, A0_SNAP0),
+                                                     (2.0, A0_SNAP2)])
+        else:
+            write_matrices(tmp_path, {"E": np.eye(2), "A0": A0_SNAP0})
+            path = tmp_path / "manifest.ini"
+            path.write_text(
+                "format_version = 2\n[model]\nr = 2\nkind = affine\n"
+                "E = E.mtx\nA0 = A0.mtx\ndelays =\np_min = 0.0\n"
+                "p_max = 1.0\n")
+        with open(path) as fh:
+            text = fh.read().replace("r = 2\n", "r = 2\nn_dyn = 1\n")
+        with open(path, "w") as fh:
+            fh.write(text)
+        line = text.splitlines().index("n_dyn = 1") + 1
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "bad-model" and info.value.line == line
+        assert "algebraic columns 1..1" in str(info.value)
+        assert main(["spectrum", str(path)]) == EXIT_CONFIG
+        assert f"{path}:{line}: " in capsys.readouterr().err
+
     def test_two_snapshots_at_one_p_exit_code(self, tmp_path, capsys):
         path = write_tabulated_bundle(tmp_path, [
             (0.0, A0_SNAP0), (1.0, A0_SNAP0), (1.0, A0_SNAP2),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import delaytrack as dt
-from delaytrack.errors import ReinitializationError
+from delaytrack import track
+from delaytrack.errors import NonConvergenceError, ReinitializationError
 
 from conftest import quadratic_eigenvalue
 
@@ -23,6 +24,21 @@ def coalescing_initial(family, p):
     i = int(np.argmax(w.imag))
     ref = dt.refine_newton(dt.split_form(model), w[i], V[:, i], tol=1e-12)
     return dt.TrackState.from_eigenpair(p, ref.s, ref.phi, ref.residual)
+
+
+def fold_then_crossing_run():
+    """The companion family of s^2 + 0.1 s + (1.0025 - p), eigenvalues
+    -0.05 +/- sqrt(p - 1), swept from p = 0.5 with reinitialization: the
+    pair folds at p = 1 and the upper real branch crosses Re s = 0 at
+    p = 1.0025, inside the step after the fold."""
+    base = dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-1.0025, -0.1]])
+    slopes = dt.ModelDerivatives(
+        np.zeros((2, 2)), [[0.0, 0.0], [1.0, 0.0]], []
+    )
+    fam = dt.AffineFamily(base, slopes, (0.2, 1.8))
+    opts = dt.TrackOptions(dp=1e-2, corrector_every=10, regime="multi",
+                           p_fin=1.5, reinit_on_fold=True)
+    return fam, dt.track_run(fam, coalescing_initial(fam, 0.5), opts), opts
 
 
 def state_at(family, p, s_guess, phi_guess):
@@ -295,6 +311,56 @@ class TestFindCrossing:
             ("axis_crossing", 5)
         ]
         assert dt.find_crossing(fam, traj, opts) == [(1.0, 0j)]
+
+    def test_crossing_at_a_reinitialized_sample(self):
+        # the branch restarted one step past the fold lands across the
+        # axis: that sample is the crossing event, and the bisection in
+        # front of it warm-starts on the new branch
+        fam, traj, opts = fold_then_crossing_run()
+        (fold, i), (reinit, j), (crossing, k) = [
+            (ev.kind, ev.index) for ev in traj.events]
+        assert (fold, reinit, crossing) == ("fold", "reinit", "axis_crossing")
+        assert j == k == i + 1
+        assert traj.events[0].p == pytest.approx(1.0, abs=1e-12)
+        assert traj.events[1].p == traj.events[2].p
+        assert traj.events[2].p == pytest.approx(1.01, abs=1e-12)
+        (p_star, s_star), = dt.find_crossing(fam, traj, opts)
+        assert abs(p_star - 1.0025) < 1e-9
+        assert abs(s_star.real) < 1e-9
+
+    def test_bracket_across_a_branch_jump_raises(self):
+        # without its reinit event the bracket starts on the old branch
+        # and bisects onto the lower real branch: its final bracket spans
+        # the jump between the two branches, which is no crossing
+        fam, traj, opts = fold_then_crossing_run()
+        traj.events = [ev for ev in traj.events if ev.kind != "reinit"]
+        with pytest.raises(NonConvergenceError, match="jumps"):
+            dt.find_crossing(fam, traj, opts)
+
+    def test_steep_crossing_is_returned(self):
+        # A0(p) = [[1e4 (p - 1/3)]]: the bisection stops on its 1e-9
+        # bracket with |Re s| near 1e-5, on one continuous branch
+        k = 1e4
+        base = dt.DelayedLinearModel([[1.0]], [[-k / 3.0]])
+        slopes = dt.ModelDerivatives([[0.0]], [[k]], [])
+        fam = dt.AffineFamily(base, slopes, (0.0, 1.0))
+        initial = dt.TrackState.from_eigenpair(0.0, -k / 3.0, [1.0])
+        opts = dt.TrackOptions(dp=0.01, p_fin=1.0)
+        traj = dt.track_run(fam, initial, opts)
+        (p_star, s_star), = dt.find_crossing(fam, traj, opts)
+        assert abs(p_star - 1.0 / 3.0) < 1e-9
+        assert 1e-9 < abs(s_star.real) < k * 1e-9
+
+    def test_nonfinite_sample_is_on_no_side(self):
+        # Re s = -1, +inf, +1, -1: the infinite sample resets the side, so
+        # neither it nor the +1 after it is a crossing, and the last is
+        side = 0.0
+        traj = dt.Trajectory()
+        for s in (-1.0, np.inf, 1.0, -1.0):
+            side = track._record(traj, dt.TrackState(0.0, s, [1.0]), side)
+        assert [(ev.kind, ev.index) for ev in traj.events] == [
+            ("axis_crossing", 3)
+        ]
 
     def test_touching_the_axis_is_no_crossing(self):
         # A0 = -1, 0, -1 at p = 0, 1, 2: s reaches 0 at p = 1 and returns

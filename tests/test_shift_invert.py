@@ -224,3 +224,18 @@ def test_real_crossing_is_exactly_real():
     p_star, s_star = crossings[0]
     assert s_star.imag == 0.0
     assert abs(p_star - _det_sign_change(family, 0.8, 0.9)) < 1e-9
+
+
+def test_real_shift_keeps_conjugate_pairs_whole():
+    # rand_ddae seed 20 at p = 0: the six pencil eigenvalues nearest the
+    # shift 0 hold one member of the pair -2.1618313 +/- 0.2787715j; the
+    # form is real, so the conjugate of its refined pair is one too and joins
+    family = _drifting(100, 70, 0.02, 2, 20, 0.6)
+    pairs = dt.spectrum_at(family, 0.0, N=8, shift=0j, count=6)
+    values = [e.s for e in pairs]
+    assert len(values) == 7
+    for s in values:
+        assert min(abs(t - s.conjugate()) for t in values) < 1e-9
+    pair = [s for s in values if abs(s - (-2.1618313 + 0.2787715j)) < 1e-6
+            or abs(s - (-2.1618313 - 0.2787715j)) < 1e-6]
+    assert len(pair) == 2
