@@ -28,8 +28,8 @@ Below ``DENSE_MAX_DIM`` the slots are one real (n, r, r) stack, so a
 combination of them is a real matrix product; from it up they are a
 tuple of csr matrices.
 :func:`coefficients` gives the rows of P, dP/ds and dP/dp as one array;
-:func:`eval_P` forms a matrix from a row, and :func:`slot_products` (or
-:func:`matvec`) applies rows to a vector from one set of products M_k x.
+:func:`eval_P` forms a matrix from a row, and :func:`slot_products` applies
+rows to a vector from one set of products M_k x.
 """
 
 from __future__ import annotations
@@ -198,11 +198,11 @@ def slot_matrices(model, derivatives=None):
     parameter derivatives (dE, dA0, dA_1, ..., dA_mu) if ``derivatives`` is
     given.
 
-    Below ``DENSE_MAX_DIM`` they are one real (n, r, r) ndarray, slot k at
-    index k, so that :func:`eval_P` and :func:`matvec` combine them by one
-    real matrix product each, written slot by slot into one array; from it
-    up they are the tuple of the stored csr matrices.  Stacks are joined
-    with ``np.concatenate``: ``+`` would add two ndarray stacks
+    Below ``DENSE_MAX_DIM`` they are one real (n, r, r) ndarray, written
+    slot by slot with slot k at index k, so that :func:`eval_P` and
+    :func:`slot_products` combine them by one real matrix product each;
+    from it up they are the tuple of the stored csr matrices.  Stacks are
+    joined with ``np.concatenate``: ``+`` would add two ndarray stacks
     elementwise."""
     mats = [model.E, model.A0] + [A for _, A in model.delay_terms]
     if derivatives is not None:
@@ -363,13 +363,3 @@ def slot_products(mats, x):
 
     return apply
 
-
-def matvec(mats, c, x):
-    """sum_k c[k] (mats[k] @ x) without forming the matrix, by
-    :func:`slot_products`: one vector for one row ``c``, one per row for a
-    stack of rows."""
-    rows = np.asarray(c)
-    apply = slot_products(mats, x)
-    if rows.ndim == 1:
-        return apply(rows)
-    return np.array([apply(row) for row in rows])

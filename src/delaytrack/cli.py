@@ -37,8 +37,7 @@ from .errors import (
     RangeError,
 )
 from .manifest import InitSettings, load_manifest, write_model_bundle
-from .track import (INTEGRATORS, TrackEvent, TrackState, Trajectory,
-                    find_crossing, track_run)
+from .track import INTEGRATORS, TrackState, find_crossing, track_run
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
@@ -70,30 +69,6 @@ def write_trajectory_csv(trajectory, fh):
         writer.writerow(
             [st.p, st.s_r, st.s_i, st.residual, ";".join(tags.get(i, []))]
         )
-
-
-def read_trajectory_csv(fh):
-    """Re-parse a trajectory CSV.
-
-    The CSV stores the scalar path only, so the returned samples carry
-    empty eigenvector blocks.
-    """
-    reader = csv.reader(fh)
-    header = next(reader)
-    if tuple(header) != TRAJECTORY_HEADER:
-        raise ConfigurationError(f"unexpected trajectory header {header}")
-    traj = Trajectory()
-    empty = np.zeros(0)
-    for i, row in enumerate(reader):
-        if not row:
-            continue
-        p, s_r, s_i, residual = (float(v) for v in row[:4])
-        traj.samples.append(TrackState(p, complex(s_r, s_i), empty, residual))
-        for kind in filter(None, row[4].split(";")):
-            traj.events.append(
-                TrackEvent(kind=kind, p=p, s=complex(s_r, s_i), index=i)
-            )
-    return traj
 
 
 @contextlib.contextmanager

@@ -51,7 +51,7 @@ from .model import (
     TabulatedFamily,
     validate_model,
 )
-from .spectral import check_degree
+from .spectral import INIT_COUNT, INIT_DEGREE, check_degree
 from .track import TrackOptions
 
 FORMAT_VERSION = 2
@@ -61,9 +61,9 @@ FAMILY_KINDS = ("affine", "tabulated", "delay_param")
 
 @dataclass
 class InitSettings:
-    N: int = 16
+    N: int = INIT_DEGREE
     shift: complex = 0j
-    count: int = 6
+    count: int = INIT_COUNT
 
 
 @dataclass
@@ -73,9 +73,7 @@ class ModelManifest:
     family: object
     track: TrackOptions
     init: InitSettings
-    path: str
     r: int
-    n_dyn: int | None
     p_init: float = 0.0
 
 
@@ -354,8 +352,7 @@ def load_manifest(path):
                                    code="unknown-key", entry=entry)
 
     return ModelManifest(
-        family=family, track=options, init=init, path=path, r=r,
-        n_dyn=n_dyn, p_init=p_init,
+        family=family, track=options, init=init, r=r, p_init=p_init,
     )
 
 
@@ -365,8 +362,7 @@ def _write_mm(path, mat):
     )
 
 
-def write_model_bundle(model, out_dir, p_range, delay_index=0, dp=None,
-                       init=None):
+def write_model_bundle(model, out_dir, p_range, delay_index=0, init=None):
     """Write a model as a loadable bundle: manifest.ini plus .mtx files.
 
     The bundle is set up as a delay-parameter family over
@@ -400,8 +396,6 @@ def write_model_bundle(model, out_dir, p_range, delay_index=0, dp=None,
     lines.append("[track]")
     lines.append(f"p_init = {p_range[0]!r}")
     lines.append(f"p_fin = {p_range[1]!r}")
-    if dp is not None:
-        lines.append(f"dp = {dp!r}")
     lines.append("")
     lines.append("[init]")
     lines.append(f"N = {init.N}")

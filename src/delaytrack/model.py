@@ -247,8 +247,10 @@ class ModelFamily:
                                   n_dyn=m.n_dyn)
 
     def derivative(self, p):
-        """The slope of the segment of p."""
-        return self._slope(self._segment(p))
+        """The slope of the segment of p, which may lie past the range by
+        the slack of :meth:`check_range`, as for :meth:`evaluate` and
+        :meth:`split_form`."""
+        return self._slope(self._segment(p, slack=True))
 
     def _segment_slots(self, k):
         """(slots, dweights) of segment k: the slots of M_k, then those of
@@ -324,7 +326,6 @@ class TabulatedFamily(ModelFamily):
         super().__init__(knots, [m for _, m in snaps],
                          p_range if p_range is not None
                          else (knots[0], knots[-1]))
-        self.snapshots = snaps
 
 
 class DelayParameterFamily(AffineFamily):
@@ -336,5 +337,3 @@ class DelayParameterFamily(AffineFamily):
         base = model.with_delay(delay_index, 0.0)
         dtaus = np.eye(model.mu)[delay_index]
         super().__init__(base, ModelDerivatives.zero(model, dtaus), p_range)
-        self.model = model
-        self.delay_index = int(delay_index)

@@ -33,10 +33,10 @@ class ComparisonReport:
     checkpoints: list = field(default_factory=list)
     max_distance: float = 0.0
     matched_fraction: float = 0.0
-    pass_tol: float = 1e-6
 
 
-def spectrum_at(family, p, N=16, shift=0j, count=6, tol=1e-10, wams=None):
+def spectrum_at(family, p, N=spectral.INIT_DEGREE, shift=0j,
+                count=spectral.INIT_COUNT, tol=1e-10, wams=None):
     """Refined eigenpairs of the family at one parameter value, its
     delayed term shaped by the WAMS spec ``wams`` if given.
 
@@ -94,13 +94,15 @@ def hayes_roots(a, b, tau, count=4):
 
 
 def compare_trajectory(trajectory, family, checkpoint_count=11, options=None,
-                       pass_tol=1e-6, N=16, count=6):
+                       pass_tol=1e-6, N=spectral.INIT_DEGREE,
+                       count=spectral.INIT_COUNT):
     """Distance between tracked eigenvalues and recomputed spectra.
 
     Picks ``checkpoint_count`` (at least 1) samples equispaced in p,
     recomputes the spectrum near the tracked eigenvalue at each, and
-    records the distance to the nearest recomputed root.  A checkpoint
-    where the recomputation fails is counted as unmatched.
+    records the distance to the nearest recomputed root; the report's
+    ``matched_fraction`` is the share of checkpoints within ``pass_tol``.
+    A checkpoint where the recomputation fails is counted as unmatched.
     """
     samples = trajectory.samples
     if not samples:
@@ -110,7 +112,7 @@ def compare_trajectory(trajectory, family, checkpoint_count=11, options=None,
     wams = options.wams if options is not None else None
     ps = np.array([st.p for st in samples])
     targets = np.linspace(ps[0], ps[-1], checkpoint_count)
-    report = ComparisonReport(pass_tol=pass_tol)
+    report = ComparisonReport()
     matched = 0
     for pt in targets:
         st = samples[int(np.argmin(np.abs(ps - pt)))]

@@ -817,6 +817,12 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     )
 
 
+# collocation degree and candidate count of an initialization, unless the
+# caller names its own
+INIT_DEGREE = 16
+INIT_COUNT = 6
+
+
 def refined_eigenpairs(form, N, shift, count, tol=1e-10):
     """Newton-refined eigenpairs of the split form ``form`` from a
     collocation pencil.
@@ -829,21 +835,28 @@ def refined_eigenpairs(form, N, shift, count, tol=1e-10):
     enters only the polish.  A candidate whose endpoint block vanishes
     (relative to its pencil vector) or whose refinement raises a
     :class:`DelayTrackError` is skipped, as is one within 1e-9 of an
-    eigenvalue already kept.  For a real ``shift`` the conjugate (conj s,
-    conj phi) of a member, an eigenpair of the real form, joins when the
-    cut at ``count`` left it out.  Sorted by descending real part.
+    eigenvalue already kept; each skip is logged at DEBUG with the
+    candidate's s and the reason.  For a real ``shift`` the conjugate
+    (conj s, conj phi) of a member, an eigenpair of the real form, joins
+    when the cut at ``count`` left it out.  Sorted by descending real part.
     """
     pencil = discretize(form, N if form.mu else 0)
     refined = []
     for pair in solve_discretized(pencil, shift, count, tol):
         phi0 = pair.phi[: pencil.r]
         if np.linalg.norm(phi0) < 1e-12 * np.linalg.norm(pair.phi):
+            log.debug("candidate s=%s dropped: its endpoint block vanishes",
+                      pair.s)
             continue
         try:
             ref = refine_newton(form, pair.s, phi0, tol=tol)
-        except DelayTrackError:
+        except DelayTrackError as exc:
+            log.debug("candidate s=%s dropped: %s: %s (residual %s)", pair.s,
+                      type(exc).__name__, exc, getattr(exc, "residual", None))
             continue
         if any(abs(ref.s - k.s) < 1e-9 for k in refined):
+            log.debug("candidate s=%s dropped: it refines to s=%s, a "
+                      "duplicate of a kept eigenvalue", pair.s, ref.s)
             continue
         refined.append(ref)
     if complex(shift).imag == 0.0:

@@ -57,7 +57,7 @@ from .errors import (
     SingularSystemError,
 )
 
-REGIMES = ("single", "multi", "delay_param", "wams")
+REGIMES = ("multi", "delay_param", "wams")
 # explicit Runge-Kutta schemes (stage offsets, weights, divisor): stage i + 1
 # starts at p + offset_i dp from the slope of stage i, and the step adds
 # dp / divisor times the weighted sum of the stage slopes
@@ -73,9 +73,6 @@ _OVERLAP_TIE = 0.02
 _OVERLAP_MIN = 0.5
 # |Im s| below which a pair that came from off the axis counts as folded
 FOLD_EPS = 1e-4
-# collocation degree and candidate count of a reinitialization
-INIT_DEGREE = 16
-INIT_COUNT = 6
 # a crossing bracket below 1e-9 in p whose ends differ in s by more than
 # this times its width (1e-3 at 1e-9) spans a jump between branches
 JUMP_SLOPE = 1e6
@@ -148,9 +145,9 @@ class TrackOptions:
     ``dp`` is a nonzero finite step (None: 1/1000 of the span),
     ``corrector_tol`` a positive finite tolerance and ``corrector_every``
     at least 0 (0: correct never).  The family and the WAMS spec ``wams``
-    imply the regime; ``regime`` declares it, ``wams`` goes with
-    ``regime="wams"`` only, and :meth:`check_regime` rejects a declaration
-    that disagrees with the family."""
+    imply the regime; ``regime`` declares it as one of :data:`REGIMES`:
+    ``wams`` goes with ``regime="wams"`` only, and :meth:`check_regime`
+    rejects a declaration that disagrees with the family."""
 
     dp: float | None = None
     method: str = "euler"
@@ -183,19 +180,14 @@ class TrackOptions:
                 f"regime={self.regime!r}, wams={self.wams}"
             )
 
-    def check_regime(self, family, form):
+    def check_regime(self, family):
         """Reject a regime that disagrees with the family, whichever p the
         run starts from: ``delay_param`` goes with a family that moves a
-        delay on some segment and only with it, ``single`` needs one delay
-        (the split form ``form`` at any p has the family's count)."""
+        delay on some segment and only with it."""
         if (self.regime == "delay_param") != family.moves_delay:
             raise ConfigurationError(
                 f"regime={self.regime!r} does not match the family: "
                 f"'delay_param' goes with a family that moves a delay"
-            )
-        if self.regime == "single" and form.mu != 1:
-            raise ConfigurationError(
-                f"regime='single' needs mu=1, got {form.mu}"
             )
 
 
@@ -270,8 +262,8 @@ def reinitialize_at(family, p, prev_state, options):
     candidate reaches overlap 0.5.
     """
     candidates = spectral.refined_eigenpairs(
-        family.split_form(p, options.wams), INIT_DEGREE, prev_state.s,
-        INIT_COUNT, tol=options.corrector_tol,
+        family.split_form(p, options.wams), spectral.INIT_DEGREE,
+        prev_state.s, spectral.INIT_COUNT, tol=options.corrector_tol,
     )
     if not candidates:
         raise ReinitializationError(f"no refined eigenpair near p={p}")
@@ -324,7 +316,7 @@ def track_run(family, initial, options):
     p_init = initial.p
     wams = options.wams
     form = family.split_form(p_init, wams)
-    options.check_regime(family, form)
+    options.check_regime(family)
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
         raise ConfigurationError("p_fin equals the initial parameter")

@@ -132,7 +132,7 @@ class TestBorderedSolve:
         c, c_s, _ = charfun.coefficients(form, s)
         P = charfun.eval_P(form.slots, c)
         assert sparse.issparse(P)
-        w = charfun.matvec(form.slots, c_s, pair.phi)
+        w = charfun.slot_products(form.slots, pair.phi)(c_s)
         rng = np.random.default_rng(5)
         f, t = cvec(rng, model.r), 0.3 - 0.1j
         x, ds = bordered_solve(P, w, pair.phi, f, t)
@@ -232,7 +232,7 @@ def pair_system(s_offset):
     c, c_s, _ = charfun.coefficients(form, pair.s + s_offset)
     P = charfun.eval_P(form.slots, c)
     assert sparse.issparse(P)
-    w = charfun.matvec(form.slots, c_s, pair.phi)
+    w = charfun.slot_products(form.slots, pair.phi)(c_s)
     rng = np.random.default_rng(8)
     return P, w, pair.phi, cvec(rng, model.r), 0.3 - 0.1j
 

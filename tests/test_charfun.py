@@ -146,6 +146,15 @@ class TestTransferFunctions:
         with pytest.raises(ConfigurationError):
             dt.WamsSpec(tau0=0.01, T=0.0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(tau0=-0.01), "tau0"),
+        (dict(tau0=0.01, alpha=-1e-3, b=2.0), "alpha and b"),
+        (dict(tau0=0.01, alpha=1e-3, b=-2.0), "alpha and b"),
+    ], ids=["tau0", "alpha", "b"])
+    def test_negative_spec_parameter_rejected(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            dt.WamsSpec(**kwargs)
+
     @settings(max_examples=40, deadline=None)
     @given(
         sr=st.floats(0.05, 2.0),
@@ -193,7 +202,7 @@ class TestShapedDelayTerm:
         # -(dP/dp) phi at phi = [1]
         form = dt.split_form(self.model, derivs, wams=spec)
         _, _, c_p = charfun.coefficients(form, s)
-        return -charfun.matvec(form.slots, c_p, np.ones(1))[0]
+        return -charfun.slot_products(form.slots, np.ones(1))(c_p)[0]
 
     def test_constant_limit_reduces_to_plain_delay(self):
         spec = dt.WamsSpec.constant_delay(0.7)

@@ -1,5 +1,6 @@
 """Manifest loading and command-line integration."""
 
+import csv
 import io
 import os
 import shutil
@@ -16,7 +17,6 @@ from delaytrack.cli import (
     EXIT_NO_RESULT,
     EXIT_OK,
     main,
-    read_trajectory_csv,
     write_trajectory_csv,
 )
 from delaytrack.errors import ManifestError
@@ -86,7 +86,7 @@ class TestLoadManifest:
         assert isinstance(man.family, dt.DelayParameterFamily)
         assert man.r == 1
         assert man.track.regime == "delay_param"
-        assert man.family.delay_index == 0
+        assert man.family.split_form(1.0).dtaus == (1.0,)
         assert man.init.N == 16
         assert man.p_init == 1.0
         model = man.family.evaluate(1.0)
@@ -157,7 +157,7 @@ class TestLoadManifest:
         )
         path = write_model_bundle(model, tmp_path, (0.5, 2.0), delay_index=1)
         man = load_manifest(path)
-        assert man.family.delay_index == 1
+        assert man.family.split_form(1.0).dtaus == (0.0, 1.0)
         assert man.track.regime == "delay_param"
 
     def test_wams_section_sets_the_regime(self, tmp_path):
@@ -316,6 +316,21 @@ class TestLoadManifest:
             load_manifest(path)
         assert info.value.code == "bad-delays" and info.value.line == line
 
+    @pytest.mark.parametrize("delays", ["0.0", "-1.0"])
+    def test_tabulated_nonpositive_delay_rejected(self, tmp_path, delays):
+        write_matrices(tmp_path, {"E": np.eye(2), "A0": A0_SNAP0,
+                                  "A1": np.eye(2)})
+        text = ("format_version = 2\n[model]\nr = 2\nkind = tabulated\n"
+                f"delays = {delays}\np_min = 0.0\np_max = 1.0\n")
+        for k in range(2):
+            text += (f"[snapshot.{k}]\np = {k}.0\nE = E.mtx\nA0 = A0.mtx\n"
+                     "A1 = A1.mtx\n")
+        path = tmp_path / "manifest.ini"
+        path.write_text(text)
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "bad-delays" and info.value.line == 5
+
     def test_missing_manifest_reported(self, tmp_path):
         with pytest.raises(ManifestError) as info:
             load_manifest(tmp_path / "absent.ini")
@@ -357,16 +372,15 @@ class TestTrajectoryCsv:
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         buf.seek(0)
-        back = read_trajectory_csv(buf)
-        assert len(back.samples) == len(traj.samples)
-        for a, b in zip(traj.samples, back.samples):
-            assert a.p == b.p
-            assert a.s_r == b.s_r
-            assert a.s_i == b.s_i
-            assert a.residual == b.residual
-        assert [(e.kind, e.index) for e in back.events] == [
-            (e.kind, e.index) for e in traj.events
-        ]
+        header, *rows = csv.reader(buf)
+        assert tuple(header) == cli.TRAJECTORY_HEADER
+        assert len(rows) == len(traj.samples)
+        for a, row in zip(traj.samples, rows):
+            assert (a.p, a.s_r, a.s_i, a.residual) == tuple(
+                float(v) for v in row[:4])
+        back = [(kind, i) for i, row in enumerate(rows)
+                for kind in filter(None, row[4].split(";"))]
+        assert back == [(e.kind, e.index) for e in traj.events]
 
     def test_rfc4180_line_endings(self, hayes_family):
         model = hayes_family.evaluate(1.0)
@@ -599,6 +613,15 @@ class TestCommands:
         assert complex(float(first[1]), float(first[2])) == pytest.approx(
             HAYES_PRINCIPAL, abs=1e-9
         )
+
+
+    @pytest.mark.parametrize("seed", ["x", "1.0", "1.0,2.0,3.0", "1.0,y"])
+    def test_malformed_init_from_exit_code(self, tmp_path, capsys, seed):
+        out = tmp_path / "t.csv"
+        assert main(["track", HAYES, f"--init-from={seed}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--init-from expects RE,IM" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrackFlags:

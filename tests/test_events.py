@@ -193,6 +193,28 @@ class TestReinitialize:
         assert [(ev.kind, ev.index) for ev in traj.events] == [("fold", 0)]
         assert [st.p for st in traj.samples] == [0.5]
 
+    @pytest.mark.parametrize("p_fin, truncated", [(1.005, False),
+                                                   (1.0, True)])
+    def test_fold_within_a_step_of_p_fin(self, coalescing_family, p_fin,
+                                         truncated):
+        # the fold at p = 1 is sample 50 of steps dp = 0.01; one step on
+        # would pass p_fin = 1.005, so the run resumes at p_fin itself, and
+        # with p_fin = 1.0 the fold is the last sample: no room to resume
+        initial = coalescing_initial(coalescing_family, 0.5)
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=10, p_fin=p_fin,
+                               reinit_on_fold=True)
+        traj = dt.track_run(coalescing_family, initial, opts)
+        assert traj.truncated == truncated
+        assert traj.samples[-1].p == p_fin
+        kinds = [(ev.kind, ev.index) for ev in traj.events]
+        if truncated:
+            assert kinds == [("fold", 50)] and len(traj.samples) == 51
+        else:
+            assert kinds == [("fold", 50), ("reinit", 51)]
+            assert len(traj.samples) == 52
+            assert traj.samples[-1].s == pytest.approx(
+                coalescing_eigenvalue(p_fin), abs=1e-10)
+
     def test_track_run_resumes_after_fold(self, coalescing_family):
         initial = coalescing_initial(coalescing_family, 0.5)
         opts = dt.TrackOptions(

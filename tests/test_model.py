@@ -99,6 +99,16 @@ class TestDerivative:
         assert d.dE.nnz == 0 and d.dA0.nnz == 0
         assert all(dA.nnz == 0 for dA in d.dA_terms)
 
+    def test_range_slack_as_for_evaluate(self, hayes_family):
+        # a sweep lands within the check_range slack of p_fin, and the
+        # slope there is the slope of the end segment
+        p = 2.5000001
+        assert hayes_family.evaluate(p).taus == (p,)
+        assert hayes_family.split_form(p).taus == (p,)
+        assert hayes_family.derivative(p).dtaus == (1.0,)
+        with pytest.raises(RangeError):
+            hayes_family.derivative(2.6)
+
     def test_backward_difference_at_upper_end(self):
         m0 = dt.DelayedLinearModel([[1.0]], [[0.0]])
         m1 = dt.DelayedLinearModel([[1.0]], [[2.0]])
@@ -172,6 +182,15 @@ class TestMovingDelays:
         with pytest.raises(ConfigurationError, match="positive"):
             dt.TabulatedFamily([(0.0, snap), (1.0, snap)])
 
+    @pytest.mark.parametrize("second", [
+        dt.DelayedLinearModel(np.eye(2), -np.eye(2), [(1.0, np.eye(2))]),
+        dt.DelayedLinearModel([[1.0]], [[0.0]]),
+    ], ids=["r", "mu"])
+    def test_snapshots_must_agree_in_r_and_mu(self, second):
+        first = dt.DelayedLinearModel([[1.0]], [[0.0]], [(1.0, [[-1.0]])])
+        with pytest.raises(ConfigurationError, match="every model"):
+            dt.TabulatedFamily([(0.0, first), (1.0, second)])
+
     def test_delay_parameter_range_must_be_positive(self):
         m = dt.DelayedLinearModel([[1.0]], [[0.0]], [(1.0, [[-1.0]])])
         with pytest.raises(ConfigurationError, match="positive"):
@@ -183,8 +202,11 @@ class TestMovingDelays:
         )
         fam = dt.DelayParameterFamily(m, 1, (0.1, 2.0))
         assert isinstance(fam, dt.AffineFamily)
-        assert fam.model is m and fam.delay_index == 1
         assert fam.derivative(1.0).dtaus == (0.0, 1.0)
+        # at p = 2.0 the family is the model it was built from
+        at = fam.evaluate(2.0)
+        assert at.taus == m.taus
+        assert np.array_equal(slot_matrices(at), slot_matrices(m))
         assert fam.split_form(1.3).taus == (1.0, 1.3)
 
 
@@ -203,6 +225,17 @@ class TestValidate:
         m = dt.DelayedLinearModel(E, np.eye(2), n_dyn=1)
         report = dt.validate_model(m)
         assert any("algebraic columns" in line for line in report)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(E=np.ones((2, 3)), A0=np.eye(2)), "E has shape (2, 3)"),
+        (dict(E=np.eye(2), A0=np.eye(3)), "A0 has shape (3, 3)"),
+        (dict(E=np.eye(2), A0=np.eye(2), n_dyn=3), "n_dyn=3 outside [0, 2]"),
+        (dict(E=np.eye(2), A0=np.eye(2), n_dyn=-1),
+         "n_dyn=-1 outside [0, 2]"),
+    ], ids=["E-shape", "A0-shape", "n_dyn-above-r", "n_dyn-negative"])
+    def test_shape_and_n_dyn_range_reported(self, kwargs, message):
+        report = dt.validate_model(dt.DelayedLinearModel(**kwargs))
+        assert any(message in line for line in report)
 
     def test_dimension_mismatch(self):
         m = dt.DelayedLinearModel(np.eye(2), np.eye(2), [(0.1, [[1.0]])])

@@ -2,8 +2,28 @@ import numpy as np
 import pytest
 
 import delaytrack as dt
+from delaytrack.errors import ConfigurationError
 
 from conftest import HAYES_PRINCIPAL
+
+
+def one_sample():
+    return dt.Trajectory(
+        samples=[dt.TrackState.from_eigenpair(1.0, HAYES_PRINCIPAL, [1.0])]
+    )
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda fam: dt.hayes_roots(0.0, -1.0, 0.0), ValueError, "tau"),
+    (lambda fam: dt.hayes_roots(0.0, -1.0, -1.0), ValueError, "tau"),
+    (lambda fam: dt.compare_trajectory(dt.Trajectory(), fam), ValueError,
+     "empty trajectory"),
+    (lambda fam: dt.compare_trajectory(one_sample(), fam, checkpoint_count=0),
+     ConfigurationError, "checkpoint_count=0"),
+], ids=["tau-zero", "tau-negative", "empty", "no-checkpoint"])
+def test_rejected_inputs(hayes_family, call, error, match):
+    with pytest.raises(error, match=match):
+        call(hayes_family)
 
 
 class TestHayesRoots:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sparse
 
 import delaytrack as dt
-from delaytrack import charfun
+from delaytrack import charfun, spectral
 from delaytrack.errors import ConfigurationError, NonConvergenceError
 
 from conftest import HAYES_PRINCIPAL, pencil_pair
@@ -13,6 +13,19 @@ from conftest import HAYES_PRINCIPAL, pencil_pair
 
 def rightmost(pairs):
     return max(pairs, key=lambda e: e.s.real)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda form: dt.solve_discretized(dt.discretize(form, 8), 0j, 0),
+     "count must be at least 1"),
+    (lambda form: dt.refine_newton(form, -0.3 + 1.3j, np.ones(2)),
+     "has length 2, expected 1"),
+    (lambda form: dt.refine_newton(form, -0.3 + 1.3j, np.zeros(1)),
+     "must be nonzero"),
+], ids=["count", "guess-length", "guess-zero"])
+def test_rejected_inputs(hayes_model, call, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call(dt.split_form(hayes_model))
 
 
 class TestDiscretize:
@@ -174,6 +187,27 @@ class TestRefineNewton:
             dt.refine_newton(dt.split_form(hayes_model), -0.3 + 1.3j,
                              np.array([1.0 + 0j]))
         assert caplog.records == []
+
+    def test_dropped_candidates_are_logged(self, caplog):
+        # the WAMS demo model at p = 0: of the 4 pencil candidates nearest
+        # 2j, the real one at -95.589 does not refine and one refines onto
+        # a root already kept; each skip is one DEBUG record with its s
+        A1 = np.array([[0.0, 0.0], [0.0, -0.8]])
+        m = dt.DelayedLinearModel(np.eye(2), [[0.0, 1.0], [-4.0, -0.4]],
+                                  [(0.05, A1)])
+        spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
+        with caplog.at_level(logging.DEBUG, logger="delaytrack"):
+            pairs = spectral.refined_eigenpairs(dt.split_form(m, wams=spec),
+                                                12, 2j, 4)
+        root = -0.2081603748853673 + 1.990401190929069j
+        assert [e.s for e in pairs] == pytest.approx(
+            [root, root.conjugate()], abs=1e-12)
+        failed, duplicate = (r.getMessage() for r in caplog.records)
+        assert failed.startswith("candidate s=(-95.58")
+        assert "NonConvergenceError" in failed
+        assert "(residual 1.42" in failed
+        assert "duplicate of a kept eigenvalue" in duplicate
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
     def test_refined_invariants_on_random_candidates(self, hayes_model):
         pen = dt.discretize(dt.split_form(hayes_model), 16)

@@ -101,7 +101,7 @@ def sweep_case(kind):
             opts, [1.2]
     if kind == "tabulated":
         fam = two_crossing_family()
-        w, V = np.linalg.eig(fam.snapshots[0][1].A0.toarray())
+        w, V = np.linalg.eig(fam.evaluate(0.0).A0.toarray())
         i = int(np.argmax(w.imag))
         ref = dt.refine_newton(fam.split_form(0.0), w[i], V[:, i],
                                tol=1e-12)

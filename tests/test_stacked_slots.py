@@ -24,6 +24,13 @@ def per_slot(mats, c):
     return sum(ck * M for ck, M in zip(c, mats))
 
 
+def products(mats, rows, x):
+    """Each row applied to x from one set of slot products, as
+    ``spectral.assemble`` applies them."""
+    apply = charfun.slot_products(mats, x)
+    return np.array([apply(row) for row in rows])
+
+
 def assert_close(a, b, rtol):
     assert np.abs(a - b).max() <= rtol * max(np.abs(b).max(), 1e-300)
 
@@ -49,25 +56,25 @@ def test_slot_products_match_per_slot_sums(r, layout, monkeypatch):
         P = dt.eval_P(form.slots, c)
         P = P.toarray() if sparse.issparse(P) else P
         assert_close(P, per_slot(mats, c), 1e-13)
-        y = charfun.matvec(form.slots, c, st.phi)
+        y = charfun.slot_products(form.slots, st.phi)(c)
         assert y.shape == (r,)
         assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
-    stacked = charfun.matvec(form.slots, rows, st.phi)
+    stacked = products(form.slots, rows, st.phi)
     assert stacked.shape == (3, r)
     for y, c in zip(stacked, rows):
         assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
-    # a row gives the same digits alone as in a stack, whether the stack is
-    # a list of rows or the one array of coefficients, in either field
+    # a row gives the same digits alone as after the other rows of its
+    # array of coefficients, in either field
     for s, phi in ((st.s, st.phi), (-0.7, st.phi.real)):
         array = charfun.coefficients(form, s)
         assert isinstance(array, np.ndarray) and array.shape == (3, 8)
         assert array.dtype == (complex if isinstance(s, complex) else float)
-        for rows in ([list(c) for c in array], array):
-            stacked = charfun.matvec(form.slots, rows, phi)
+        for order in (array, array[::-1]):
+            stacked = products(form.slots, order, phi)
             assert stacked.dtype == array.dtype
-            for y, c in zip(stacked, array):
+            for y, c in zip(stacked, order):
                 np.testing.assert_array_equal(
-                    y, charfun.matvec(form.slots, c, phi))
+                    y, charfun.slot_products(form.slots, phi)(c))
 
 
 @pytest.mark.parametrize("mu", [0, 2])
@@ -102,17 +109,17 @@ def check_real_field(form, mats):
         assert P.dtype == np.float64
         P = P.toarray() if sparse.issparse(P) else P
         assert_close(P, per_slot(mats, c), 1e-13)
-    products = charfun.matvec(form.slots, rows, phi)
-    assert products.dtype == np.float64
-    for y, c in zip(products, rows):
+    real = products(form.slots, rows, phi)
+    assert real.dtype == np.float64
+    for y, c in zip(real, rows):
         assert_close(y, per_slot(mats, c) @ phi, 1e-13)
     # the same s as a complex number keeps the complex field, with the
     # same values
     crows = np.array(charfun.coefficients(form, -0.7 + 0j))
     assert crows.dtype == complex
-    cproducts = charfun.matvec(form.slots, crows, phi.astype(complex))
+    cproducts = products(form.slots, crows, phi.astype(complex))
     assert cproducts.dtype == complex and not cproducts.imag.any()
-    assert_close(cproducts.real, products, 1e-15)
+    assert_close(cproducts.real, real, 1e-15)
 
 
 def test_tabulated_form_on_both_sides_of_a_snapshot():
@@ -170,7 +177,7 @@ def test_uncorrected_residuals_are_the_eigenpair_residual(layout,
             continue  # corrected: the residual of the Newton polish
         form = fam.split_form(st.p)
         c, _, _ = charfun.coefficients(form, st.s)
-        v = charfun.matvec(form.slots, c, st.phi)
+        v = charfun.slot_products(form.slots, st.phi)(c)
         ref = np.linalg.norm(v) / np.linalg.norm(st.phi)
         assert abs(st.residual - ref) <= 1e-14 * ref
 
@@ -247,7 +254,7 @@ def reference_newton(form, s, phi, tol=1e-10, max_iter=25):
         phi = phi / np.sqrt(quad)
     for _ in range(max_iter):
         c, c_s, c_p = charfun.coefficients(form, s)
-        top, w, _ = charfun.matvec(form.slots, [c, c_s, c_p], phi)
+        top, w, _ = products(form.slots, [c, c_s, c_p], phi)
         residual = float(np.linalg.norm(top) / np.linalg.norm(phi))
         defect = (phi @ phi - 1.0) / 2.0
         if residual <= tol and abs(2.0 * defect) <= tol:

@@ -312,15 +312,25 @@ class TestSparseRealEigenvalue:
             assert st.residual <= opts.corrector_tol
 
 
+@pytest.mark.parametrize("changes, match", [
+    (dict(regime="single"), "unknown regime 'single'"),
+    (dict(p_fin=1.0), "p_fin equals the initial parameter"),
+], ids=["regime", "p_fin"])
+def test_rejected_options(hayes_family, changes, match):
+    initial = hayes_initial(hayes_family)
+    with pytest.raises(ConfigurationError, match=match):
+        opts = dt.TrackOptions(**{"dp": 1e-2, "regime": "delay_param",
+                                  "p_fin": 1.5, **changes})
+        dt.track_run(hayes_family, initial, opts)
+
+
 class TestRegimeFamilyMismatch:
     """A family that varies a delay tracked under another regime used to
     return a flat path with residual 2, no event and no truncation."""
 
-    @pytest.mark.parametrize("regime", ["single", "multi"])
-    def test_delay_family_needs_delay_param_regime(self, hayes_family,
-                                                   regime):
+    def test_delay_family_needs_delay_param_regime(self, hayes_family):
         initial = hayes_initial(hayes_family)
-        opts = dt.TrackOptions(dp=1e-2, corrector_every=0, regime=regime,
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=0, regime="multi",
                                p_fin=1.5)
         with pytest.raises(ConfigurationError):
             dt.track_run(hayes_family, initial, opts)
