@@ -26,8 +26,7 @@ seed = pairs[0]
 print(f"brute-force cross-check: {dt.hayes_roots(0.0, -1.0, 1.0, 2)[0]:+.10f}")
 
 initial = dt.TrackState.from_eigenpair(1.0, seed.s, seed.phi, seed.residual)
-options = dt.TrackOptions(dp=1e-3, corrector_every=10,
-                          regime="delay_param", p_fin=2.0)
+options = dt.TrackOptions(dp=1e-3, corrector_every=10, p_fin=2.0)
 trajectory = dt.track_run(family, initial, options)
 print(f"\ntracked {len(trajectory.samples)} samples over p in [1, 2]")
 

@@ -27,8 +27,7 @@ seed = pairs[0]
 print(f"\ndominant eigenvalue at p = 0: {seed.s:+.8f}")
 
 initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi, seed.residual)
-options = dt.TrackOptions(dp=2e-3, corrector_every=10, regime="multi",
-                          p_fin=1.0)
+options = dt.TrackOptions(dp=2e-3, corrector_every=10, p_fin=1.0)
 trajectory = dt.track_run(family, initial, options)
 
 report = dt.compare_trajectory(trajectory, family, checkpoint_count=6,

@@ -36,8 +36,8 @@ for label, spec in (("constant delay", plain), ("dropouts + noise", shaped)):
     seed = pairs[0]
     initial = dt.TrackState.from_eigenpair(0.0, seed.s, seed.phi,
                                            seed.residual)
-    options = dt.TrackOptions(dp=2e-3, corrector_every=10, regime="wams",
-                              wams=spec, p_fin=1.0)
+    options = dt.TrackOptions(dp=2e-3, corrector_every=10, wams=spec,
+                              p_fin=1.0)
     trajectory = dt.track_run(family, initial, options)
     start, end = trajectory.samples[0].s, trajectory.samples[-1].s
     print(f"\n{label}:")

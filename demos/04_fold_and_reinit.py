@@ -33,7 +33,7 @@ initial = dt.TrackState.from_eigenpair(0.5, seed.s, seed.phi, seed.residual)
 print(f"start: p = 0.5, s = {seed.s:+.6f} (analytic -1 + j sqrt(0.5))")
 
 options = dt.TrackOptions(
-    dp=1e-3, corrector_every=10, regime="multi", p_fin=1.5,
+    dp=1e-3, corrector_every=10, p_fin=1.5,
     reinit_on_fold=True,
 )
 trajectory = dt.track_run(family, initial, options)
@@ -67,7 +67,7 @@ w, V = np.linalg.eig(m0.A0.toarray())
 i = int(np.argmax(w.imag))
 damped_seed = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
 margin_options = dt.TrackOptions(
-    dp=1e-2, corrector_every=10, regime="multi", p_fin=1.5,
+    dp=1e-2, corrector_every=10, p_fin=1.5,
     reinit_on_fold=True,
 )
 damped_run = dt.track_run(

@@ -93,14 +93,14 @@ class WamsSpec:
     constant_limit: bool = False
 
     def __post_init__(self):
-        if self.tau0 < 0.0:
-            raise ConfigurationError("tau0 must be non-negative")
+        if not 0.0 <= self.tau0 < np.inf:
+            raise ConfigurationError("tau0 must lie in [0, inf)")
         if not 0.0 <= self.p_dr < 1.0:
             raise ConfigurationError("p_dr must lie in [0, 1)")
-        if not self.T > 0.0:
-            raise ConfigurationError("delivery period T must be positive")
-        if self.alpha < 0.0 or self.b < 0.0:
-            raise ConfigurationError("alpha and b must be non-negative")
+        if not 0.0 < self.T < np.inf:
+            raise ConfigurationError("delivery period T must lie in (0, inf)")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.b < np.inf):
+            raise ConfigurationError("alpha and b must lie in [0, inf)")
 
     @classmethod
     def constant_delay(cls, tau0):

@@ -81,10 +81,18 @@ def _output(path):
             yield fh
 
 
+def _spectrum(man, p):
+    """The manifest's refined eigenpairs at ``p``, to its corrector_tol."""
+    return oracle.spectrum_at(
+        man.family, p, N=man.init.N, shift=man.init.shift,
+        count=man.init.count, tol=man.track.corrector_tol,
+        wams=man.track.wams,
+    )
+
+
 def _initial_state(man, args):
     """Seed eigenpair at p_init: --init-from RE,IM or the rightmost mode."""
     p0 = man.p_init if args.p_init is None else args.p_init
-    wams = man.track.wams
     if getattr(args, "init_from", None):
         try:
             re_s, im_s = (float(tok) for tok in args.init_from.split(","))
@@ -93,7 +101,7 @@ def _initial_state(man, args):
                 f"--init-from expects RE,IM, got {args.init_from!r}"
             ) from None
         s0 = complex(re_s, im_s)
-        form = man.family.split_form(p0, wams)
+        form = man.family.split_form(p0, man.track.wams)
         # two steps of inverse iteration with P(s0) seed the eigenvector
         c, _, _ = charfun.coefficients(form, s0)
         lu = spectral._factor(charfun.eval_P(form.slots, c))
@@ -105,10 +113,7 @@ def _initial_state(man, args):
         ref = spectral.refine_newton(form, s0, phi0,
                                      tol=man.track.corrector_tol)
     else:
-        pairs = oracle.spectrum_at(
-            man.family, p0, N=man.init.N, shift=man.init.shift,
-            count=man.init.count, tol=man.track.corrector_tol, wams=wams,
-        )
+        pairs = _spectrum(man, p0)
         if not pairs:
             raise ConfigurationError(
                 f"initializer found no refined eigenpair at p={p0}"
@@ -130,10 +135,7 @@ def _run_track(man, args):
 def cmd_spectrum(args):
     man = load_manifest(args.manifest)
     p = man.p_init if args.p is None else args.p
-    pairs = oracle.spectrum_at(
-        man.family, p, N=man.init.N, shift=man.init.shift,
-        count=man.init.count, wams=man.track.wams,
-    )
+    pairs = _spectrum(man, p)
     with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["s_r", "s_i", "residual"])

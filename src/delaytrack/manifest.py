@@ -17,10 +17,10 @@ Sections
 [track]     p_init, p_fin, dp, method, corrector_every, corrector_tol
 [init]      N, shift (complex literal), count
 
-The family and the [wams] section define P(s, p), so the loader derives
-the tracking regime from them: ``wams`` with a [wams] section,
-``delay_param`` for a family that moves a delay (a delay_param family, or
-a table whose delays differ between snapshots) and ``multi`` otherwise.
+The family and the [wams] section define P(s, p): the family's delay
+slopes (of a delay_param family, or of a table whose delays differ
+between snapshots) say which delay moves, and a valid [wams] spec that
+the family accepts becomes :attr:`TrackOptions.wams` (else ``bad-wams``).
 
 A key the loader does not read and a section it does not know are errors
 (codes ``unknown-key`` and ``unknown-section``), so a misspelt name cannot
@@ -312,15 +312,14 @@ def load_manifest(path):
     wams = None
     if "wams" in sections:
         ws = sec("wams")
-        wams = WamsSpec(ws.get("tau0", float, required=True),
-                        **ws.given(p_dr=float, T=float, alpha=float, b=float))
+        tau0 = ws.get("tau0", float, required=True)
+        shaping = ws.given(p_dr=float, T=float, alpha=float, b=float)
         try:
+            wams = WamsSpec(tau0, **shaping)
             family.split_form(p_min, wams)
         except ConfigurationError as exc:
             raise ManifestError(str(exc), code="bad-wams", path=path,
                                 line=headers["wams"]) from exc
-    regime = ("wams" if wams is not None
-              else "delay_param" if family.moves_delay else "multi")
 
     ts = sec("track")
     p_init = ts.get("p_init", float, p_min)
@@ -332,7 +331,7 @@ def load_manifest(path):
             TrackOptions(**{key: value})
         except ConfigurationError as exc:
             ts._fail(str(exc), code="bad-track-options", entry=ts.raw(key))
-    options = TrackOptions(regime=regime, wams=wams, p_fin=p_fin, **given)
+    options = TrackOptions(wams=wams, p_fin=p_fin, **given)
 
     init_sec = sec("init")
     init = InitSettings(**init_sec.given(N=int, shift=complex, count=int))

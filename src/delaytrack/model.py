@@ -174,6 +174,7 @@ class ModelFamily:
         ]
         self._delays = [tuple(zip(m.taus, dtaus))
                         for m, dtaus in zip(self._models, self._dtaus)]
+        self._fixed_delays = not any(map(any, self._dtaus))
         ref = self._models[0]
         if any((m.r, m.mu) != (ref.r, ref.mu) for m in self._models) or any(
                 len(dtaus) != ref.mu for dtaus in self._dtaus):
@@ -189,11 +190,6 @@ class ModelFamily:
             )
         self._held = (None, None, None)  # (segment, its slots, dweights)
         self._stacks = {}  # knot -> slot stack, of the chord held
-
-    @property
-    def moves_delay(self):
-        """Whether some segment moves a delay (a nonzero dtau)."""
-        return any(map(any, self._dtaus))
 
     def check_range(self, p, slack=False):
         """Reject p outside the range; ``slack`` admits 1e-6 max(1, |p|)
@@ -279,9 +275,16 @@ class ModelFamily:
         """The :class:`charfun.SplitForm` of P(s, p) at ``p``, its delayed
         term shaped by the WAMS spec ``wams`` if given: blocks (M_k, dM_k)
         with weights (1, p - a_k), or M_k alone when no matrix moves on
-        the segment, and the delays at tau_k + (p - a_k) dtau_k.  Only the
-        slots of the segment last used are kept, so memory does not grow
-        with the knots."""
+        the segment, and the delays at tau_k + (p - a_k) dtau_k.  A WAMS
+        spec on a family that moves a delay on any segment raises
+        :class:`ConfigurationError` at every p.  Only the slots of the
+        segment last used are kept, so memory does not grow with the
+        knots."""
+        if wams is not None and not self._fixed_delays:
+            raise ConfigurationError(
+                "WAMS shaping needs a family whose delays are fixed on every "
+                "segment"
+            )
         k = self._segment(p, slack=True)
         held = self._held
         if held[0] != k:

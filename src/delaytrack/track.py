@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +58,6 @@ from .errors import (
     SingularSystemError,
 )
 
-REGIMES = ("multi", "delay_param", "wams")
 # explicit Runge-Kutta schemes (stage offsets, weights, divisor): stage i + 1
 # starts at p + offset_i dp from the slope of stage i, and the step adds
 # dp / divisor times the weighted sum of the stage slopes
@@ -144,23 +144,24 @@ class TrackOptions:
 
     ``dp`` is a nonzero finite step (None: 1/1000 of the span),
     ``corrector_tol`` a positive finite tolerance and ``corrector_every``
-    at least 0 (0: correct never).  The family and the WAMS spec ``wams``
-    imply the regime; ``regime`` declares it as one of :data:`REGIMES`:
-    ``wams`` goes with ``regime="wams"`` only, and :meth:`check_regime`
-    rejects a declaration that disagrees with the family."""
+    an integer of at least 0 (0: correct never).  The family and the WAMS
+    spec ``wams`` define P(s, p); ``regime``, if given, may name only what
+    ``wams`` implies: ``"wams"`` with a spec, ``"multi"`` without."""
 
     dp: float | None = None
     method: str = "euler"
     corrector_every: int = 10
     corrector_tol: float = 1e-10
-    regime: str = "multi"
+    regime: str | None = None
     wams: charfun.WamsSpec | None = None
     p_fin: float | None = None
     reinit_on_fold: bool = False
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ConfigurationError(f"unknown regime {self.regime!r}")
+        if self.regime not in (None, "multi" if self.wams is None else "wams"):
+            raise ConfigurationError(
+                f"regime={self.regime!r} is not what wams={self.wams} implies"
+            )
         if self.method not in INTEGRATORS:
             raise ConfigurationError(f"unknown integrator {self.method!r}")
         if not (self.dp is None or 0.0 < abs(self.dp) < math.inf):
@@ -170,24 +171,10 @@ class TrackOptions:
                 f"corrector_tol={self.corrector_tol} is not a positive "
                 f"tolerance"
             )
-        if self.corrector_every < 0:
+        if not (isinstance(self.corrector_every, numbers.Integral)
+                and self.corrector_every >= 0):
             raise ConfigurationError(
-                f"corrector_every={self.corrector_every} is negative"
-            )
-        if (self.regime == "wams") != (self.wams is not None):
-            raise ConfigurationError(
-                f"a WamsSpec goes with regime='wams' and only with it; got "
-                f"regime={self.regime!r}, wams={self.wams}"
-            )
-
-    def check_regime(self, family):
-        """Reject a regime that disagrees with the family, whichever p the
-        run starts from: ``delay_param`` goes with a family that moves a
-        delay on some segment and only with it."""
-        if (self.regime == "delay_param") != family.moves_delay:
-            raise ConfigurationError(
-                f"regime={self.regime!r} does not match the family: "
-                f"'delay_param' goes with a family that moves a delay"
+                f"corrector_every={self.corrector_every} is not an int >= 0"
             )
 
 
@@ -316,7 +303,6 @@ def track_run(family, initial, options):
     p_init = initial.p
     wams = options.wams
     form = family.split_form(p_init, wams)
-    options.check_regime(family)
     p_fin = options.p_fin if options.p_fin is not None else family.p_range[1]
     if p_fin == p_init:
         raise ConfigurationError("p_fin equals the initial parameter")

@@ -62,8 +62,7 @@ def test_criterion_02_analytic_delay_margin():
     t0 = time.perf_counter()
     initial = hayes_initial(fam)
     opts = dt.TrackOptions(
-        dp=1e-3, corrector_every=10, regime="delay_param",
-        p_fin=2.0,
+        dp=1e-3, corrector_every=10, p_fin=2.0,
     )
     traj = dt.track_run(fam, initial, opts)
     crossings = dt.find_crossing(fam, traj, opts)
@@ -98,7 +97,7 @@ def test_criterion_03_two_crossing_recovery():
     i = int(np.argmax(w.imag))
     ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
     initial = dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi)
-    opts = dt.TrackOptions(dp=2e-3, corrector_every=10, regime="multi",
+    opts = dt.TrackOptions(dp=2e-3, corrector_every=10,
                            p_fin=4.0)
     traj = dt.track_run(fam, initial, opts)
     crossings = dt.find_crossing(fam, traj, opts)
@@ -287,8 +286,7 @@ def test_criterion_07_integrator_order():
 
     def endpoint_error(dp, method):
         opts = dt.TrackOptions(
-            dp=dp, method=method, corrector_every=0, regime="delay_param",
-            p_fin=1.5,
+            dp=dp, method=method, corrector_every=0, p_fin=1.5,
         )
         traj = dt.track_run(fam, initial, opts)
         return abs(traj.samples[-1].s - truth)
@@ -314,7 +312,7 @@ def test_criterion_08_trajectory_fidelity():
     i = int(np.argmax(w.imag))
     ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
     initial = dt.TrackState.from_eigenpair(0.1, ref.s, ref.phi)
-    opts = dt.TrackOptions(dp=0.9e-3, corrector_every=10, regime="multi",
+    opts = dt.TrackOptions(dp=0.9e-3, corrector_every=10,
                            p_fin=1.0)
     traj = dt.track_run(quad, initial, opts)
     rep_quad = dt.compare_trajectory(traj, quad, checkpoint_count=11,
@@ -323,7 +321,7 @@ def test_criterion_08_trajectory_fidelity():
     fam = hayes_family()
     initial = hayes_initial(fam)
     opts = dt.TrackOptions(dp=1e-3, corrector_every=10,
-                           regime="delay_param", p_fin=2.0)
+                           p_fin=2.0)
     traj = dt.track_run(fam, initial, opts)
     rep_hayes = dt.compare_trajectory(traj, fam, checkpoint_count=11,
                                       options=opts)
@@ -346,7 +344,7 @@ def test_criterion_09_fold_handling():
     initial = dt.TrackState.from_eigenpair(0.5, ref.s, ref.phi)
     dp = 1e-3
     opts = dt.TrackOptions(
-        dp=dp, corrector_every=10, regime="multi", p_fin=1.5,
+        dp=dp, corrector_every=10, p_fin=1.5,
         reinit_on_fold=True,
     )
     traj = dt.track_run(fam, initial, opts)

@@ -150,7 +150,13 @@ class TestTransferFunctions:
         (dict(tau0=-0.01), "tau0"),
         (dict(tau0=0.01, alpha=-1e-3, b=2.0), "alpha and b"),
         (dict(tau0=0.01, alpha=1e-3, b=-2.0), "alpha and b"),
-    ], ids=["tau0", "alpha", "b"])
+        (dict(tau0=np.nan), "tau0"),
+        (dict(tau0=np.inf), "tau0"),
+        (dict(tau0=0.01, alpha=np.nan, b=2.0), "alpha and b"),
+        (dict(tau0=0.01, alpha=1e-3, b=np.inf), "alpha and b"),
+        (dict(tau0=0.01, T=np.inf), "delivery period"),
+    ], ids=["tau0", "alpha", "b", "tau0-nan", "tau0-inf", "alpha-nan",
+            "b-inf", "T-inf"])
     def test_negative_spec_parameter_rejected(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
             dt.WamsSpec(**kwargs)

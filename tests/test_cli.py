@@ -66,6 +66,17 @@ def write_wams_bundle(directory):
     return path
 
 
+def fixed_delay_hayes(directory, extra=""):
+    """A copy of the Hayes fixture as an affine family, its delay fixed at
+    1.0, with ``extra`` inserted before its [track] section."""
+    shutil.copytree(os.path.dirname(HAYES), directory / "m")
+    path = directory / "m" / "manifest.ini"
+    text = path.read_text().replace("kind = delay_param", "kind = affine")
+    path.write_text(text.replace("delay_index = 0\n", "")
+                    .replace("[track]", f"{extra}\n[track]"))
+    return path
+
+
 def write_tabulated_bundle(directory, snapshots):
     """A delay-free tabulated family with one [snapshot.K] per (p, A0)."""
     write_matrices(directory, {"E": np.eye(2)})
@@ -85,7 +96,7 @@ class TestLoadManifest:
         man = load_manifest(HAYES)
         assert isinstance(man.family, dt.DelayParameterFamily)
         assert man.r == 1
-        assert man.track.regime == "delay_param"
+        assert man.track.wams is None
         assert man.family.split_form(1.0).dtaus == (1.0,)
         assert man.init.N == 16
         assert man.p_init == 1.0
@@ -95,7 +106,8 @@ class TestLoadManifest:
     def test_quadratic_fixture_is_affine(self):
         man = load_manifest(QUADRATIC)
         assert isinstance(man.family, dt.AffineFamily)
-        assert man.track.regime == "multi"
+        assert man.track.wams is None
+        assert man.family.split_form(0.5).dtaus == ()  # delay-free
         d = man.family.derivative(0.5)
         assert d.dA0.toarray()[1, 1] == -1.0
 
@@ -158,13 +170,13 @@ class TestLoadManifest:
         path = write_model_bundle(model, tmp_path, (0.5, 2.0), delay_index=1)
         man = load_manifest(path)
         assert man.family.split_form(1.0).dtaus == (0.0, 1.0)
-        assert man.track.regime == "delay_param"
+        assert man.track.wams is None
 
     def test_wams_section_sets_the_regime(self, tmp_path):
         path = write_wams_bundle(tmp_path)
         man = load_manifest(path)
         assert isinstance(man.family, dt.AffineFamily)
-        assert man.track.regime == "wams"
+        assert man.family.split_form(0.5, man.track.wams).dtaus == (0.0,)
         assert man.track.wams == WAMS_SPEC
 
     def test_wams_section_on_a_delay_family_rejected(self, tmp_path):
@@ -178,6 +190,23 @@ class TestLoadManifest:
             load_manifest(path)
         assert info.value.code == "bad-wams"
         assert info.value.line == text.splitlines().index("[wams]") + 1
+
+    @pytest.mark.parametrize("wams", [
+        "tau0 = nan", "tau0 = inf", "tau0 = -1", "tau0 = 1.0\nalpha = nan",
+        "tau0 = 1.0\nb = inf", "tau0 = 1.0\nT = inf",
+    ], ids=["tau0-nan", "tau0-inf", "tau0-negative", "alpha-nan", "b-inf",
+            "T-inf"])
+    def test_bad_wams_value_anchored_at_its_section(self, tmp_path, wams):
+        # the Hayes model with its delay fixed, which WAMS may shape, so
+        # that only the value WamsSpec rejects is wrong
+        path = fixed_delay_hayes(tmp_path, f"[wams]\n{wams}\n")
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert info.value.code == "bad-wams"
+        lines = path.read_text().splitlines()
+        assert info.value.line == lines.index("[wams]") + 1
+        for command in ("spectrum", "track"):
+            assert main([command, str(path)]) == EXIT_CONFIG
 
     def test_format_version_1_rejected(self, tmp_path):
         shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
@@ -193,7 +222,8 @@ class TestLoadManifest:
                                                  (2.0, A0_SNAP2)])
         man = load_manifest(path)
         assert isinstance(man.family, dt.TabulatedFamily)
-        assert man.track.regime == "multi"
+        assert man.track.wams is None
+        assert man.family.split_form(0.5).dtaus == ()  # delay-free
         model = man.family.evaluate(0.5)
         # a quarter of the way from the p = 0 snapshot to the p = 2 one
         assert np.array_equal(model.A0.toarray(),
@@ -345,7 +375,7 @@ class TestLoadManifest:
         text = path.read_text()
         path.write_text(text[:text.index("[track]")])
         man = load_manifest(path)
-        assert man.track == dt.TrackOptions(regime="delay_param", p_fin=2.5)
+        assert man.track == dt.TrackOptions(p_fin=2.5)
         assert man.init == InitSettings()
         assert man.p_init == 0.5
 
@@ -365,8 +395,7 @@ class TestTrajectoryCsv:
                                np.array([1.0 + 0j]))
         initial = dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
-            dp=5e-3, corrector_every=10, regime="delay_param",
-            p_fin=2.0,
+            dp=5e-3, corrector_every=10, p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         buf = io.StringIO()
@@ -478,6 +507,19 @@ class TestCommands:
             path.write_text(text.replace("format_version = 2",
                                          f"format_version = {version}"))
             assert main(["spectrum", str(path)]) == EXIT_CONFIG
+
+    def test_spectrum_refines_to_the_manifest_tolerance(self, tmp_path):
+        # 1e-15 lies below spectrum_at's default tol of 1e-10, so the
+        # residuals show which tolerance the command refined to
+        shutil.copytree(os.path.dirname(HAYES), tmp_path / "m")
+        path = tmp_path / "m" / "manifest.ini"
+        path.write_text(path.read_text().replace("corrector_tol = 1e-10",
+                                                 "corrector_tol = 1e-15"))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", str(path), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        assert len(rows) == 4
+        assert all(float(row[2]) <= 1e-15 for row in rows)
 
     def test_spectrum_of_a_wams_manifest(self, tmp_path):
         path = write_wams_bundle(tmp_path)
@@ -671,4 +713,4 @@ class TestTrackFlags:
         if field is not None:
             expected[field] = value
         assert {name: getattr(options, name) for name in expected} == expected
-        assert options.regime == "delay_param"
+        assert options.wams is None

@@ -36,7 +36,7 @@ def fold_then_crossing_run():
         np.zeros((2, 2)), [[0.0, 0.0], [1.0, 0.0]], []
     )
     fam = dt.AffineFamily(base, slopes, (0.2, 1.8))
-    opts = dt.TrackOptions(dp=1e-2, corrector_every=10, regime="multi",
+    opts = dt.TrackOptions(dp=1e-2, corrector_every=10,
                            p_fin=1.5, reinit_on_fold=True)
     return fam, dt.track_run(fam, coalescing_initial(fam, 0.5), opts), opts
 
@@ -52,7 +52,7 @@ class TestDetectFold:
         initial = coalescing_initial(coalescing_family, 0.5)
         dp = 1e-3
         opts = dt.TrackOptions(
-            dp=dp, corrector_every=10, regime="multi", p_fin=1.5,
+            dp=dp, corrector_every=10, p_fin=1.5,
         )
         traj = dt.track_run(coalescing_family, initial, opts)
         folds = [ev for ev in traj.events if ev.kind == "fold"]
@@ -79,8 +79,7 @@ class TestDetectFold:
                                np.array([1.0 + 0j]))
         initial = dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
-            dp=0.01, corrector_every=10, regime="delay_param",
-            p_fin=1.4,
+            dp=0.01, corrector_every=10, p_fin=1.4,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         assert all(ev.kind != "fold" for ev in traj.events)
@@ -94,7 +93,7 @@ class TestDetectFold:
         ref = dt.refine_newton(coalescing_family.split_form(p0), s0,
                                np.array([1.0, s0]), tol=1e-12)
         initial = dt.TrackState.from_eigenpair(p0, ref.s, ref.phi)
-        opts = dt.TrackOptions(dp=dp, corrector_every=every, regime="multi",
+        opts = dt.TrackOptions(dp=dp, corrector_every=every,
                                p_fin=0.5)
         traj = dt.track_run(coalescing_family, initial, opts)
         assert traj.truncated
@@ -143,7 +142,7 @@ class TestDetectFold:
 class TestReinitialize:
     def test_non_degenerate_point_returns_same_pair(self, coalescing_family):
         st = coalescing_initial(coalescing_family, 0.5)
-        opts = dt.TrackOptions(regime="multi")
+        opts = dt.TrackOptions()
         out = dt.reinitialize_at(coalescing_family, 0.5, st, opts)
         assert abs(out.s - st.s) < 1e-9
         overlap = abs(np.vdot(
@@ -155,7 +154,7 @@ class TestReinitialize:
     def test_past_fold_returns_declared_branch(self, coalescing_family):
         # just past p = 1 both branches are real; ties break to larger Re(s)
         st = coalescing_initial(coalescing_family, 0.98)
-        opts = dt.TrackOptions(regime="multi")
+        opts = dt.TrackOptions()
         out = dt.reinitialize_at(coalescing_family, 1.05, st, opts)
         upper = coalescing_eigenvalue(1.05, upper=True)
         lower = coalescing_eigenvalue(1.05, upper=False)
@@ -172,7 +171,7 @@ class TestReinitialize:
         prev = dt.TrackState.from_eigenpair(
             0.5, -1.0 + 0j, np.ones(5) / np.sqrt(5.0)
         )
-        opts = dt.TrackOptions(regime="multi")
+        opts = dt.TrackOptions()
         with pytest.raises(ReinitializationError, match="overlap 0.447"):
             dt.reinitialize_at(fam, 0.5, prev, opts)
 
@@ -218,7 +217,7 @@ class TestReinitialize:
     def test_track_run_resumes_after_fold(self, coalescing_family):
         initial = coalescing_initial(coalescing_family, 0.5)
         opts = dt.TrackOptions(
-            dp=1e-3, corrector_every=10, regime="multi", p_fin=1.5,
+            dp=1e-3, corrector_every=10, p_fin=1.5,
             reinit_on_fold=True,
         )
         traj = dt.track_run(coalescing_family, initial, opts)
@@ -236,8 +235,7 @@ class TestFindCrossing:
         initial = state_at(hayes_family, 1.0, -0.3 + 1.3j,
                            np.array([1.0 + 0j]))
         opts = dt.TrackOptions(
-            dp=1e-3, corrector_every=10, regime="delay_param",
-            p_fin=2.0,
+            dp=1e-3, corrector_every=10, p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         crossings = dt.find_crossing(hayes_family, traj, opts)
@@ -292,7 +290,7 @@ class TestFindCrossing:
         ref = dt.refine_newton(dt.split_form(m0), w[i], V[:, i], tol=1e-12)
         initial = dt.TrackState.from_eigenpair(0.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
-            dp=2e-3, corrector_every=10, regime="multi", p_fin=4.0,
+            dp=2e-3, corrector_every=10, p_fin=4.0,
         )
         traj = dt.track_run(fam, initial, opts)
         crossings = dt.find_crossing(fam, traj, opts)

@@ -82,8 +82,7 @@ class TestCompareTrajectory:
                                np.array([1.0 + 0j]))
         initial = dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi)
         opts = dt.TrackOptions(
-            dp=1e-3, corrector_every=10, regime="delay_param",
-            p_fin=2.0,
+            dp=1e-3, corrector_every=10, p_fin=2.0,
         )
         return dt.track_run(hayes_family, initial, opts), opts
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sparse
 
 import delaytrack as dt
-from delaytrack import charfun
+from delaytrack import charfun, track
 
 from conftest import random_state
 
@@ -112,7 +112,7 @@ def sweep_case(kind):
     ref = dt.refine_newton(fam.split_form(1.0), -0.3 + 1.3j, np.ones(1),
                            tol=1e-12)
     opts = dt.TrackOptions(dp=1e-2, corrector_every=10,
-                           regime="delay_param", p_fin=2.0)
+                           p_fin=2.0)
     return fam, dt.TrackState.from_eigenpair(1.0, ref.s, ref.phi), opts, \
         [np.pi / 2]
 
@@ -219,12 +219,12 @@ def test_moving_delays_dP_dp_matches_central_difference(dense, monkeypatch):
 
 def test_tabulated_moving_delay_margin():
     # the Hayes margin tau* = pi/2 lies on the second segment, where
-    # tau = 1.2 + 0.8 (p - 1); a moving delay goes with regime delay_param
+    # tau = 1.2 + 0.8 (p - 1)
     fam = tabulated_hayes_family()
     ref = dt.refine_newton(fam.split_form(0.0), -0.3 + 1.3j, np.ones(1),
                            tol=1e-12)
     opts = dt.TrackOptions(dp=1e-2, corrector_every=10,
-                           regime="delay_param", p_fin=2.0)
+                           p_fin=2.0)
     traj = dt.track_run(fam, dt.TrackState.from_eigenpair(0.0, ref.s,
                                                           ref.phi), opts)
     assert not traj.truncated and traj.samples[-1].p == 2.0
@@ -234,24 +234,41 @@ def test_tabulated_moving_delay_margin():
 
 
 @pytest.mark.parametrize("p_init", [0.5, 1.5])
-def test_regime_is_the_family_s_wherever_the_sweep_starts(p_init):
+def test_regime_is_the_family_s_wherever_the_sweep_starts(p_init,
+                                                          monkeypatch):
     # tau = 1.0, 1.0, 2.0 at p = 0, 1, 2: the delay is fixed on the first
-    # segment and moves on the second, and a sweep from either one must
-    # declare 'delay_param', the family's regime, and only that
+    # segment and moves on the second.  A sweep from either one follows
+    # the family; a WAMS spec, which needs every delay fixed, is rejected
+    # at the first form, before any step, and so is its spectrum
     fam = dt.TabulatedFamily([
         (float(p), dt.DelayedLinearModel([[1.0]], [[0.0]],
                                          [(tau, [[-1.0]])]))
         for p, tau in enumerate((1.0, 1.0, 2.0))
     ])
-    assert fam.moves_delay
     ref = dt.refine_newton(fam.split_form(p_init), 0.1 + 1.2j, np.ones(1),
                            tol=1e-12)
     initial = dt.TrackState.from_eigenpair(p_init, ref.s, ref.phi)
-    with pytest.raises(dt.ConfigurationError, match="moves a delay"):
-        dt.track_run(fam, initial, dt.TrackOptions(dp=1e-2, p_fin=2.0))
+    steps = []
+    step = track.integrate_step
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(track, "integrate_step", counting)
     traj = dt.track_run(fam, initial, dt.TrackOptions(
-        dp=1e-2, corrector_every=10, regime="delay_param", p_fin=2.0))
+        dp=1e-2, corrector_every=10, p_fin=2.0))
     assert not traj.truncated and traj.samples[-1].p == 2.0
+    assert len(steps) == len(traj.samples) - 1
+    steps.clear()
+    spec = dt.WamsSpec(tau0=1.0, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
+    fixed = "WAMS shaping needs a family whose delays are fixed"
+    with pytest.raises(dt.ConfigurationError, match=fixed):
+        dt.track_run(fam, initial, dt.TrackOptions(dp=1e-2, wams=spec,
+                                                   p_fin=2.0))
+    assert not steps
+    with pytest.raises(dt.ConfigurationError, match=fixed):
+        dt.spectrum_at(fam, p_init, N=8, shift=1.2j, count=1, wams=spec)
 
 
 def test_shared_table_gives_every_thread_its_own_segment():

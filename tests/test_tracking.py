@@ -132,8 +132,7 @@ class TestTrackRun:
     def test_hayes_sweep_matches_newton_oracle(self, hayes_family):
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
-            dp=1e-3, corrector_every=10, regime="delay_param",
-            p_fin=2.0,
+            dp=1e-3, corrector_every=10, p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         assert traj.samples[-1].p == 2.0
@@ -153,7 +152,7 @@ class TestTrackRun:
     def test_quadratic_family_closed_form(self, quadratic_family):
         initial = quadratic_initial(quadratic_family)
         opts = dt.TrackOptions(
-            dp=0.9e-3, corrector_every=10, regime="multi", p_fin=1.0,
+            dp=0.9e-3, corrector_every=10, p_fin=1.0,
         )
         traj = dt.track_run(quadratic_family, initial, opts)
         for k in range(0, len(traj.samples), 100):
@@ -167,8 +166,7 @@ class TestTrackRun:
             initial.residual,
         )
         opts = dt.TrackOptions(
-            dp=0.01, corrector_every=10, regime="delay_param",
-            p_fin=1.5,
+            dp=0.01, corrector_every=10, p_fin=1.5,
         )
         up = dt.track_run(hayes_family, initial, opts)
         down = dt.track_run(hayes_family, conj_initial, opts)
@@ -180,7 +178,7 @@ class TestTrackRun:
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
             dp=1e-3, corrector_every=10, corrector_tol=1e-10,
-            regime="delay_param", p_fin=1.5,
+            p_fin=1.5,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         for st in traj.samples:
@@ -194,7 +192,7 @@ class TestTrackRun:
         drifts = {}
         for dp in (2e-3, 1e-3):
             opts = dt.TrackOptions(
-                dp=dp, corrector_every=0, regime="multi", p_fin=1.0,
+                dp=dp, corrector_every=0, p_fin=1.0,
             )
             traj = dt.track_run(quadratic_family, initial, opts)
             phis = [st.phi for st in traj.samples]
@@ -207,8 +205,7 @@ class TestTrackRun:
     def test_final_step_shortened(self, hayes_family):
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
-            dp=3e-3, corrector_every=0, regime="delay_param",
-            p_fin=1.01,
+            dp=3e-3, corrector_every=0, p_fin=1.01,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         assert traj.samples[-1].p == 1.01
@@ -222,8 +219,7 @@ class TestTrackRun:
         errs = {}
         for dp in (0.02, 0.01):
             opts = dt.TrackOptions(
-                dp=dp, corrector_every=0, regime="delay_param",
-                p_fin=1.5,
+                dp=dp, corrector_every=0, p_fin=1.5,
             )
             traj = dt.track_run(hayes_family, initial, opts)
             errs[dp] = abs(traj.samples[-1].s - truth)
@@ -239,8 +235,7 @@ class TestTrackRun:
         errs = {}
         for dp in (0.1, 0.05):
             opts = dt.TrackOptions(
-                dp=dp, method="rk4", corrector_every=0,
-                regime="delay_param", p_fin=1.5,
+                dp=dp, method="rk4", corrector_every=0, p_fin=1.5,
             )
             traj = dt.track_run(hayes_family, initial, opts)
             errs[dp] = abs(traj.samples[-1].s - truth)
@@ -255,8 +250,7 @@ class TestTrackRun:
         errs = {}
         for dp in (0.05, 0.025):
             opts = dt.TrackOptions(
-                dp=dp, method="heun", corrector_every=0,
-                regime="delay_param", p_fin=1.5,
+                dp=dp, method="heun", corrector_every=0, p_fin=1.5,
             )
             traj = dt.track_run(hayes_family, initial, opts)
             errs[dp] = abs(traj.samples[-1].s - truth)
@@ -266,8 +260,7 @@ class TestTrackRun:
     def test_axis_crossing_event_recorded(self, hayes_family):
         initial = hayes_initial(hayes_family)
         opts = dt.TrackOptions(
-            dp=1e-2, corrector_every=5, regime="delay_param",
-            p_fin=2.0,
+            dp=1e-2, corrector_every=5, p_fin=2.0,
         )
         traj = dt.track_run(hayes_family, initial, opts)
         kinds = [ev.kind for ev in traj.events]
@@ -313,27 +306,53 @@ class TestSparseRealEigenvalue:
 
 
 @pytest.mark.parametrize("changes, match", [
-    (dict(regime="single"), "unknown regime 'single'"),
+    (dict(regime="delay_param"), "regime='delay_param' is not what"),
+    (dict(corrector_every=2.5), "corrector_every=2.5 is not an int"),
     (dict(p_fin=1.0), "p_fin equals the initial parameter"),
-], ids=["regime", "p_fin"])
+], ids=["regime", "corrector_every", "p_fin"])
 def test_rejected_options(hayes_family, changes, match):
     initial = hayes_initial(hayes_family)
     with pytest.raises(ConfigurationError, match=match):
-        opts = dt.TrackOptions(**{"dp": 1e-2, "regime": "delay_param",
-                                  "p_fin": 1.5, **changes})
+        opts = dt.TrackOptions(**{"dp": 1e-2, "p_fin": 1.5, **changes})
         dt.track_run(hayes_family, initial, opts)
+
+
+def test_corrector_every_takes_a_numpy_integer():
+    assert dt.TrackOptions(corrector_every=np.int64(5)).corrector_every == 5
 
 
 class TestRegimeFamilyMismatch:
     """A family that varies a delay tracked under another regime used to
-    return a flat path with residual 2, no event and no truncation."""
+    return a flat path with residual 2, no event and no truncation.  The
+    family alone now says which delay moves, so the declared regime can
+    no longer change the path."""
 
-    def test_delay_family_needs_delay_param_regime(self, hayes_family):
+    def test_bench_options_are_accepted(self):
+        # the benchmark's workloads build their options exactly so; the
+        # field stays until they no longer pass it
+        spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
+        multi = dt.TrackOptions(dp=2e-3, corrector_every=10, regime="multi",
+                                p_fin=4.0)
+        wams = dt.TrackOptions(dp=1e-3, corrector_every=10, regime="wams",
+                               wams=spec, p_fin=1.0)
+        assert (multi.regime, multi.wams) == ("multi", None)
+        assert (wams.regime, wams.wams) == ("wams", spec)
+        for bad in (dict(regime="delay_param"), dict(regime="wams"),
+                    dict(regime="multi", wams=spec)):
+            with pytest.raises(ConfigurationError, match="is not what wams"):
+                dt.TrackOptions(**bad)
+
+    @pytest.mark.parametrize("regime", ["multi", None])
+    def test_delay_family_crosses_at_the_hayes_margin(self, hayes_family,
+                                                      regime):
         initial = hayes_initial(hayes_family)
-        opts = dt.TrackOptions(dp=1e-2, corrector_every=0, regime="multi",
-                               p_fin=1.5)
-        with pytest.raises(ConfigurationError):
-            dt.track_run(hayes_family, initial, opts)
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=10, regime=regime,
+                               p_fin=2.0)
+        traj = dt.track_run(hayes_family, initial, opts)
+        assert not traj.truncated and traj.samples[-1].p == 2.0
+        (p_star, s_star), = dt.find_crossing(hayes_family, traj, opts)
+        assert abs(p_star - np.pi / 2) < 1e-8
+        assert abs(s_star - 1j) < 1e-8
 
     def test_wams_spec_needs_wams_regime(self):
         # tracked as "multi", the spec was ignored: the path ended 0.20
@@ -354,34 +373,18 @@ class TestRegimeFamilyMismatch:
                                    regime="multi", wams=spec, p_fin=1.0)
             dt.track_run(fam, initial, opts)
 
-    def test_delay_param_regime_needs_delay_family(self, hayes_model):
-        # on a family whose delay stays fixed the run used to end far from
-        # any eigenvalue, with residual 2.1 and no event
+    def test_fixed_delay_family_meets_the_corrector_tol(self, hayes_model):
+        # on this family, whose delay stays fixed, a run declared
+        # 'delay_param' used to end far from any eigenvalue, with residual
+        # 2.1 and no event
         slopes = dt.ModelDerivatives([[0.0]], [[-1.0]], [[[0.0]]])
         fam = dt.AffineFamily(hayes_model, slopes, (0.5, 2.5))
-        initial = hayes_initial(fam)
-        opts = dt.TrackOptions(dp=1e-2, corrector_every=0,
-                               regime="delay_param", p_fin=2.0)
-        with pytest.raises(ConfigurationError):
-            dt.track_run(fam, initial, opts)
-
-
-    @pytest.mark.parametrize("regime", ["multi", "delay_param"])
-    def test_moving_delay_needs_delay_param_regime(self, hayes_model,
-                                                   regime):
-        # the Hayes delay as the affine slope dtau/dp = 1 of a zero delay
-        base = hayes_model.with_delay(0, 0.0)
-        fam = dt.AffineFamily(base, dt.ModelDerivatives.zero(base, [1.0]),
-                              (0.5, 2.5))
-        initial = hayes_initial(fam)
-        opts = dt.TrackOptions(dp=1e-2, corrector_every=10, regime=regime,
-                               p_fin=1.5)
-        if regime == "multi":
-            with pytest.raises(ConfigurationError):
-                dt.track_run(fam, initial, opts)
-        else:
-            traj = dt.track_run(fam, initial, opts)
-            assert not traj.truncated and traj.samples[-1].p == 1.5
+        opts = dt.TrackOptions(dp=1e-2, corrector_every=10, p_fin=2.0)
+        traj = dt.track_run(fam, hayes_initial(fam), opts)
+        assert not traj.truncated and traj.samples[-1].p == 2.0
+        assert len(traj.samples) == 101
+        for st in traj.samples[::opts.corrector_every]:
+            assert st.residual <= opts.corrector_tol
 
 
 @pytest.fixture(scope="module")
@@ -514,15 +517,14 @@ def test_p_fin_outside_the_range_fails_before_any_step(hayes_family,
 
     monkeypatch.setattr(spectral, "assemble", unexpected)
     monkeypatch.setattr(spectral, "bordered_solve", unexpected)
-    opts = dt.TrackOptions(regime="delay_param",
-                           p_fin=hayes_family.p_range[1] + 1.0)
+    opts = dt.TrackOptions(p_fin=hayes_family.p_range[1] + 1.0)
     with pytest.raises(RangeError, match="outside family range"):
         dt.track_run(hayes_family, initial, opts)
 
 
 def test_p_fin_within_the_range_slack_is_reached(hayes_family):
     p_fin = hayes_family.p_range[1] * (1.0 + 5e-7)
-    opts = dt.TrackOptions(dp=0.05, regime="delay_param", p_fin=p_fin)
+    opts = dt.TrackOptions(dp=0.05, p_fin=p_fin)
     traj = dt.track_run(hayes_family, hayes_initial(hayes_family), opts)
     assert not traj.truncated and traj.samples[-1].p == p_fin
 
