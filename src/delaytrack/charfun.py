@@ -27,9 +27,10 @@ return a form per p, and :func:`split_form` wraps a single model.
 Below ``DENSE_MAX_DIM`` the slots are one real (n, r, r) stack, so a
 combination of them is a real matrix product; from it up they are a
 tuple of csr matrices.
-:func:`coefficients` gives the rows of P, dP/ds and dP/dp as one array;
-:func:`eval_P` forms a matrix from a row, and :func:`slot_products` applies
-rows to a vector from one set of products M_k x.
+:func:`coefficients` gives the rows of P, dP/ds and dP/dp as one (3, n)
+array c; :func:`eval_P` forms a matrix from a row, and
+:func:`slot_products` gives the (n, r) array Y of the products M_k x, so
+that the rows apply to x all at once as c @ Y.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ConfigurationError, SingularityError
 
@@ -215,7 +215,6 @@ def slot_matrices(model, derivatives=None):
     return tuple(mats)
 
 
-@dataclass(frozen=True)
 class SplitForm:
     """P(s, p) at one p: ``slots`` holds blocks of n = mu + 2 slot matrices
     (E, A0, A_1, ..., A_mu), concatenated (the real stack or the csr tuple
@@ -225,27 +224,27 @@ class SplitForm:
         P(s, p) = sum_j weights[j] sum_k c_k(s) M_{j,k}.
 
     ``taus`` are the delays at this p and ``dtaus`` their slopes
-    dtau_j/dp, one per delay (empty: none moves); ``wams`` shapes the
-    single delayed term, whose delay must then be fixed.
+    dtau_j/dp, one per delay (empty: none moves, stored as zeros);
+    ``wams`` shapes the single delayed term, whose delay must then be
+    fixed.  A plain record, checked once on construction: a family builds
+    one at every p.
     """
 
-    slots: np.ndarray | tuple
-    weights: tuple
-    dweights: tuple
-    taus: tuple
-    dtaus: tuple = ()
-    wams: WamsSpec | None = None
+    __slots__ = ("slots", "weights", "dweights", "taus", "dtaus", "wams")
 
-    def __post_init__(self):
-        if self.dtaus and len(self.dtaus) != self.mu:
+    def __init__(self, slots, weights, dweights, taus, dtaus=(), wams=None):
+        if dtaus and len(dtaus) != len(taus):
             raise ConfigurationError(
-                f"{len(self.dtaus)} delay slopes for {self.mu} delays"
+                f"{len(dtaus)} delay slopes for {len(taus)} delays"
             )
-        if self.wams is not None and (self.mu != 1 or any(self.dtaus)):
+        if wams is not None and (len(taus) != 1 or any(dtaus)):
             raise ConfigurationError(
                 f"WAMS shaping needs exactly one delay term, which is "
-                f"fixed; got mu={self.mu}, dtaus={self.dtaus}"
+                f"fixed; got mu={len(taus)}, dtaus={dtaus}"
             )
+        self.slots, self.weights, self.dweights = slots, weights, dweights
+        self.taus, self.dtaus = taus, dtaus or (0.0,) * len(taus)
+        self.wams = wams
 
     @property
     def mu(self):
@@ -283,24 +282,25 @@ def coefficients(form, s):
     when a kernel overflows or hits a pole of the transfer functions.
 
     The array is real for a float s on a form without WAMS shaping and
-    complex otherwise: the type of s is the one decision.
+    complex otherwise: the type of s is the one decision.  It is built
+    from one flat list of its 3 n entries.
     """
     if form.wams is None:
-        kernels = [_delay_scalar(s, tau) for tau in form.taus]
-        slopes = [-tau * e for tau, e in zip(form.taus, kernels)]
+        c, c_s, c_p = [s, -1.0], [1.0, 0.0], [0.0, 0.0]
+        for tau, dtau in zip(form.taus, form.dtaus):
+            e = _delay_scalar(s, tau)
+            c += [-e]
+            c_s += [tau * e]
+            c_p += [s * e * dtau]
     else:
         s = complex(s)
         g, g_s = transfer_scalars(form.wams, s)
-        kernels, slopes = [g], [g_s - form.wams.tau0 * g]
-    c = [s, -1.0] + [-e for e in kernels]
-    c_s = [1.0, 0.0] + [-d for d in slopes]
-    dtaus = form.dtaus or (0.0,) * form.mu
-    c_p = [0.0, 0.0] + [s * e * dtau for e, dtau in zip(kernels, dtaus)]
-    blocks = list(zip(form.weights, form.dweights))
-    return np.array([[w * x for w, _ in blocks for x in c],
-                     [w * x for w, _ in blocks for x in c_s],
-                     [w * x + dw * y
-                      for w, dw in blocks for x, y in zip(c_p, c)]])
+        c, c_p = [s, -1.0, -g], [0.0, 0.0, 0.0]  # the shaped delay is fixed
+        c_s = [1.0, 0.0, form.wams.tau0 * g - g_s]
+    blocks = tuple(zip(form.weights, form.dweights))
+    flat = [w * x for row in (c, c_s) for w, _ in blocks for x in row]
+    flat += [w * x + dw * y for w, dw in blocks for x, y in zip(c_p, c)]
+    return np.array(flat).reshape(3, -1)
 
 
 def eval_P(mats, c):
@@ -315,51 +315,40 @@ def eval_P(mats, c):
     """
     if isinstance(mats, np.ndarray):
         n, r, _ = mats.shape
-        c = np.asarray(c)
-        if np.iscomplexobj(c):
+        c = np.ascontiguousarray(c)
+        if c.dtype.kind == "c":
             # columns (Re c, Im c) give (Re P, Im P) side by side, read
             # back as one complex array
-            parts = np.ascontiguousarray(c, dtype=complex).view(float)
-            P = (mats.reshape(n, r * r).T @ parts.reshape(n, 2)).view(complex)
+            P = (mats.reshape(n, r * r).T @ c.view(float).reshape(n, 2)
+                 ).view(complex)
         else:
             P = c @ mats.reshape(n, r * r)
         P = P.reshape(r, r)
+        finite = np.isfinite(P)
     else:
         P = None
         for ck, M in zip(c, mats):
             if ck != 0.0:
                 P = ck * M if P is None else P + ck * M
-    if not np.isfinite(P.data if sparse.issparse(P) else P).all():
+        finite = np.isfinite(P.data)
+    if not finite.all():
         raise SingularityError("nonfinite entries in P(s)")
     return P
 
 
 def slot_products(mats, x):
-    """The map c -> sum_k c[k] (mats[k] @ x) for one x, which takes each
-    slot product M_k x once: on a dense stack all at once, by one real
-    product of the stack, as an (n r, r) matrix, with x or (Re x, Im x);
-    on csr slots each on first use by a row with a nonzero coefficient
-    there.  A row gives the same digits whichever rows are applied with
-    it, and real rows on a real x give real vectors.
+    """The (n, r) array Y whose row k is the slot product M_k x, so that
+    one row ``c`` of :func:`coefficients` gives sum_k c[k] M_k x as
+    ``c @ Y``, and the rows of P(s) and P'(s) give P(s) x and P'(s) x as
+    one product.  On a dense stack, Y is one real product of the stack,
+    as an (n r, r) matrix, with x or (Re x, Im x); on csr slots, one
+    sparse product per slot.  A real x gives a real Y.
     """
     x = np.ascontiguousarray(x)
     if isinstance(mats, np.ndarray):
         n, r, _ = mats.shape
-        if x.dtype == complex:
+        if x.dtype.kind == "c":
             Y = mats.reshape(n * r, r) @ x.view(float).reshape(r, 2)
-            Y = Y.view(complex).reshape(n, r)
-        else:
-            Y = (mats.reshape(n * r, r) @ x).reshape(n, r)
-        return lambda row: row @ Y
-    products = {}
-
-    def apply(row):
-        out = np.zeros(len(x), dtype=np.result_type(row, x))
-        for k in np.flatnonzero(row):
-            if k not in products:
-                products[k] = mats[k] @ x
-            out += row[k] * products[k]
-        return out
-
-    return apply
-
+            return Y.view(complex).reshape(n, r)
+        return (mats.reshape(n * r, r) @ x).reshape(n, r)
+    return np.array([M @ x for M in mats])

@@ -81,17 +81,17 @@ def _output(path):
             yield fh
 
 
-def _spectrum(man, p):
-    """The manifest's refined eigenpairs at ``p``, to its corrector_tol."""
+def _spectrum(man, p, tol):
+    """The manifest's refined eigenpairs at ``p``, to ``tol``."""
     return oracle.spectrum_at(
         man.family, p, N=man.init.N, shift=man.init.shift,
-        count=man.init.count, tol=man.track.corrector_tol,
-        wams=man.track.wams,
+        count=man.init.count, tol=tol, wams=man.track.wams,
     )
 
 
-def _initial_state(man, args):
-    """Seed eigenpair at p_init: --init-from RE,IM or the rightmost mode."""
+def _initial_state(man, args, options):
+    """Seed eigenpair at p_init, refined to ``options.corrector_tol``:
+    --init-from RE,IM or the rightmost mode."""
     p0 = man.p_init if args.p_init is None else args.p_init
     if getattr(args, "init_from", None):
         try:
@@ -101,7 +101,7 @@ def _initial_state(man, args):
                 f"--init-from expects RE,IM, got {args.init_from!r}"
             ) from None
         s0 = complex(re_s, im_s)
-        form = man.family.split_form(p0, man.track.wams)
+        form = man.family.split_form(p0, options.wams)
         # two steps of inverse iteration with P(s0) seed the eigenvector
         c, _, _ = charfun.coefficients(form, s0)
         lu = spectral._factor(charfun.eval_P(form.slots, c))
@@ -111,9 +111,9 @@ def _initial_state(man, args):
             phi0 = lu.solve(phi0)
             phi0 = phi0 / np.linalg.norm(phi0)
         ref = spectral.refine_newton(form, s0, phi0,
-                                     tol=man.track.corrector_tol)
+                                     tol=options.corrector_tol)
     else:
-        pairs = _spectrum(man, p0)
+        pairs = _spectrum(man, p0, options.corrector_tol)
         if not pairs:
             raise ConfigurationError(
                 f"initializer found no refined eigenpair at p={p0}"
@@ -123,19 +123,21 @@ def _initial_state(man, args):
 
 
 def _run_track(man, args):
-    """Sweep from the seed of :func:`_initial_state` with the manifest's
-    options, each field named in :data:`TRACK_FLAGS` replaced by its flag
-    when given; returns (trajectory, options)."""
+    """Sweep with the manifest's options, each field named in
+    :data:`TRACK_FLAGS` replaced by its flag when given, from the seed of
+    :func:`_initial_state` refined to those options; returns (trajectory,
+    options)."""
     options = replace(man.track, **{
         name: getattr(args, name) for name, _ in TRACK_FLAGS.values()
         if getattr(args, name) is not None})
-    return track_run(man.family, _initial_state(man, args), options), options
+    initial = _initial_state(man, args, options)
+    return track_run(man.family, initial, options), options
 
 
 def cmd_spectrum(args):
     man = load_manifest(args.manifest)
     p = man.p_init if args.p is None else args.p
-    pairs = _spectrum(man, p)
+    pairs = _spectrum(man, p, man.track.corrector_tol)
     with _output(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["s_r", "s_i", "residual"])

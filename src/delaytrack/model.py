@@ -174,7 +174,9 @@ class ModelFamily:
         ]
         self._delays = [tuple(zip(m.taus, dtaus))
                         for m, dtaus in zip(self._models, self._dtaus)]
-        self._fixed_delays = not any(map(any, self._dtaus))
+        # the delays of each segment on which none moves, else None
+        self._fixed = [None if any(dtaus) else m.taus
+                       for m, dtaus in zip(self._models, self._dtaus)]
         ref = self._models[0]
         if any((m.r, m.mu) != (ref.r, ref.mu) for m in self._models) or any(
                 len(dtaus) != ref.mu for dtaus in self._dtaus):
@@ -204,7 +206,8 @@ class ModelFamily:
     def _segment(self, p, slack=False):
         """Range-checked p: the index k of the segment [p_k, p_k+1) that
         holds p, the first or the last one past the knots."""
-        self.check_range(p, slack)
+        if not self.p_range[0] <= p <= self.p_range[1]:
+            self.check_range(p, slack)
         return bisect.bisect_right(self._knots, p, 1, self._last) - 1
 
     def _taus(self, k, h):
@@ -280,19 +283,19 @@ class ModelFamily:
         :class:`ConfigurationError` at every p.  Only the slots of the
         segment last used are kept, so memory does not grow with the
         knots."""
-        if wams is not None and not self._fixed_delays:
+        if wams is not None and None in self._fixed:
             raise ConfigurationError(
                 "WAMS shaping needs a family whose delays are fixed on every "
                 "segment"
             )
         k = self._segment(p, slack=True)
-        held = self._held
-        if held[0] != k:
-            held = self._held = (k, *self._segment_slots(k))
-        _, slots, dweights = held
-        h = p - self._anchors[k]
-        return SplitForm(slots, (1.0, float(h))[:len(dweights)], dweights,
-                         self._taus(k, h), self._dtaus[k], wams=wams)
+        if self._held[0] != k:
+            self._held = (k, *self._segment_slots(k))
+        _, slots, dweights = self._held
+        h, taus = float(p - self._anchors[k]), self._fixed[k]
+        return SplitForm(slots, (1.0, h)[:len(dweights)], dweights,
+                         self._taus(k, h) if taus is None else taus,
+                         self._dtaus[k], wams)
 
 
 class AffineFamily(ModelFamily):

@@ -3,10 +3,12 @@ plus Newton refinement.
 
 :func:`assemble` is the one build of the bordered system
 [[P(s), P'(s) phi], [phi^T, 0]] at an eigenpair, read by the Newton
-corrector, the continuation predictor of :mod:`track` and every residual;
-each reads only the parts it uses.  :func:`bordered_solve` is its solve:
-one LAPACK ?gesv on a dense P; on a sparse P, one refinement loop on a
-held or a fresh LU that meets 1e-13 ||(f, t)|| or fails.
+corrector, the continuation predictor of :mod:`track` and every residual,
+each reading only the parts it uses: P(s) phi and P'(s) phi are one
+product of two coefficient rows with the slot products M_k phi.
+:func:`bordered_solve` is its solve, returning the stacked (x; ds): one
+LAPACK ?gesv on a dense P; on a sparse P, one refinement loop on a held
+or a fresh LU that meets 1e-13 ||(f, t)|| or fails.
 The transcendental eigenproblem P(s) phi = 0 is seeded by collocating the
 delay interval [-tau_max, 0] at Chebyshev-Gauss-Lobatto nodes.  Values of
 the solution segment at the nodes satisfy a generalized linear eigenproblem
@@ -568,8 +570,8 @@ def _refined_solve(lu, P, w, phi, f, t):
     once; the first pass is the plain elimination) until that residual is
     at most 1e-13 ||(f, t)||.
 
-    Returns ``(solution, solves, ratio, schur)``: ``(x, ds)``, the solves
-    spent, the last residual ratio per pass and the Schur complement.
+    Returns ``(solution, solves, ratio, schur)``: the stacked (x; ds), the
+    solves spent, the last residual ratio per pass and the Schur complement.
     ``solution`` is None, and nothing raised, when the attempt fails: a
     zero or nonfinite Schur complement or residual, or a ratio too weak to
     reach the target within ``HELD_SOLVES`` solves."""
@@ -591,7 +593,7 @@ def _refined_solve(lu, P, w, phi, f, t):
         if not np.isfinite(res):
             return None, solves, ratio, schur
         if res <= target:
-            return (x, ds), solves, ratio, schur
+            return np.append(x, ds), solves, ratio, schur
         seen.append(res)
         # the first pass carries the cancellation error of the elimination
         # (b is huge near an eigenvalue), so the contraction is read from
@@ -611,11 +613,11 @@ def bordered_solve(P, w, phi, f, t, held=None):
 
         [[P, w], [phi^T, 0]] [x; ds] = [f; t]
 
-    for the vector x and the scalar ds, in the field of the inputs
-    (``np.result_type``): real ones give a real x and a float ds.  With
+    for the stacked vector (x; ds), in the field of the inputs
+    (``np.result_type``): real ones give a real solution.  With
     P = P(s), w = P'(s) phi and (f, t) = (-dP/dp phi, 0) this is the
-    continuation slope (dphi/dp, ds/dp); with (f, t) = -(P phi,
-    (phi^T phi - 1)/2) it is the Newton step.
+    continuation slope of the stacked state (phi; s); with (f, t) =
+    -(P phi, (phi^T phi - 1)/2) it is the Newton step.
 
     A dense ndarray P is solved as the dense (r+1) bordered matrix by one
     direct LAPACK ?gesv call (a fresh LU each time; dgesv when it is
@@ -640,14 +642,11 @@ def bordered_solve(P, w, phi, f, t, held=None):
     factor of P, a zero or nonfinite Schur complement or a refinement that
     cannot reach the target; or a nonfinite result.
     """
-    w, phi, f = np.asarray(w), np.asarray(phi), np.asarray(f)
-    dtype = np.result_type(P.dtype, w, phi, f, t)
-    if not sparse.issparse(P):
+    dtype = np.result_type(P, w, phi, f, t)
+    if isinstance(P, np.ndarray):
         r = P.shape[0]
         K = np.zeros((r + 1, r + 1), dtype=dtype, order="F")
-        K[:r, :r] = P
-        K[:r, r] = w
-        K[r, :r] = phi
+        K[:r, :r], K[:r, r], K[r, :r] = P, w, phi
         z = np.empty(r + 1, dtype=dtype)
         z[:r], z[r] = f, t
         gesv = _GESV.get(dtype) or la.get_lapack_funcs("gesv", dtype=dtype)
@@ -656,36 +655,33 @@ def bordered_solve(P, w, phi, f, t, held=None):
             raise SingularSystemError(
                 f"singular bordered matrix (LAPACK info {info}) or a "
                 f"nonfinite solution")
-        return z[:r], z[r].item()
+        return z
     with np.errstate(all="ignore"):  # nonfinite values are reported below
-        solution = None
+        z = None
         if held is not None and held.lu is not None:
-            solution, solves, ratio, _ = _refined_solve(
-                held.lu, P, w, phi, f, t)
-            if solution is None:
+            z, solves, ratio, _ = _refined_solve(held.lu, P, w, phi, f, t)
+            if z is None:
                 log.debug(
                     "dropped the held %d x %d factor after %d solves "
                     "(residual ratio %.3g)", P.shape[0], P.shape[0],
                     solves, ratio,
                 )
                 held.lu = None  # before the new factor: one LU at a time
-        if solution is None:
+        if z is None:
             lu = _factor(P)
             if held is not None:
                 held.lu = lu
-            solution, solves, ratio, schur = _refined_solve(
-                lu, P, w, phi, f, t)
-            if solution is None:
+            z, solves, ratio, schur = _refined_solve(lu, P, w, phi, f, t)
+            if z is None:
                 raise SingularSystemError(
                     "bordered matrix is singular: Schur complement "
                     f"phi^T P^-1 w = {schur}, residual ratio "
                     f"{ratio:.3g} per pass after {solves} solves")
-    x, ds = solution
     if dtype.kind != "c":  # a complex held LU may have solved a real system
-        x, ds = x.real, ds.real
-    if not (np.isfinite(ds) and np.isfinite(x).all()):
+        z = z.real
+    if not np.isfinite(z).all():
         raise SingularSystemError("nonfinite bordered solution")
-    return x, ds.item()
+    return z
 
 
 @dataclass
@@ -693,19 +689,19 @@ class ContinuationSystem:
     """The bordered system [[P(s), P'(s) phi], [phi^T, 0]] at one eigenpair
     (s, phi), with its right-hand sides.
 
-    ``apply`` applies a row of ``c`` (:func:`charfun.coefficients`) to phi
-    over one set of slot products (:func:`charfun.slot_products`).
-    ``top`` = P(s) phi, ``w`` = P'(s) phi (the border column) and
-    ``residual`` = ||P(s) phi|| / ||phi|| are formed at once, ``g`` =
-    -(dP/dp) phi (the parameter forcing) and ``P`` = P(s), dense or sparse
-    as the ``slots`` are, on first access: the Newton corrector forms no
-    forcing, and a converged pair no matrix.
+    ``top`` = P(s) phi and ``w`` = P'(s) phi (the border column) are the
+    one product ``c[:2] @ Y`` of the rows of :func:`charfun.coefficients`
+    with the slot products M_k phi of :func:`charfun.slot_products`, and
+    ``residual`` = ||P(s) phi|| / ||phi||.  ``g`` = -(dP/dp) phi (the
+    parameter forcing, one more row applied to ``Y``) and ``P`` = P(s),
+    dense or sparse as the ``slots`` are, are formed on first access: the
+    Newton corrector forms no forcing, and a converged pair no matrix.
     """
 
     slots: object
     c: np.ndarray
     phi: np.ndarray
-    apply: object
+    Y: np.ndarray
     top: np.ndarray
     w: np.ndarray
     residual: float
@@ -721,21 +717,27 @@ class ContinuationSystem:
     @property
     def g(self):
         if self._g is None:
-            self._g = -self.apply(self.c[2])
+            self._g = -(self.c[2] @ self.Y)
         return self._g
+
+
+def _norm(x):
+    """``np.linalg.norm`` of a 1-D array, to the bit, without its dispatch."""
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def assemble(form, pair):
     """The :class:`ContinuationSystem` of the split form ``form`` at
     ``pair`` (anything with ``s`` and ``phi``): the coefficients of
-    :func:`charfun.coefficients` over one set of slot products M_k phi."""
+    :func:`charfun.coefficients` over the slot products M_k phi, each
+    taken once."""
     c = charfun.coefficients(form, pair.s)
-    apply = charfun.slot_products(form.slots, pair.phi)
-    top = apply(c[0])
-    return ContinuationSystem(
-        slots=form.slots, c=c, phi=pair.phi, apply=apply, top=top,
-        w=apply(c[1]), residual=float(np.linalg.norm(top)
-                                      / np.linalg.norm(pair.phi)))
+    Y = charfun.slot_products(form.slots, pair.phi)
+    top, w = c[:2] @ Y
+    return ContinuationSystem(form.slots, c, pair.phi, Y, top, w,
+                              _norm(top) / _norm(pair.phi))
 
 
 def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
@@ -753,8 +755,9 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
     quadratically.  A real pair (:func:`in_field`) stays real on a real
     form.  Each iteration reads P(s) phi, P'(s) phi and P(s) of the system
     of :func:`assemble`, which forms P(s) only for a Newton step and the
-    parameter forcing never.  Returns an :class:`Eigenpair` satisfying
-    ||P(s) phi|| / ||phi|| <= tol and |phi^T phi - 1| <= tol.
+    parameter forcing never, and moves (phi; s) by the stacked solution.
+    Returns an :class:`Eigenpair` satisfying ||P(s) phi|| / ||phi|| <= tol
+    and |phi^T phi - 1| <= tol.
 
     Eigenvectors that are isotropic under the transpose pairing
     (phi^T phi = 0, e.g. (1, j) of a pure rotation) admit no quadratic
@@ -796,8 +799,8 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
                 return Eigenpair(s, phi / nrm, residual)
 
         try:
-            dphi, ds = bordered_solve(system.P, system.w, phi, -system.top,
-                                      -defect, held)
+            z = bordered_solve(system.P, system.w, phi, -system.top,
+                               -defect, held)
         except SingularSystemError as exc:
             if residual <= 1e-6 * (1.0 + abs(s)):
                 # singular at a converged-ish iterate: defective eigenvalue
@@ -808,8 +811,7 @@ def refine_newton(form, s0, phi0, tol=1e-10, max_iter=25, held=None):
                 f"singular bordered Jacobian far from a root at s={s}",
                 residual=residual,
             ) from exc
-        phi = phi + dphi
-        s = s + ds
+        phi, s = phi + z[:-1], s + z[-1].item()
     raise NonConvergenceError(
         f"Newton refinement did not reach tol={tol:g} in {max_iter} "
         f"iterations (last residual {residual:.3g})",

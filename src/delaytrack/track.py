@@ -7,21 +7,20 @@ eigenvector normalization phi^T phi = 1 yields the bordered system
 
 an ODE in the eigenpair (phi, s) itself, which is the continuation
 state; the sweep never builds its real split in (phi_r, phi_i, s_r, s_i),
-the form the paper writes.  One assembly, :func:`spectral.assemble`,
-builds P(s), P'(s) phi, -(dP/dp) phi and the residual ||P(s) phi|| /
-||phi|| from a :class:`charfun.SplitForm` and one set of slot products,
-for constant delays, moving delays and a WAMS-shaped delay alike; the
-predictor, the Newton corrector and every residual read it.  The run
-takes each form from ``family.split_form(p, options.wams)``, so no model
-is rebuilt per step.  A sample that is not corrected is assembled once:
-that system gives its residual and is the first stage of the step from
-it.
-Every integrator stage solves the bordered system with
-:func:`spectral.bordered_solve`, as the Newton corrector does: one LAPACK
-solve on a dense P(s); on a sparse one, a refined block elimination on an
-LU of P(s).  Consecutive P(s, p) differ by O(dp), so one sweep (and one
-crossing search) keeps a single :class:`spectral.HeldFactor` for all its
-sparse stages, steps and corrector iterations.
+the form the paper writes.  One assembly per stage,
+:func:`spectral.assemble`, gives P(s) phi and P'(s) phi as one product
+with the slot products M_k phi of a :class:`charfun.SplitForm`,
+-(dP/dp) phi as one more row and the residual, for fixed, moving and
+WAMS-shaped delays alike; the predictor, the corrector and every
+residual read it.  Forms come from ``family.split_form(p, options.wams)``.
+A sample that is not corrected is assembled once: that system gives its
+residual and is the first stage of the step from it.  Every stage, as
+every Newton step, solves with :func:`spectral.bordered_solve` for the
+stacked (dphi/dp; ds/dp) that moves the stacked state (phi; s): one
+LAPACK solve on a dense P(s); on a sparse one, a refined block
+elimination on an LU of P(s).  Consecutive P(s, p) differ by O(dp), so
+one sweep (and one crossing search) keeps a single
+:class:`spectral.HeldFactor` for all its sparse solves.
 The sweep advances (phi, s) with one explicit Runge-Kutta loop over the
 table of Euler, Heun and RK4, optionally re-polished by the Newton
 corrector at fixed p, while watching for conjugate-pair folds; its
@@ -44,7 +43,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +77,7 @@ FOLD_EPS = 1e-4
 JUMP_SLOPE = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrackState:
     """The continuation state: the eigenpair (s, phi) at one p, with
     ``phi`` copied to a 1-D array on construction.
@@ -87,7 +86,9 @@ class TrackState:
     ``phi`` is real, with ``s.imag == 0``, is real and stores a float
     ``s`` and a float64 ``phi``; any other stores a complex ``s`` and a
     complex128 ``phi``.  A real state on a real form is assembled, solved
-    and stepped in real arithmetic, so its successors are real states."""
+    and stepped in real arithmetic, so its successors are real states,
+    which the integrator and the corrector build (:meth:`_of`) from their
+    own arrays, neither copied nor checked again."""
 
     p: float
     s: complex
@@ -95,9 +96,7 @@ class TrackState:
     residual: float = math.nan
 
     def __post_init__(self):
-        s, phi = spectral.in_field(self.s, self.phi)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "phi", phi)
+        self.s, self.phi = spectral.in_field(self.s, self.phi)
 
     @property
     def s_r(self):
@@ -110,6 +109,13 @@ class TrackState:
     @classmethod
     def from_eigenpair(cls, p, s, phi, residual=math.nan):
         return cls(float(p), s, phi, float(residual))
+
+    @classmethod
+    def _of(cls, p, s, phi, residual=math.nan):
+        """The state of ``s`` and a 1-D ``phi`` in its field, as they are."""
+        state = cls.__new__(cls)
+        state.p, state.s, state.phi, state.residual = p, s, phi, residual
+        return state
 
 
 @dataclass
@@ -178,14 +184,6 @@ class TrackOptions:
             )
 
 
-def _slope(system, held):
-    """Slope d(phi, s)/dp of the continuation ODE, as one vector in the
-    field of ``system``."""
-    x, ds = spectral.bordered_solve(system.P, system.w, system.phi,
-                                    system.g, 0.0, held)
-    return np.concatenate((x, [ds]))
-
-
 def integrate_step(assemble, state, dp, method="euler", held=None,
                    first=None):
     """Advance the eigenpair (phi, s) of ``state`` by one explicit
@@ -197,24 +195,30 @@ def integrate_step(assemble, state, dp, method="euler", held=None,
     a TrackState to its :class:`spectral.ContinuationSystem` and is called
     once per stage, except for the first when the caller passes that
     stage's system at ``state`` as ``first``; each stage after the first
-    starts from the slope of the one before.
-    Every stage solves on the factor in ``held`` (a
-    :class:`spectral.HeldFactor`) when one is given.
+    starts from the slope of the one before.  The step moves the stacked
+    y = (phi; s) by the stacked solutions of :func:`spectral.bordered_solve`
+    (each on the factor in ``held``, a :class:`spectral.HeldFactor`, when
+    one is given); a stage is one state over views of its y, and the new
+    state has no residual yet.
     """
     try:
         offsets, weights, divisor = _SCHEMES[method]
     except KeyError:
         raise ConfigurationError(f"unknown integrator {method!r}") from None
     y = np.concatenate((state.phi, [state.s]))
-    k = _slope(assemble(state) if first is None else first, held)
+    system = assemble(state) if first is None else first
+    k = spectral.bordered_solve(system.P, system.w, system.phi, system.g,
+                                0.0, held)
     total = weights[0] * k
     for a, w in zip(offsets, weights[1:]):
         y_a = y + (a * dp) * k
-        k = _slope(assemble(TrackState(state.p + a * dp, y_a[-1], y_a[:-1])),
-                   held)
+        system = assemble(TrackState._of(state.p + a * dp, y_a[-1].item(),
+                                         y_a[:-1]))
+        k = spectral.bordered_solve(system.P, system.w, system.phi,
+                                    system.g, 0.0, held)
         total = total + w * k
     y = y + (dp / divisor) * total
-    return TrackState(state.p + dp, y[-1], y[:-1], state.residual)
+    return TrackState._of(state.p + dp, y[-1].item(), y[:-1])
 
 
 def detect_fold(window):
@@ -230,12 +234,10 @@ def detect_fold(window):
     """
     if len(window) < 2:
         return None
-    prev, cur = window[-2], window[-1]
-    came_from_above = abs(prev.s_i) >= FOLD_EPS
-    crossed = came_from_above and prev.s_i * cur.s_i < 0.0
-    shrunk = came_from_above and abs(cur.s_i) < FOLD_EPS
-    if crossed or shrunk:
-        return TrackEvent(kind="fold", p=cur.p, s=cur.s)
+    prev, cur = window[-2].s.imag, window[-1].s
+    if abs(prev) >= FOLD_EPS and (prev * cur.imag < 0.0
+                                  or abs(cur.imag) < FOLD_EPS):
+        return TrackEvent(kind="fold", p=window[-1].p, s=cur)
     return None
 
 
@@ -310,52 +312,50 @@ def track_run(family, initial, options):
     span = p_fin - p_init
     dp = abs(options.dp) if options.dp else abs(span) / 1000.0
     dp = math.copysign(dp, span)
-
-    def settled(form, st):
-        """``st``, a state of this run, given its residual; its system."""
-        system = spectral.assemble(form, st)
-        object.__setattr__(st, "residual", system.residual)
-        return st, system
+    ahead = math.copysign(1.0, dp)
+    near = 1e-14 * max(1.0, abs(p_fin))  # closer to p_fin ends the run
+    reach = abs(dp) * (1.0 + 1e-9)  # a step this close lands on p_fin
 
     def assemble_at(st):
         return spectral.assemble(family.split_form(st.p, wams), st)
 
     traj = Trajectory()
-    # the system of the last sample when it was not corrected: it gave
-    # the sample's residual and is the first stage of the step from it
-    # a copy: settling writes the residual into states of the run only
-    state, system = settled(form, replace(_real_if_roundoff(initial)))
+    # the run's own copy of the initial state, given its residual; the
+    # system of the last sample when it was not corrected: it gave the
+    # sample's residual and is the first stage of the step from it
+    state = _real_if_roundoff(initial)
+    system = spectral.assemble(form, state)
+    state.residual = system.residual
     side = _record(traj, state, 0.0)
     held = spectral.HeldFactor()
 
     step = 0
-    while (p_fin - state.p) * math.copysign(1.0, dp) > 1e-14 * max(
-        1.0, abs(p_fin)
-    ):
+    while (p_fin - state.p) * ahead > near:
         step += 1
         remaining = p_fin - state.p
-        last = abs(remaining) <= abs(dp) * (1.0 + 1e-9)
-        dp_k = remaining if last else dp  # land exactly on p_fin
+        last = remaining * ahead <= reach
         correct = options.corrector_every > 0 and (
             step % options.corrector_every == 0 or last
         )
 
         new_state = None
         try:
-            new_state = integrate_step(assemble_at, state, dp_k,
+            new_state = integrate_step(assemble_at, state,
+                                       remaining if last else dp,
                                        options.method, held, first=system)
             system = None
             if last:
-                new_state = replace(new_state, p=p_fin)
-            form_new = family.split_form(new_state.p, wams)
+                new_state.p = p_fin  # land exactly on p_fin
+            form = family.split_form(new_state.p, wams)
             if correct:
                 ref = spectral.refine_newton(
-                    form_new, new_state.s, new_state.phi,
+                    form, new_state.s, new_state.phi,
                     tol=options.corrector_tol, held=held)
-                new_state = TrackState.from_eigenpair(
-                    new_state.p, ref.s, ref.phi, ref.residual)
+                new_state = TrackState._of(new_state.p, ref.s, ref.phi,
+                                           ref.residual)
             else:
-                new_state, system = settled(form_new, new_state)
+                system = spectral.assemble(form, new_state)
+                new_state.residual = system.residual
         except (SingularSystemError, SingularityError,
                 DefectiveEigenvalueError, NonConvergenceError) as exc:
             # a failed step: a singular bordered system, a P that cannot be
@@ -364,7 +364,9 @@ def track_run(family, initial, options):
             # one, tagged with the event
             if new_state is not None:
                 with contextlib.suppress(SingularityError):
-                    side = _record(traj, settled(form_new, new_state)[0], side)
+                    new_state.residual = spectral.assemble(
+                        form, new_state).residual
+                    side = _record(traj, new_state, side)
             at = traj.samples[-1]
             failure = TrackEvent(
                 kind=("corrector_fail" if isinstance(exc, NonConvergenceError)
@@ -373,7 +375,7 @@ def track_run(family, initial, options):
             )
         else:
             side = _record(traj, new_state, side)
-            failure = detect_fold(traj.samples[-3:])
+            failure = detect_fold(traj.samples[-2:])
 
         if failure is not None:
             failure.index = len(traj.samples) - 1
@@ -382,7 +384,8 @@ def track_run(family, initial, options):
             if fresh is None:
                 traj.truncated = True
                 break
-            fresh, system = settled(family.split_form(fresh.p, wams), fresh)
+            system = assemble_at(fresh)
+            fresh.residual = system.residual
             traj.events.append(TrackEvent(kind="reinit", p=fresh.p, s=fresh.s,
                                           index=len(traj.samples)))
             side = _record(traj, fresh, side)
@@ -395,7 +398,7 @@ def _record(traj, st, side):
     lies across Re s = 0 from ``side``, the Re s of the last sample off the
     axis (0.0: none, or a nonfinite one since); return the new ``side``."""
     traj.samples.append(st)
-    new = (st.s_r or side) if math.isfinite(st.s_r) else 0.0
+    new = (st.s.real or side) if math.isfinite(st.s.real) else 0.0
     if side * new < 0.0:
         traj.events.append(TrackEvent(kind="axis_crossing", p=st.p, s=st.s,
                                       index=len(traj.samples) - 1))
@@ -423,15 +426,15 @@ def _resume(family, at, options, dp, p_fin):
 
 
 def _real_if_roundoff(state):
-    """``state`` as a real state when it is real to roundoff.  P(s) is
-    real for real s, so every step and correction from there runs in real
-    arithmetic and stays exactly real, where roundoff-sized imaginary parts
-    would shrink geometrically into subnormal arithmetic."""
-    phi = state.phi
-    if not (abs(state.s_i) <= 1e-12 * max(1.0, abs(state.s))
+    """A copy of ``state``, as a real state when it is real to roundoff.
+    P(s) is real for real s, so every step and correction from there runs
+    in real arithmetic and stays exactly real, where roundoff-sized
+    imaginary parts would shrink geometrically into subnormal arithmetic."""
+    s, phi = state.s, state.phi
+    if (abs(s.imag) <= 1e-12 * max(1.0, abs(s))
             and np.linalg.norm(phi.imag) <= 1e-12 * np.linalg.norm(phi)):
-        return state
-    return replace(state, s=state.s.real, phi=phi.real)
+        s, phi = s.real, phi.real
+    return TrackState(state.p, s, phi)
 
 
 def find_crossing(family, trajectory, options):

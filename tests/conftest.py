@@ -215,11 +215,17 @@ def real_split(P, w, phi, g):
     return M, h
 
 
+def unstack(z):
+    """(x, ds) of the stacked solution (x; ds) of ``bordered_solve``."""
+    assert z.ndim == 1
+    return z[:-1], z[-1]
+
+
 def real_slope(system):
     """Real split (dphi_r, dphi_i, ds_r, ds_i) of the continuation slope
     that ``spectral.bordered_solve`` returns for ``system``."""
-    x, ds = spectral.bordered_solve(system.P, system.w, system.phi,
-                                    system.g, 0.0)
+    x, ds = unstack(spectral.bordered_solve(system.P, system.w,
+                                            system.phi, system.g, 0.0))
     return np.concatenate([x.real, x.imag, [ds.real, ds.imag]])
 
 

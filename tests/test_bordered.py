@@ -33,6 +33,7 @@ from conftest import (
     random_state,
     real_slope,
     system_as_dense,
+    unstack,
 )
 
 
@@ -72,9 +73,9 @@ class TestBorderedSolve:
         A = sparse.random(r, r, density=0.1, random_state=3)
         P = sparse.csr_array((1 + 0.5j) * (A + 3 * sparse.eye(r)))
         w, phi, f = cvec(rng, r), cvec(rng, r), cvec(rng, r)
-        x, ds = bordered_solve(
+        x, ds = unstack(bordered_solve(
             P if as_sparse else P.toarray(), w, phi, f, 0.7 - 0.2j
-        )
+        ))
         xd, dsd = dense_bordered(P, w, phi, f, 0.7 - 0.2j)
         assert np.abs(x - xd).max() <= 1e-13 * np.abs(xd).max()
         assert abs(ds - dsd) <= 1e-13 * abs(dsd)
@@ -92,7 +93,7 @@ class TestBorderedSolve:
         with pytest.raises(RuntimeError):
             splu(P.tocsc())
         w, phi, f = cvec(rng, r), cvec(rng, r), cvec(rng, r)
-        x, ds = bordered_solve(P, w, phi, f, 0.3)
+        x, ds = unstack(bordered_solve(P, w, phi, f, 0.3))
         xd, dsd = dense_bordered(P, w, phi, f, 0.3)
         assert np.abs(x - xd).max() <= 1e-12 * np.abs(xd).max()
         assert abs(ds - dsd) <= 1e-12 * abs(dsd)
@@ -132,10 +133,10 @@ class TestBorderedSolve:
         c, c_s, _ = charfun.coefficients(form, s)
         P = charfun.eval_P(form.slots, c)
         assert sparse.issparse(P)
-        w = charfun.slot_products(form.slots, pair.phi)(c_s)
+        w = c_s @ charfun.slot_products(form.slots, pair.phi)
         rng = np.random.default_rng(5)
         f, t = cvec(rng, model.r), 0.3 - 0.1j
-        x, ds = bordered_solve(P, w, pair.phi, f, t)
+        x, ds = unstack(bordered_solve(P, w, pair.phi, f, t))
         assert_meets_target(P, w, pair.phi, f, t, x, ds)
         xd, dsd = dense_bordered(P, w, pair.phi, f, t)
         got, want = np.append(x, ds), np.append(xd, dsd)
@@ -232,7 +233,7 @@ def pair_system(s_offset):
     c, c_s, _ = charfun.coefficients(form, pair.s + s_offset)
     P = charfun.eval_P(form.slots, c)
     assert sparse.issparse(P)
-    w = charfun.slot_products(form.slots, pair.phi)(c_s)
+    w = c_s @ charfun.slot_products(form.slots, pair.phi)
     rng = np.random.default_rng(8)
     return P, w, pair.phi, cvec(rng, model.r), 0.3 - 0.1j
 
@@ -250,10 +251,10 @@ class TestHeldFactor:
         held.lu = lu = _factor(P0)
         before = factor_count()
         with caplog.at_level(logging.DEBUG, logger="delaytrack"):
-            x, ds = bordered_solve(P, w, phi, f, t, held)
+            x, ds = unstack(bordered_solve(P, w, phi, f, t, held))
         assert factor_count() == before and held.lu is lu
         assert caplog.records == []
-        xf, dsf = bordered_solve(P, w, phi, f, t)
+        xf, dsf = unstack(bordered_solve(P, w, phi, f, t))
         assert_meets_target(P, w, phi, f, t, x, ds)
         assert_meets_target(P, w, phi, f, t, xf, dsf)
         got, want = np.append(x, ds), np.append(xf, dsf)
@@ -266,11 +267,11 @@ class TestHeldFactor:
                                                    format="csc"))
         before = factor_count()
         with caplog.at_level(logging.DEBUG, logger="delaytrack"):
-            x, ds = bordered_solve(P, w, phi, f, t, held)
+            x, ds = unstack(bordered_solve(P, w, phi, f, t, held))
         assert factor_count() == before + 1
         assert held.lu is not stale
         assert_meets_target(P, w, phi, f, t, x, ds)
-        xf, dsf = bordered_solve(P, w, phi, f, t)
+        xf, dsf = unstack(bordered_solve(P, w, phi, f, t))
         np.testing.assert_array_equal(x, xf)
         assert ds == dsf
         [record] = caplog.records
@@ -291,7 +292,7 @@ class TestHeldFactor:
         held = dt.HeldFactor()
         held.lu = _factor(P + 0.5 * sparse.eye_array(r))
         w, phi, f = cvec(rng, r), cvec(rng, r), cvec(rng, r)
-        x, ds = bordered_solve(P, w, phi, f, 0.3, held)
+        x, ds = unstack(bordered_solve(P, w, phi, f, 0.3, held))
         xd, dsd = dense_bordered(P, w, phi, f, 0.3)
         assert np.abs(x - xd).max() <= 1e-12 * np.abs(xd).max()
         assert abs(ds - dsd) <= 1e-12 * abs(dsd)

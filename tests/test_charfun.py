@@ -208,7 +208,7 @@ class TestShapedDelayTerm:
         # -(dP/dp) phi at phi = [1]
         form = dt.split_form(self.model, derivs, wams=spec)
         _, _, c_p = charfun.coefficients(form, s)
-        return -charfun.slot_products(form.slots, np.ones(1))(c_p)[0]
+        return -(c_p @ charfun.slot_products(form.slots, np.ones(1)))[0]
 
     def test_constant_limit_reduces_to_plain_delay(self):
         spec = dt.WamsSpec.constant_delay(0.7)

@@ -521,6 +521,19 @@ class TestCommands:
         assert len(rows) == 4
         assert all(float(row[2]) <= 1e-15 for row in rows)
 
+    @pytest.mark.parametrize("init_from", [None, "-0.3,1.3"])
+    def test_track_seed_refines_to_the_tol_flag(self, tmp_path, init_from):
+        # --tol replaces the manifest's corrector_tol of 1e-10 for the seed
+        # as well as for the sweep: the first row is the refined seed
+        out = tmp_path / "h.csv"
+        argv = ["track", HAYES, "--tol", "1e-15", "--dp", "0.01",
+                "--out", str(out)]
+        if init_from is not None:
+            argv.append(f"--init-from={init_from}")
+        assert main(argv) == EXIT_OK
+        first = list(csv.reader(io.StringIO(out.read_text())))[1]
+        assert float(first[0]) == 1.0 and float(first[3]) <= 1e-15
+
     def test_spectrum_of_a_wams_manifest(self, tmp_path):
         path = write_wams_bundle(tmp_path)
         out = tmp_path / "spec.csv"

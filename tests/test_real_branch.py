@@ -18,7 +18,7 @@ from delaytrack import charfun, spectral, track
 from delaytrack.charfun import DENSE_MAX_DIM
 from delaytrack.spectral import _factor, bordered_solve
 
-from conftest import random_model_with_derivatives
+from conftest import random_model_with_derivatives, unstack
 
 
 def assert_meets_target(P, w, phi, f, t, x, ds):
@@ -45,11 +45,12 @@ def test_real_bordered_solve_is_real_and_matches_complex(layout,
     assert P.dtype == np.float64 and system.w.dtype == np.float64
     assert sparse.issparse(P) == (layout == "csr")
     f, t = rng.standard_normal(40), 0.3
-    x, ds = bordered_solve(P, system.w, phi, f, t)
+    x, ds = unstack(bordered_solve(P, system.w, phi, f, t))
     assert x.dtype == np.float64 and isinstance(ds, float)
     Pc = P.astype(complex)
-    xc, dsc = bordered_solve(Pc, system.w.astype(complex),
-                             phi.astype(complex), f.astype(complex), t)
+    xc, dsc = unstack(bordered_solve(Pc, system.w.astype(complex),
+                                     phi.astype(complex), f.astype(complex),
+                                     t))
     assert xc.dtype == complex and isinstance(dsc, complex)
     got, want = np.append(x, ds), np.append(xc, dsc)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -116,7 +117,7 @@ def test_one_held_factor_serves_both_fields(first, near, factor_count):
     for k, name in enumerate(order):
         P, w, phi, f, t = systems[name]
         before = factor_count()
-        x, ds = bordered_solve(P, w, phi, f, t, held)
+        x, ds = unstack(bordered_solve(P, w, phi, f, t, held))
         assert_meets_target(P, w, phi, f, t, x, ds)
         assert x.dtype == (np.float64 if name == "real" else complex)
         assert isinstance(ds, float if name == "real" else complex)
@@ -125,7 +126,7 @@ def test_one_held_factor_serves_both_fields(first, near, factor_count):
         elif near:
             # the held factor of the other field serves: no new factor
             assert factor_count() == before
-        xf, dsf = bordered_solve(P, w, phi, f, t)
+        xf, dsf = unstack(bordered_solve(P, w, phi, f, t))
         got, want = np.append(x, ds), np.append(xf, dsf)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert held.lu is not None

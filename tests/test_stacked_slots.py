@@ -2,6 +2,8 @@
 once: its residual and the first stage of the step from it come from one
 assembly."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,7 +11,12 @@ import scipy.sparse as sparse
 import delaytrack as dt
 from delaytrack import charfun, spectral
 
-from conftest import pencil_pair, random_model_with_derivatives, random_state
+from conftest import (
+    moving_delay,
+    pencil_pair,
+    random_model_with_derivatives,
+    random_state,
+)
 
 
 def model_slots(model, derivs):
@@ -25,10 +32,9 @@ def per_slot(mats, c):
 
 
 def products(mats, rows, x):
-    """Each row applied to x from one set of slot products, as
+    """The rows applied to x as one product with the slot products, as
     ``spectral.assemble`` applies them."""
-    apply = charfun.slot_products(mats, x)
-    return np.array([apply(row) for row in rows])
+    return np.asarray(rows) @ charfun.slot_products(mats, x)
 
 
 def assert_close(a, b, rtol):
@@ -52,29 +58,79 @@ def test_slot_products_match_per_slot_sums(r, layout, monkeypatch):
         assert all(sparse.issparse(M) for M in form.slots)
     st = random_state(r, seed=r)
     rows = np.array(charfun.coefficients(form, st.s))
+    Y = charfun.slot_products(form.slots, st.phi)
+    assert Y.shape == (8, r) and Y.dtype == complex
+    for k, M in enumerate(mats):
+        assert_close(Y[k], M @ st.phi, 1e-13)
     for c in rows:
         P = dt.eval_P(form.slots, c)
         P = P.toarray() if sparse.issparse(P) else P
         assert_close(P, per_slot(mats, c), 1e-13)
-        y = charfun.slot_products(form.slots, st.phi)(c)
+        y = c @ Y
         assert y.shape == (r,)
         assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
     stacked = products(form.slots, rows, st.phi)
     assert stacked.shape == (3, r)
     for y, c in zip(stacked, rows):
         assert_close(y, per_slot(mats, c) @ st.phi, 1e-13)
-    # a row gives the same digits alone as after the other rows of its
-    # array of coefficients, in either field
+    # the slot products are those of x, whichever field the rows are in:
+    # a real x gives a real Y, and rows in either order give the same
+    # products in the same order
     for s, phi in ((st.s, st.phi), (-0.7, st.phi.real)):
         array = charfun.coefficients(form, s)
         assert isinstance(array, np.ndarray) and array.shape == (3, 8)
         assert array.dtype == (complex if isinstance(s, complex) else float)
+        assert charfun.slot_products(form.slots, phi).dtype == phi.dtype
         for order in (array, array[::-1]):
             stacked = products(form.slots, order, phi)
             assert stacked.dtype == array.dtype
             for y, c in zip(stacked, order):
-                np.testing.assert_array_equal(
-                    y, charfun.slot_products(form.slots, phi)(c))
+                assert_close(y, per_slot(mats, c) @ phi, 1e-13)
+
+
+def reference_coefficients(form, s):
+    """The coefficient rows built as three nested lists, one comprehension
+    per row and per kernel term."""
+    if form.wams is None:
+        kernels = [np.exp(-s * tau) for tau in form.taus]
+        slopes = [-tau * e for tau, e in zip(form.taus, kernels)]
+    else:
+        s = complex(s)
+        g, g_s = charfun.transfer_scalars(form.wams, s)
+        kernels, slopes = [g], [g_s - form.wams.tau0 * g]
+    c = [s, -1.0] + [-e for e in kernels]
+    c_s = [1.0, 0.0] + [-d for d in slopes]
+    c_p = [0.0, 0.0] + [s * e * dtau for e, dtau in zip(kernels, form.dtaus)]
+    blocks = list(zip(form.weights, form.dweights))
+    return np.array([[w * x for w, _ in blocks for x in c],
+                     [w * x for w, _ in blocks for x in c_s],
+                     [w * x + dw * y
+                      for w, dw in blocks for x, y in zip(c_p, c)]])
+
+
+@pytest.mark.parametrize("s", [-0.7, -0.4 + 1.3j])
+def test_coefficients_from_one_flat_list_are_the_nested_rows(s):
+    # the flat list takes the same products and sums as the nested rows,
+    # so the digits must agree, for one block and two, fixed, moving and
+    # WAMS-shaped delays
+    model, derivs = random_model_with_derivatives(3, 2, seed=21)
+    one, _ = random_model_with_derivatives(3, 1, seed=22)
+    spec = dt.WamsSpec(tau0=0.05, p_dr=0.2, T=0.02, alpha=5e-3, b=2.0)
+    forms = [dt.split_form(model), dt.split_form(model, derivs),
+             dt.split_form(model, moving_delay(derivs, 1)),
+             dt.split_form(one, wams=spec)]
+    for form in forms:
+        got = charfun.coefficients(form, s)
+        assert got.shape == (3, len(form.weights) * (form.mu + 2))
+        np.testing.assert_array_equal(got, reference_coefficients(form, s))
+
+
+def test_residual_norm_has_the_digits_of_numpy():
+    rng = np.random.default_rng(4)
+    for r in (1, 2, 7, 100, 1000):
+        x = rng.standard_normal(r) * 10.0 ** rng.integers(-100, 100)
+        for v in (x, x + 1j * rng.standard_normal(r), x[::-1]):
+            assert spectral._norm(v) == np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("mu", [0, 2])
@@ -175,9 +231,11 @@ def test_uncorrected_residuals_are_the_eigenpair_residual(layout,
     for k, st in enumerate(traj.samples):
         if k % opts.corrector_every == 0 and k > 0:
             continue  # corrected: the residual of the Newton polish
+        # P(s) phi as the assembly forms it, the first row of one product
+        # of the rows of P(s) and P'(s) with the slot products of phi
         form = fam.split_form(st.p)
-        c, _, _ = charfun.coefficients(form, st.s)
-        v = charfun.slot_products(form.slots, st.phi)(c)
+        rows = charfun.coefficients(form, st.s)
+        v, _ = rows[:2] @ charfun.slot_products(form.slots, st.phi)
         ref = np.linalg.norm(v) / np.linalg.norm(st.phi)
         assert abs(st.residual - ref) <= 1e-14 * ref
 
@@ -189,9 +247,9 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
         monkeypatch.setattr(charfun, "DENSE_MAX_DIM", 0)
     fam = drifting_family(30, 3)
     initial = complex_start(fam, 0.0)
-    forms, systems, states = [], [], []
+    forms, systems, checked, built = [], [], [], []
     split_form, assemble = fam.split_form, spectral.assemble
-    post_init = dt.TrackState.__post_init__
+    post_init, of = dt.TrackState.__post_init__, dt.TrackState._of
 
     def counting(p, wams=None):
         forms.append(p)
@@ -202,12 +260,17 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
         return assemble(form, pair)
 
     def constructing(state):
-        states.append(1)
+        checked.append(1)
         post_init(state)
+
+    def building(*args):
+        built.append(1)
+        return of(*args)
 
     monkeypatch.setattr(fam, "split_form", counting)
     monkeypatch.setattr(spectral, "assemble", assembling)
     monkeypatch.setattr(dt.TrackState, "__post_init__", constructing)
+    monkeypatch.setattr(dt.TrackState, "_of", staticmethod(building))
     opts = dt.TrackOptions(dp=1e-2, corrector_every=0, p_fin=0.1)
     residual = initial.residual
     traj = dt.track_run(fam, initial, opts)
@@ -218,10 +281,12 @@ def test_uncorrected_euler_step_evaluates_the_family_once(layout,
     assert forms == [st.p for st in traj.samples]
     assert systems == forms
     # one state per sample, given its residual in place: the run's copy of
-    # the initial state, then the state of each step, and one more copy
-    # that puts the last step exactly on p_fin; the caller's initial state
-    # keeps its own residual
-    assert len(states) == len(traj.samples) + 1
+    # the initial state, the only one checked by in_field, then the state
+    # each step builds from its own arrays, the last one put exactly on
+    # p_fin in place; the caller's initial state keeps its own residual
+    assert checked == [1]
+    assert len(built) == len(traj.samples) - 1
+    assert traj.samples[-1].p == 0.1
     assert traj.samples[0] is not initial and initial.residual == residual
 
 
@@ -268,8 +333,9 @@ def reference_newton(form, s, phi, tol=1e-10, max_iter=25):
 
 
 def test_corrector_forms_no_forcing(monkeypatch):
-    # a Newton iteration applies the rows of P(s) and P'(s) to phi and
-    # never the dP/dp row: the forcing -(dP/dp) phi is the predictor's
+    # a Newton iteration applies the rows of P(s) and P'(s) to phi, as one
+    # product with the slot products of phi, and never the dP/dp row: the
+    # forcing -(dP/dp) phi is the predictor's
     fam = drifting_family(100, 11)
     form = fam.split_form(0.3)
     pairs = dt.spectrum_at(fam, 0.3, N=8, shift=0j, count=6)
@@ -277,20 +343,16 @@ def test_corrector_forms_no_forcing(monkeypatch):
                 key=lambda e: e.s.real)
     # the real pair, off by 1e-3 in s: a few Newton steps in real arithmetic
     phi0 = (start.phi / start.phi[np.argmax(abs(start.phi))]).real
-    systems, applied = [], []
+    systems, products = [], []
     assemble, slot_products = spectral.assemble, charfun.slot_products
 
     def assembling(form, pair):
-        systems.append(pair.s)
-        return assemble(form, pair)
+        systems.append((pair.s, pair.phi, assemble(form, pair)))
+        return systems[-1][2]
 
     def counting(mats, x):
-        apply = slot_products(mats, x)
-
-        def counted(row):
-            applied.append(row)
-            return apply(row)
-        return counted
+        products.append(x)
+        return slot_products(mats, x)
 
     def forcing(system):
         raise AssertionError("the corrector formed -(dP/dp) phi")
@@ -301,11 +363,95 @@ def test_corrector_forms_no_forcing(monkeypatch):
     ref = dt.refine_newton(form, start.s.real + 1e-3, phi0)
     assert isinstance(ref.s, float) and ref.residual <= 1e-10
     assert len(systems) >= 3
-    assert len(applied) == 2 * len(systems)
-    for s, (c, c_s) in zip(systems, zip(applied[::2], applied[1::2])):
+    assert len(products) == len(systems)
+    for (s, phi, system), x in zip(systems, products):
+        assert x is phi and system.Y.dtype == np.float64
         rows = charfun.coefficients(form, s)
-        np.testing.assert_array_equal(c, rows[0])
-        np.testing.assert_array_equal(c_s, rows[1])
+        np.testing.assert_array_equal(system.c, rows)
+        np.testing.assert_array_equal([system.top, system.w],
+                                      rows[:2] @ system.Y)
+
+
+class CountedSlot:
+    """A csr slot that logs its index at each product with a vector."""
+
+    def __init__(self, M, k, log):
+        self.M, self.k, self.log, self.shape = M, k, log, M.shape
+
+    def __matmul__(self, x):
+        self.log.append(self.k)
+        return self.M @ x
+
+    def __rmul__(self, c):
+        return c * self.M
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_assembly_takes_each_slot_product_once(layout, monkeypatch):
+    # one assembly takes the product M_k phi of every slot once (on a
+    # dense stack all in one product), and forms P(s) only when a solve
+    # reads it; the forcing takes no product of its own, and a Newton
+    # iteration takes one set of products and never the forcing
+    fam = drifting_family(30, 3)
+    root = complex_start(fam, 0.3)
+    # off the eigenvalue, so that P(s) phi is no cancellation
+    pair = spectral.Eigenpair(root.s + 0.1, root.phi, math.nan)
+    form = fam.split_form(0.3)
+    stack, n = form.slots, len(form.slots)
+    products, formed, systems = [], [], []
+    if layout == "csr":
+        form = dt.SplitForm(
+            tuple(CountedSlot(sparse.csr_array(M), k, products)
+                  for k, M in enumerate(stack)),
+            form.weights, form.dweights, form.taus, form.dtaus)
+        each = list(range(n))
+    else:
+        slot_products = charfun.slot_products
+
+        def counting(mats, x):
+            products.append("stack")
+            return slot_products(mats, x)
+
+        monkeypatch.setattr(charfun, "slot_products", counting)
+        each = ["stack"]
+    eval_P, assemble = charfun.eval_P, spectral.assemble
+
+    def forming(mats, c):
+        formed.append(1)
+        return eval_P(mats, c)
+
+    def assembling(form, pair):
+        systems.append(1)
+        return assemble(form, pair)
+
+    monkeypatch.setattr(charfun, "eval_P", forming)
+    system = spectral.assemble(form, pair)
+    assert products == each and formed == []
+    for k, M in enumerate(stack):
+        assert_close(system.Y[k], M @ pair.phi, 1e-13)
+    c, c_s, c_p = charfun.coefficients(form, pair.s)
+    mats = list(stack)
+    assert_close(system.top, per_slot(mats, c) @ pair.phi, 1e-13)
+    assert_close(system.w, per_slot(mats, c_s) @ pair.phi, 1e-13)
+    assert_close(system.g, -(per_slot(mats, c_p) @ pair.phi), 1e-13)
+    assert products == each and formed == []
+    P = system.P
+    assert system.P is P and formed == [1]
+    P = P.toarray() if sparse.issparse(P) else P
+    assert_close(P, per_slot(mats, c), 1e-13)
+
+    def forcing(system):
+        raise AssertionError("the corrector formed -(dP/dp) phi")
+
+    products.clear()
+    formed.clear()
+    monkeypatch.setattr(spectral, "assemble", assembling)
+    monkeypatch.setattr(spectral.ContinuationSystem, "g", property(forcing))
+    ref = dt.refine_newton(form, root.s + 1e-3, root.phi)
+    assert ref.residual <= 1e-10 and len(systems) >= 3
+    assert products == each * len(systems)
+    # a matrix for every Newton step, none at the converged pair
+    assert len(formed) == len(systems) - 1
 
 
 def test_corrector_matches_reference_on_hayes(hayes_family):
